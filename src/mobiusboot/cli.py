@@ -21,7 +21,6 @@ from pathlib import Path
 from . import __version__
 from .lattice import (
     CapExceededError,
-    LatticeIndex,
     Partition,
     cover_edges,
     enumerate_partitions,
@@ -48,6 +47,7 @@ from .resampling import (
     log_gamma_ratio,
     one_norm_id_minus_S,
     one_norm_direct,
+    one_norm_id_minus_scaled,
     reduced_matrix,
     sampling_matrix,
 )
@@ -65,6 +65,11 @@ from . import mc as mc_mod
 
 class UsageError(Exception):
     pass
+
+
+def _at_least(flag, value, low):
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}, got {value}")
 
 
 def _scalar(v):
@@ -148,7 +153,7 @@ def _matrix_table(artifact, name, labels, entries):
 # -- subcommands ----------------------------------------------------------------------
 
 def cmd_lattice(args, argv):
-    index = LatticeIndex(args.m, enumerate_partitions(args.m))
+    index = enumerate_partitions(args.m)
     labels = [format_partition(pi) for pi in index]
     art = Artifact("lattice", argv)
     art.add_table(
@@ -168,6 +173,7 @@ def cmd_lattice(args, argv):
 
 
 def cmd_smatrix(args, argv):
+    _at_least("--n", args.n, 1)
     art = Artifact("smatrix", argv)
     if args.reduced:
         R = reduced_matrix(args.m, args.n)
@@ -195,7 +201,10 @@ def cmd_smatrix(args, argv):
 
 def _load_functional(path):
     with open(path) as fh:
-        return polynomial_from_dict(json.load(fh))
+        try:
+            return polynomial_from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"malformed functional JSON {path}: {exc!r}") from None
 
 
 def _load_population(path, needed_order, d):
@@ -237,6 +246,8 @@ def _parse_schedule(text, n, k):
 
 
 def cmd_bias(args, argv):
+    _at_least("--n", args.n, 1)
+    _at_least("--k", args.k, 0)
     F = _load_functional(args.functional)
     table, _ = _load_population(args.population, F.max_order(), F.d)
     schedule = _parse_schedule(args.schedule, args.n, args.k)
@@ -264,12 +275,17 @@ def _chain_expectation(F, n, coeffs, data):
 def cmd_mc_run(args, argv):
     if (args.data is None) == (args.population is None):
         raise UsageError("exactly one of --data or --population is required")
+    _at_least("--k", args.k, 0)
+    _at_least("--replicas", args.replicas, 1)
     F = _load_functional(args.functional)
     art = Artifact("mc-run", argv, seed=args.seed)
     art.extra["functional"] = polynomial_to_dict(F)
 
     if args.data is not None:
-        data = dataset_from_csv(args.data)
+        try:
+            data = dataset_from_csv(args.data)
+        except ValueError as exc:
+            raise UsageError(f"malformed dataset CSV: {exc}") from None
         n = data.n
         schedule = _parse_schedule(args.schedule, n, args.k)
         coeffs = mc_mod.expansion_coefficients(args.k if schedule is None else schedule)
@@ -295,6 +311,7 @@ def cmd_mc_run(args, argv):
             raise UsageError("--exhaustive applies to --data runs only")
         if args.n is None:
             raise UsageError("--n is required with --population")
+        _at_least("--n", args.n, 1)
         table, sampler = _load_population(args.population, F.max_order(), F.d)
         if sampler is None:
             raise InfeasibleError(
@@ -445,6 +462,14 @@ def _check_one_norm():
                 one_norm_id_minus_S(m, n) == one_norm_direct(m, n),
                 f"one-norm closed form != direct at m={m}, n={n}",
             )
+            etas = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2)]
+            if m <= n:
+                etas += StepSchedule.default(n, m).etas
+            for eta in etas:
+                _ensure(
+                    one_norm_id_minus_scaled(m, n, eta) == one_norm_direct(m, n, eta),
+                    f"scaled one-norm closed form != direct at m={m}, n={n}, eta={eta}",
+                )
 
 
 def _basis_poly(pi, m):

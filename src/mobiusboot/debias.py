@@ -23,12 +23,7 @@ from .moments import (
     evaluate,
     reachable_blocks,
 )
-from .resampling import (
-    apply_S,
-    one_norm_id_minus_S,
-    one_norm_id_minus_scaled,
-    sampling_matrix,
-)
+from .resampling import apply_S, one_norm_id_minus_S, one_norm_id_minus_scaled
 
 
 class StepSchedule:
@@ -130,9 +125,9 @@ def exact_bias(F, n, k, population, mode="stationary", schedule=None):
     """Bias trajectory of the iterates against an analytic population.
 
     Signed bias at step j is evaluate(S g_j - f, population); the bound
-    column is mu_inf * f_one * ||Id-S||_1^(j+1) for the stationary mode and
-    the running product of scheduled factor norms otherwise.  The population
-    table must cover every block the terms of F can merge into.
+    column is mu_inf * f_one * ||Id-S||_1 times the running product of the
+    step norms ||Id-eta_i*S||_1, with every eta_i = 1 in the stationary mode.
+    The population table must cover every block the terms of F can merge into.
     """
     if not isinstance(population, MomentTable):
         raise TypeError("population must be a MomentTable")
@@ -145,19 +140,19 @@ def exact_bias(F, n, k, population, mode="stationary", schedule=None):
     f_one = sum(abs(c) for c in F.terms.values())
     target = evaluate(F, population)
 
-    if mode == "schedule":
-        if schedule is None:
-            schedule = StepSchedule.default(n, k)
-        etas = list(schedule)
-    else:
-        etas = [None] * k
+    if mode == "stationary":
+        schedule = StepSchedule.unit(n, k)
+    elif schedule is None:
+        schedule = StepSchedule.default(n, k)
+    etas = list(schedule)
 
-    S = sampling_matrix(m, n) if m >= 1 else None
-    base_norm = one_norm_id_minus_S(m, n) if m >= 1 else Fraction(0)
+    def norm(eta):
+        # a constant F (m = 0) carries no bias, so its bound is 0
+        return one_norm_id_minus_scaled(m, n, eta) if m >= 1 else Fraction(0)
 
     records = []
     g = F
-    bound = mu_inf * f_one * base_norm
+    bound = mu_inf * f_one * norm(1)
     for j in range(len(etas) + 1):
         signed = evaluate(apply_S(g, n), population) - target
         records.append(
@@ -168,14 +163,9 @@ def exact_bias(F, n, k, population, mode="stationary", schedule=None):
         )
         if j == len(etas):
             break
-        if mode == "schedule":
-            eta = etas[j]
-            g = g + eta * (F - apply_S(g, n))
-            factor = one_norm_id_minus_scaled(S, eta) if S else Fraction(0)
-        else:
-            g = g + (F - apply_S(g, n))
-            factor = base_norm
-        bound = bound * factor
+        eta = etas[j]
+        g = g + eta * (F - apply_S(g, n))
+        bound = bound * norm(eta)
     return BiasReport(n=n, mode=mode, target=target, records=tuple(records))
 
 

@@ -9,8 +9,9 @@ mass from finer to coarser partitions comes out lower triangular.
 All combinatorics (Bell, Stirling, falling factorials) are exact integers.
 """
 
+from collections import Counter
 from functools import lru_cache
-from math import perm
+from math import factorial, perm, prod
 
 DEFAULT_CAP = 10  # Bell(10) = 115975 dense lattice elements
 
@@ -309,6 +310,29 @@ class IncidenceMatrix:
         return self.entries[self.index.position(sigma)][self.index.position(pi)]
 
 
+def _incidence_entries(index, weight, zero=0):
+    """entries[position(pi)][col] = weight(sigma, pi, grouping) for pi >= sigma, else zero.
+
+    grouping is the RGS over sigma's blocks that merges them into pi;
+    coarsenings(sigma) yields pi in _rgs_strings order.
+    """
+    n = len(index)
+    entries = [[zero] * n for _ in range(n)]
+    for col, sigma in enumerate(index):
+        for grouping, pi in zip(_rgs_strings(sigma.block_count), coarsenings(sigma)):
+            entries[index.position(pi)][col] = weight(sigma, pi, grouping)
+    return entries
+
+
+def _dense_matvec(entries, vec):
+    """entries . vec over exact or float scalars, skipping zero entries."""
+    vec = list(vec)
+    n = len(entries[0]) if entries else 0
+    if len(vec) != n:
+        raise DimensionError(f"vector of length {len(vec)} against {n} matrix columns")
+    return [sum(row[j] * vec[j] for j in range(n) if row[j]) for row in entries]
+
+
 def zeta_matrix(m, cap=DEFAULT_CAP):
     """0/1 incidence matrix of refinement: entry(sigma, pi) = 1 iff pi <= sigma.
 
@@ -316,26 +340,19 @@ def zeta_matrix(m, cap=DEFAULT_CAP):
     the coarsest partition's row is all ones.
     """
     index = enumerate_partitions(m, cap)
-    n = len(index)
-    entries = [[0] * n for _ in range(n)]
-    for col, pi in enumerate(index):
-        for coarse in coarsenings(pi):
-            entries[index.position(coarse)][col] = 1
-    return IncidenceMatrix(index, entries, "zeta")
+    return IncidenceMatrix(index, _incidence_entries(index, lambda *_: 1), "zeta")
+
+
+def _mobius_weight(sigma, pi, grouping):
+    # prod over pi-blocks of (-1)^(b-1) (b-1)!, b = sigma-blocks merged into it
+    return prod((-1) ** (b - 1) * factorial(b - 1) for b in Counter(grouping).values())
 
 
 def mobius_matrix(m, cap=DEFAULT_CAP):
-    """Exact integer inverse of the zeta matrix, by forward substitution."""
-    zeta = zeta_matrix(m, cap)
-    n = len(zeta.index)
-    z = zeta.entries
-    inv = [[0] * n for _ in range(n)]
-    for j in range(n):
-        inv[j][j] = 1
-        for i in range(j + 1, n):
-            acc = 0
-            for k in range(j, i):
-                if z[i][k]:
-                    acc += inv[k][j]
-            inv[i][j] = -acc
-    return IncidenceMatrix(zeta.index, inv, "mobius")
+    """Exact integer inverse of the zeta matrix, by the product formula.
+
+    The interval [sigma, pi] is a product of partition lattices, one per block
+    of pi, so mu(sigma, pi) factors over those blocks (Stanley, EC1, 3.10).
+    """
+    index = enumerate_partitions(m, cap)
+    return IncidenceMatrix(index, _incidence_entries(index, _mobius_weight), "mobius")

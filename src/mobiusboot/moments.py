@@ -10,10 +10,11 @@ Scalars are either exact (int/Fraction) or float; the mode is fixed when an
 object is built and never mixed inside one computation.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
-from .lattice import falling_factorial, _rgs_strings
+from .lattice import DimensionError, _dense_matvec, _rgs_strings, falling_factorial
 
 
 class InfeasibleError(ValueError):
@@ -289,12 +290,9 @@ def cumulants_from_moments(mu, index, mobius):
 
 
 def _matvec(matrix, vec, index):
-    n = len(index)
-    vec = list(vec)
-    if len(vec) != n or matrix.m != index.m:
-        raise ValueError(f"vector/matrix sized for Bell({index.m}) = {n} expected")
-    rows = matrix.entries
-    return [sum(rows[i][j] * vec[j] for j in range(n) if rows[i][j]) for i in range(n)]
+    if matrix.m != index.m:
+        raise DimensionError(f"matrix over Pi({matrix.m}) against an index over Pi({index.m})")
+    return _dense_matvec(matrix.entries, vec)
 
 
 # -- analytic populations ------------------------------------------------------
@@ -357,18 +355,24 @@ def polynomial_from_dict(obj):
 
 
 def dataset_from_csv(path):
-    """Read one sample per row, d numeric columns; a header row is skipped."""
+    """Read one sample per row, d numeric columns; a header row is skipped.
+
+    A non-numeric row after the data or a nan/inf cell raises ValueError.
+    """
     import csv
 
     rows = []
     with open(path, newline="") as fh:
-        for record in csv.reader(fh):
+        for line, record in enumerate(csv.reader(fh), 1):
             if not record:
                 continue
             try:
-                rows.append([float(v) for v in record])
+                row = [float(v) for v in record]
             except ValueError:
                 if rows:
-                    raise
-                # header line
+                    raise ValueError(f"{path}, line {line}: non-numeric row {record}") from None
+                continue  # header line
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}, line {line}: non-finite cell in {record}")
+            rows.append(row)
     return Dataset(rows)

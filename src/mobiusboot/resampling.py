@@ -18,9 +18,9 @@ from fractions import Fraction
 from .lattice import (
     DEFAULT_CAP,
     DimensionError,
-    LatticeIndex,
+    _dense_matvec,
+    _incidence_entries,
     _rgs_strings,
-    coarsenings,
     enumerate_partitions,
     falling_factorial,
     stirling2,
@@ -42,13 +42,7 @@ class SamplingMatrix:
         return self.entries[self.index.position(pi)][self.index.position(sigma)]
 
     def matvec(self, vec):
-        n = len(self.index)
-        vec = list(vec)
-        if len(vec) != n:
-            raise DimensionError(f"vector of length {len(vec)} against Bell({self.m}) = {n}")
-        return [
-            sum(row[j] * vec[j] for j in range(n) if row[j]) for row in self.entries
-        ]
+        return _dense_matvec(self.entries, vec)
 
     def __repr__(self):
         return f"SamplingMatrix(m={self.m}, N={self.n})"
@@ -58,16 +52,12 @@ def sampling_matrix(m, n, cap=DEFAULT_CAP):
     """Build S for order m and sample size n."""
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
-    index = LatticeIndex(m, enumerate_partitions(m, cap))
-    size = len(index)
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    for j, sigma in enumerate(index):
-        denom = n ** sigma.block_count
-        for pi in coarsenings(sigma):
-            entries[index.position(pi)][j] = Fraction(
-                falling_factorial(n, pi.block_count), denom
-            )
-    return SamplingMatrix(m, n, index, entries)
+    index = enumerate_partitions(m, cap)
+
+    def weight(sigma, pi, grouping):
+        return Fraction(falling_factorial(n, pi.block_count), n**sigma.block_count)
+
+    return SamplingMatrix(m, n, index, _incidence_entries(index, weight, Fraction(0)))
 
 
 def factorization(m, n, cap=DEFAULT_CAP):
@@ -126,13 +116,7 @@ class ReducedMatrix:
         return self.entries[i - 1][j - 1]
 
     def matvec(self, vec):
-        vec = list(vec)
-        if len(vec) != self.m:
-            raise DimensionError(f"level vector of length {len(vec)}, expected {self.m}")
-        return [
-            sum(row[j] * vec[j] for j in range(self.m) if row[j])
-            for row in self.entries
-        ]
+        return _dense_matvec(self.entries, vec)
 
     def __repr__(self):
         return f"ReducedMatrix(m={self.m}, N={self.n})"
@@ -196,25 +180,28 @@ def one_norm_id_minus_S(m, n, exact=True):
     return -2.0 * math.expm1(log_gamma_ratio(m, n))
 
 
-def one_norm_direct(m, n, cap=DEFAULT_CAP):
-    """Max column 1-norm of Id - S from the explicit matrix."""
+def one_norm_direct(m, n, eta=1, cap=DEFAULT_CAP):
+    """Max column 1-norm of Id - eta*S from the explicit matrix."""
     S = sampling_matrix(m, n, cap)
     size = len(S.index)
     best = Fraction(0)
     for j in range(size):
-        total = sum(abs((1 if i == j else 0) - S.entries[i][j]) for i in range(size))
-        best = max(best, total)
-    return best
-
-
-def one_norm_id_minus_scaled(S, eta):
-    """Max column 1-norm of Id - eta*S for a built sampling matrix."""
-    size = len(S.index)
-    best = 0
-    for j in range(size):
         total = sum(abs((1 if i == j else 0) - eta * S.entries[i][j]) for i in range(size))
         best = max(best, total)
     return best
+
+
+def one_norm_id_minus_scaled(m, n, eta):
+    """Closed form for the operator 1-norm of Id - eta*S.
+
+    A column at a partition with l blocks holds gamma_l = falling(N,l)/N^l on
+    the diagonal and nonnegative entries summing to 1 - gamma_l below it, so
+    its norm is |1 - eta*gamma_l| + |eta|*(1 - gamma_l).  That never decreases
+    as gamma_l decreases, so the finest partition's column (l = m) is the
+    worst.  No matrix is built, so m is not held to the cap.
+    """
+    g = gamma_ratio(m, n)
+    return abs(1 - eta * g) + abs(eta) * (1 - g)
 
 
 def gamma_ratio(m, n):

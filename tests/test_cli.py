@@ -270,6 +270,77 @@ def test_exit_code_exhaustive_too_large(workdir):
     assert rc == 3
 
 
+def _assert_usage_error(rc, capsys):
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+BIAS = ["bias", "--functional", "var.json", "--population", "pop.json"]
+MC_POP = ["mc-run", "--functional", "var.json", "--population", "pop.json", "--replicas", "10"]
+MC_DATA = ["mc-run", "--functional", "var.json", "--data", "data.csv", "--replicas", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smatrix", "--m", "2", "--n", "0"],
+        ["smatrix", "--m", "2", "--n", "0", "--reduced"],
+        BIAS + ["--n", "0", "--k", "1"],
+        MC_POP + ["--n", "0", "--k", "1"],
+        BIAS + ["--n", "4", "--k", "-1"],
+        MC_DATA + ["--k", "-1"],
+        MC_POP + ["--n", "4", "--k", "-1"],
+        MC_DATA + ["--k", "1", "--replicas", "0"],
+    ],
+    ids=[
+        "smatrix-n0", "smatrix-reduced-n0", "bias-n0", "mc-population-n0",
+        "bias-k-negative", "mc-data-k-negative", "mc-population-k-negative", "mc-replicas0",
+    ],
+)
+def test_integer_flags_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
+    monkeypatch.chdir(workdir)
+    _assert_usage_error(main(argv + ["--out", "x"]), capsys)
+    assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps({"terms": VARIANCE_JSON["terms"]}),
+        json.dumps({"d": 1}),
+        json.dumps({"d": 1, "terms": [{"coeff": "1"}]}),
+        json.dumps({"d": 1, "terms": [{"blocks": [[0]]}]}),
+        json.dumps({"d": 1, "terms": [{"blocks": [[0]], "coeff": "1/0"}]}),
+        json.dumps([1, 2]),
+    ],
+    ids=["unparsable", "no-d", "no-terms", "no-blocks", "no-coeff", "zero-denominator",
+         "not-object"],
+)
+def test_malformed_functional_exit_2(workdir, monkeypatch, capsys, text):
+    monkeypatch.chdir(workdir)
+    (workdir / "bad.json").write_text(text)
+    rc = main(["bias", "--functional", "bad.json", "--population", "pop.json",
+               "--n", "4", "--k", "1", "--out", "x"])
+    _assert_usage_error(rc, capsys)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["x\n0.0\n1.0\nabc\n", "x\n0.0\nnan\n2.0\n", "x\n0.0\ninf\n", "x\n-inf\n1.0\n"],
+    ids=["text-after-data", "nan", "inf", "negative-inf"],
+)
+def test_malformed_dataset_exit_2(workdir, monkeypatch, capsys, rows):
+    monkeypatch.chdir(workdir)
+    (workdir / "bad.csv").write_text(rows)
+    rc = main(["mc-run", "--functional", "var.json", "--data", "bad.csv", "--k", "1",
+               "--replicas", "10", "--out", "x"])
+    _assert_usage_error(rc, capsys)
+    assert not (workdir / "x.csv").exists()
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

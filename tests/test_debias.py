@@ -19,14 +19,15 @@ from mobiusboot.debias import (
     richardson_debias,
     richardson_neumann,
 )
-from mobiusboot.lattice import LatticeIndex, enumerate_partitions
+from mobiusboot.lattice import DEFAULT_CAP, LatticeIndex, enumerate_partitions
 from mobiusboot.moments import (
     InfeasibleError,
     LabeledTerm,
     MomentPolynomial,
     normal_moment_table,
+    reachable_blocks,
 )
-from mobiusboot.resampling import apply_S, one_norm_id_minus_S
+from mobiusboot.resampling import apply_S, one_norm_direct, one_norm_id_minus_S
 
 
 def variance_poly():
@@ -207,6 +208,51 @@ def test_bias_bound_dominates_exact_bias():
             report = exact_bias(F, 6, 3, pop, mode=mode)
             for r in report.records:
                 assert float(r.abs_bias) <= r.bound + 1e-12
+
+
+def _dense_bound_column(F, n, etas, pop):
+    """Bound column recomputed with the dense column norms of Id - eta*S."""
+    m = F.max_order()
+    mu_inf = max(abs(pop.moment(b)) for b in reachable_blocks(F))
+    bound = mu_inf * sum(abs(c) for c in F.terms.values()) * one_norm_direct(m, n)
+    column = [float(bound)]
+    for eta in etas:
+        bound = bound * one_norm_direct(m, n, eta)
+        column.append(float(bound))
+    return column
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["stationary", "default", "custom"])
+def test_bound_column_matches_dense_route(m, kind):
+    n, k = m + 2, 3
+    F = _random_poly(random.Random(40 + m), m)
+    pop = normal_moment_table(m, m)
+    if kind == "stationary":
+        report = exact_bias(F, n, k, pop, mode="stationary")
+        etas = [1] * k
+    else:
+        schedule = (
+            StepSchedule.default(n, k) if kind == "default"
+            else StepSchedule(n, [Fraction(1, 3), Fraction(7, 2), Fraction(2)])
+        )
+        report = exact_bias(F, n, k, pop, mode="schedule", schedule=schedule)
+        etas = list(schedule)
+    assert [r.bound for r in report.records] == _dense_bound_column(F, n, etas, pop)
+
+
+def test_exact_bias_beyond_dense_cap():
+    # order 11 lies past the dense lattice cap; no sampling matrix is needed
+    F = MomentPolynomial(1, {LabeledTerm([[0] * 11]): 1, LabeledTerm([[0], [0]]): -1})
+    assert F.max_order() > DEFAULT_CAP
+    pop = normal_moment_table(1, 11)
+    for mode in ("stationary", "schedule"):
+        report = exact_bias(F, 12, 2, pop, mode=mode)
+        assert report.records[0].signed_bias == Fraction(-1, 12)
+        # mu_inf = E[x^2] = 1 (odd normal moments vanish) and f_one = 2
+        assert report.records[0].bound == float(2 * one_norm_id_minus_S(11, 12))
+        assert all(float(r.abs_bias) <= r.bound for r in report.records)
+    assert report.records[-1].signed_bias == 0
 
 
 def test_bias_report_rows_shape():

@@ -234,6 +234,23 @@ def test_mobius_inverts_zeta_exactly():
         assert (mu @ z == np.eye(n, dtype=np.int64)).all()
 
 
+def _mobius_by_substitution(m):
+    """Oracle: invert the zeta matrix by forward substitution, O(Bell(m)^3)."""
+    z = zeta_matrix(m).entries
+    n = len(z)
+    inv = [[0] * n for _ in range(n)]
+    for j in range(n):
+        inv[j][j] = 1
+        for i in range(j + 1, n):
+            inv[i][j] = -sum(inv[k][j] for k in range(j, i) if z[i][k])
+    return inv
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_mobius_product_formula_matches_forward_substitution(m):
+    assert mobius_matrix(m).entries == _mobius_by_substitution(m)
+
+
 def test_mobius_finest_to_coarsest_entry():
     # the corner entry is (-1)^(m-1) (m-1)!
     for m in range(1, 7):

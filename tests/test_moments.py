@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from mobiusboot.lattice import (
+    DimensionError,
     LatticeIndex,
     Partition,
     enumerate_partitions,
@@ -284,3 +285,26 @@ def test_dataset_from_csv(tmp_path):
     data = dataset_from_csv(path)
     assert data.n == 2 and data.d == 2
     assert data.rows[1] == (3.5, -1.0)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_dataset_from_csv_rejects_non_finite(tmp_path, cell):
+    path = tmp_path / "rows.csv"
+    path.write_text(f"x,y\n1.0,2.0\n3.5,{cell}\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        dataset_from_csv(path)
+
+
+def test_dataset_from_csv_rejects_text_after_data(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("x\n1.0\nabc\n2.0\n")
+    with pytest.raises(ValueError, match="line 3"):
+        dataset_from_csv(path)
+
+
+def test_conversion_rejects_mismatched_sizes():
+    index = enumerate_partitions(3)
+    with pytest.raises(DimensionError):
+        cumulants_from_moments([1, 2], index, mobius_matrix(3))
+    with pytest.raises(DimensionError):
+        moments_from_cumulants([1] * 5, index, zeta_matrix(2))

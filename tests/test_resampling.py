@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from mobiusboot.lattice import (
+    DimensionError,
     LatticeIndex,
     enumerate_partitions,
     falling_factorial,
@@ -265,9 +266,32 @@ def test_one_norm_log_domain():
 
 
 def test_scaled_one_norm_reduces_to_plain():
-    S = sampling_matrix(3, 4)
-    assert one_norm_id_minus_scaled(S, Fraction(1)) == one_norm_id_minus_S(3, 4)
-    assert one_norm_id_minus_scaled(S, Fraction(0)) == 1
+    assert one_norm_id_minus_scaled(3, 4, Fraction(1)) == one_norm_id_minus_S(3, 4)
+    assert one_norm_id_minus_scaled(3, 4, Fraction(0)) == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_scaled_one_norm_closed_form_matches_dense(m):
+    for n in sorted({1, 2, 3, m, m + 2, 9}):
+        etas = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2)]
+        if m <= n:
+            # the default schedule's steps 1/gamma_i, the largest of them at i = m
+            etas += [Fraction(n**i, falling_factorial(n, i)) for i in range(1, m + 1)]
+        for eta in etas:
+            assert one_norm_id_minus_scaled(m, n, eta) == one_norm_direct(m, n, eta), (n, eta)
+
+
+def test_scaled_one_norm_beyond_dense_cap():
+    # no matrix is built, so the order is not held to the lattice cap
+    assert one_norm_id_minus_scaled(12, 5, Fraction(1)) == 2
+    assert one_norm_id_minus_scaled(12, 30, 1) == one_norm_id_minus_S(12, 30)
+
+
+def test_matvec_rejects_wrong_length():
+    with pytest.raises(DimensionError):
+        sampling_matrix(3, 2).matvec([1, 2, 3])
+    with pytest.raises(DimensionError):
+        reduced_matrix(3, 2).matvec([1, 2])
 
 
 def test_gamma_ratio_values():
