@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -78,8 +79,10 @@ def _scalar(v):
         return "true" if v else "false"
     if isinstance(v, (int, Fraction)):
         return str(v)
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, numbers.Integral):  # numpy integer scalars
+        return str(int(v))
+    if isinstance(v, numbers.Real):  # float; numpy floats would repr as np.float64(...)
+        return repr(float(v))
     return str(v)
 
 
@@ -207,23 +210,50 @@ def _load_functional(path):
             raise UsageError(f"malformed functional JSON {path}: {exc!r}") from None
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _moment_value(val):
+    """A moment value: a p/q string (exact) or a finite JSON number."""
+    if isinstance(val, str):
+        return Fraction(val)
+    if not (_is_int(val) or isinstance(val, float)):
+        raise ValueError(f"moment value {val!r} is neither a p/q string nor a number")
+    if not math.isfinite(val):
+        raise ValueError(f"moment value {val!r} is not finite")
+    return float(val)
+
+
+def _parse_population(obj, needed_order, d):
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    family = obj.get("family")
+    if family not in (None, "normal"):
+        raise InfeasibleError(f"unknown population family {family!r}")
+    d = obj["d"] if family is None else obj.get("d", d)
+    if not (_is_int(d) and d >= 1):
+        raise ValueError(f"d must be a positive integer, got {d!r}")
+    if family == "normal":
+        return normal_moment_table(d, needed_order), mc_mod.normal_sampler(d)
+    values = {}
+    for entry in obj["moments"]:
+        block = entry["block"]
+        if not (isinstance(block, list) and all(_is_int(b) and 0 <= b < d for b in block)):
+            raise ValueError(f"block {block!r} is not a list of labels in 0..{d - 1}")
+        values[tuple(block)] = _moment_value(entry["value"])
+    return MomentTable(d, values), None
+
+
 def _load_population(path, needed_order, d):
     """Moment table plus an optional replica sampler, from a population JSON."""
     with open(path) as fh:
-        obj = json.load(fh)
-    family = obj.get("family")
-    if family == "normal":
-        dd = obj.get("d", d)
-        return normal_moment_table(dd, needed_order), mc_mod.normal_sampler(dd)
-    if family is not None:
-        raise InfeasibleError(f"unknown population family {family!r}")
-    values = {}
-    for entry in obj["moments"]:
-        val = entry["value"]
-        values[tuple(entry["block"])] = (
-            Fraction(val) if isinstance(val, str) else float(val)
-        )
-    return MomentTable(obj["d"], values), None
+        try:
+            return _parse_population(json.load(fh), needed_order, d)
+        except InfeasibleError:
+            raise
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise UsageError(f"malformed population JSON {path}: {exc!r}") from None
 
 
 def _parse_schedule(text, n, k):
@@ -293,7 +323,8 @@ def cmd_mc_run(args, argv):
         if args.exhaustive:
             if n > 4:
                 raise InfeasibleError(
-                    f"exhaustive enumeration needs {n}^{n} resamples per level; n <= 4 only"
+                    f"exhaustive enumeration needs C({2 * n - 1}, {n}) ="
+                    f" {math.comb(2 * n - 1, n)} resamples per level; n <= 4 only"
                 )
             value = mc_mod.exhaustive_estimate(F, data, coeffs)
             art.add_table("exhaustive", ["k", "value", "target"], [[args.k, value, target]])

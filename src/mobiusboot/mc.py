@@ -2,15 +2,27 @@
 
 A chain starts from X^1 (the data, or one redraw of it) and repeatedly
 resamples N rows with replacement; the estimator sum_j a_j F(X^{j+1})
-realizes the coefficient-space iterates in expectation.  Replicas use
-spawned substreams keyed by replica index, so enlarging the replica count
-extends earlier runs instead of reshuffling them.
+realizes the coefficient-space iterates in expectation.
+
+Seed contract: every replica owns one generator, spawned from the run seed and
+keyed by replica index, and draws one resample per chain link from it, so
+enlarging the replica count extends earlier runs instead of reshuffling them.
+A replica step does only float work on float data: the coefficients a_j and
+those of a polynomial F are converted to float once per run (bit-identical,
+since Fraction times float is computed as float(a) * b), and picked rows skip
+Dataset validation.  Batching replicas into numpy blocks would change the
+seed-to-value mapping and waits for a benchmark change that re-pins the
+per-link evaluate/resample counts.
+
+The exhaustive route walks the C(2N-1, N) row multisets of each resample with
+multinomial weights instead of the N^N ordered picks.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -83,10 +95,20 @@ def expansion_coefficients(schedule):
     return EstimatorCoefficients(tuple(coeffs))
 
 
+def _take(data, indices):
+    """The rows of data at the given indices, as a Dataset of the same exactness."""
+    rows = data.rows
+    return Dataset._validated(tuple([rows[i] for i in indices]), data.exact)
+
+
+def _draw(data, n, rng):
+    """n rows drawn i.i.d. uniformly from data's rows."""
+    return _take(data, rng.integers(data.n, size=n).tolist())
+
+
 def resample(data, rng):
     """N rows drawn i.i.d. uniformly from data's rows."""
-    idx = rng.integers(data.n, size=data.n)
-    return Dataset([data.rows[i] for i in idx])
+    return _draw(data, data.n, rng)
 
 
 def _as_functional(F):
@@ -95,6 +117,20 @@ def _as_functional(F):
     if callable(F):
         return F
     raise TypeError(f"functional must be a MomentPolynomial or callable, not {type(F).__name__}")
+
+
+def _float_chain(F, coeffs):
+    """Functional and coefficients for chains over float data.
+
+    A polynomial with a non-constant term evaluates to a float on float data,
+    and Fraction times float is float(a) * b, so float coefficients give the
+    same bits without the Fraction fallback.  A callable, or a constant
+    polynomial (which evaluates to a Fraction), keeps its exact coefficients.
+    """
+    if isinstance(F, MomentPolynomial) and F.max_order() > 0:
+        F_float = MomentPolynomial(F.d, F.terms, exact=False)
+        return _as_functional(F_float), tuple(float(a) for a in coeffs)
+    return _as_functional(F), tuple(coeffs)
 
 
 def _chain_value(fn, coeffs, first, rng):
@@ -110,15 +146,19 @@ def _chain_value(fn, coeffs, first, rng):
     return total
 
 
-def _mc_values(fn, first_draw, coeffs, replicas, seed):
+def _mc_values(F, first_draw, coeffs, replicas, seed):
     if replicas < 1:
         raise ValueError(f"need at least one replica, got {replicas}")
+    exact_chain = _as_functional(F), tuple(coeffs)
+    float_chain = _float_chain(F, coeffs)
     children = np.random.SeedSequence(seed).spawn(replicas)
     values = []
     for r, child in enumerate(children):
         rng = np.random.default_rng(child)
         try:
-            values.append(_chain_value(fn, coeffs, first_draw(rng), rng))
+            first = first_draw(rng)
+            fn, chain_coeffs = exact_chain if first.exact else float_chain
+            values.append(_chain_value(fn, chain_coeffs, first, rng))
         except RuntimeError as exc:
             raise RuntimeError(f"replica {r}: {exc}") from exc
     return values
@@ -143,48 +183,62 @@ def mc_estimate(F, data, coeffs, replicas, seed, resample_first=True, target=Non
     coefficients; without it the data itself serves as X^1 and the a_0 term
     is deterministic.
     """
-    fn = _as_functional(F)
     if resample_first:
         first_draw = lambda rng: resample(data, rng)
     else:
         first_draw = lambda rng: data
-    values = _mc_values(fn, first_draw, coeffs, replicas, seed)
+    values = _mc_values(F, first_draw, coeffs, replicas, seed)
     return _report(values, target, seed)
+
+
+def _multiset_picks(n):
+    """Every multiset of n row indices from range(n), with its probability.
+
+    n uniform picks land on a multiset with counts c_i with probability
+    n!/prod(c_i!) / n^n; there are C(2n-1, n) multisets.
+    """
+    ordered = n**n
+    out = []
+    for pick in combinations_with_replacement(range(n), n):
+        ways = math.factorial(n)
+        for c in Counter(pick).values():
+            ways //= math.factorial(c)
+        out.append((pick, Fraction(ways, ordered)))
+    return out
 
 
 def exhaustive_estimate(F, data, coeffs):
     """Exact expectation of the chain estimator by total enumeration.
 
-    Walks all N^N branches at every chain level; feasible for N <= 4 and
-    shallow chains only.  X^1 is a redraw of data, matching mc_estimate's
-    resample_first convention.
+    F must be symmetric in the rows (every MomentPolynomial is), so each
+    resample is walked as a row multiset with its multinomial weight: C(2N-1, N)
+    branches per chain level instead of N^N, 35 instead of 256 at N = 4.
+    Feasible for N <= 4 and shallow chains only; exact on exact data.  X^1 is
+    a redraw of data, matching mc_estimate's resample_first convention.
     """
     fn = _as_functional(F)
     coeffs = list(coeffs)
-    n = data.n
-    picks = list(product(range(n), repeat=n))
-    weight = Fraction(1, len(picks))
+    picks = _multiset_picks(data.n)
 
     def level(ds, j):
         total = coeffs[j] * fn(ds)
         if j + 1 < len(coeffs):
-            sub = 0
-            for pick in picks:
-                sub += level(Dataset([ds.rows[i] for i in pick]), j + 1)
-            total += weight * sub
+            for pick, weight in picks:
+                total += weight * level(_take(ds, pick), j + 1)
         return total
 
     total = 0
-    for pick in picks:
-        total += level(Dataset([data.rows[i] for i in pick]), 0)
-    return weight * total
+    for pick, weight in picks:
+        total += weight * level(_take(data, pick), 0)
+    return total
 
 
 def normal_sampler(d):
     """Sampler drawing n rows of d independent standard normals."""
 
     def draw(rng, n):
-        return Dataset([tuple(row) for row in rng.standard_normal((n, d))])
+        rows = tuple(map(tuple, rng.standard_normal((n, d)).tolist()))
+        return Dataset._validated(rows, exact=False)
 
     return draw
 
@@ -214,9 +268,7 @@ def bias_experiment(
         first_draw = lambda rng: sampler(rng, n)
     elif isinstance(population, Dataset):
         table = MomentTable.from_dataset(population, reachable_blocks(F))
-        first_draw = lambda rng: Dataset(
-            [population.rows[i] for i in rng.integers(population.n, size=n)]
-        )
+        first_draw = lambda rng: _draw(population, n, rng)
     else:
         raise TypeError("population must be a Dataset or MomentTable")
 
@@ -224,7 +276,6 @@ def bias_experiment(
         raise ValueError("schedule length must equal k_max")
     exact = exact_bias(F, n, k_max, table, mode=mode, schedule=schedule)
     target = exact.target
-    fn = _as_functional(F)
     m = max(F.max_order(), 1)
     f_one = sum(abs(c) for c in F.terms.values())
     mu_inf = max((abs(table.moment(b)) for b in reachable_blocks(F)), default=0)
@@ -238,7 +289,7 @@ def bias_experiment(
             )
         else:
             coeffs = expansion_coefficients(k)
-        values = _mc_values(fn, first_draw, coeffs, replicas, int(seeds[k]))
+        values = _mc_values(F, first_draw, coeffs, replicas, int(seeds[k]))
         biased = [v - float(target) for v in values]
         report = _report(biased, float(exact.records[k].signed_bias), int(seeds[k]))
         rows.append(

@@ -168,6 +168,18 @@ class Dataset:
         self.rows = rows
         self.exact = all(_is_exact(v) for r in rows for v in r)
 
+    @classmethod
+    def _validated(cls, rows, exact):
+        """Wrap rows that need no checks: a nonempty tuple of equal-width tuples.
+
+        For rows picked from another Dataset (exact carries over) or freshly
+        sampled floats; skips the per-cell scan of __init__.
+        """
+        ds = cls.__new__(cls)
+        ds.rows = rows
+        ds.exact = exact
+        return ds
+
     @property
     def n(self):
         return len(self.rows)
@@ -218,7 +230,14 @@ def empirical_moment(data, block):
 def evaluate(F, population):
     """Value of the polynomial against a Dataset (plug-in) or a MomentTable."""
     if isinstance(population, Dataset):
-        block_value = lambda b: empirical_moment(population, b)
+        cache = {}
+
+        def block_value(b):
+            # each distinct block moment once per call: the variance reads (0) twice
+            if b not in cache:
+                cache[b] = empirical_moment(population, b)
+            return cache[b]
+
     elif isinstance(population, MomentTable):
         block_value = population.moment
     else:

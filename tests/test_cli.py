@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mobiusboot import polynomial_from_dict
-from mobiusboot.cli import main
+from mobiusboot.cli import _scalar, main
+from mobiusboot.moments import dataset_from_csv
 
 
 VARIANCE_JSON = {
@@ -339,6 +342,61 @@ def test_malformed_dataset_exit_2(workdir, monkeypatch, capsys, rows):
                "--replicas", "10", "--out", "x"])
     _assert_usage_error(rc, capsys)
     assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps([1, 2]),
+        json.dumps({"d": 1}),
+        json.dumps({"moments": [{"block": [0], "value": "0"}]}),
+        json.dumps({"d": 0, "moments": []}),
+        json.dumps({"d": 1, "moments": [{"value": "0"}]}),
+        json.dumps({"d": 1, "moments": [{"block": "00", "value": "1"}]}),
+        json.dumps({"d": 1, "moments": [{"block": [1], "value": "1"}]}),
+        json.dumps({"d": 1, "moments": [{"block": [0]}]}),
+        json.dumps({"d": 1, "moments": [{"block": [0], "value": "nan"}]}),
+        json.dumps({"d": 1, "moments": [{"block": [0], "value": "1/0"}]}),
+        json.dumps({"d": 1, "moments": [{"block": [0], "value": float("nan")}]}),
+        json.dumps({"d": 1, "moments": [{"block": [0], "value": float("inf")}]}),
+        json.dumps({"d": 1, "moments": [{"block": [0], "value": None}]}),
+        json.dumps({"family": "normal", "d": "1"}),
+    ],
+    ids=["unparsable", "not-object", "no-moments", "no-d", "d-zero", "no-block",
+         "block-not-list", "label-out-of-range", "no-value", "nan-string", "zero-denominator",
+         "nan-number", "inf-number", "null-value", "normal-d-not-int"],
+)
+def test_malformed_population_exit_2(workdir, monkeypatch, capsys, text):
+    monkeypatch.chdir(workdir)
+    (workdir / "bad.json").write_text(text)
+    rc = main(["bias", "--functional", "var.json", "--population", "bad.json",
+               "--n", "4", "--k", "1", "--out", "x"])
+    _assert_usage_error(rc, capsys)
+    assert not (workdir / "x.csv").exists()
+
+
+def test_float_moment_table_accepted(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    pop = {"d": 1, "moments": [{"block": [0], "value": 0.5}, {"block": [0, 0], "value": 2}]}
+    (workdir / "table.json").write_text(json.dumps(pop))
+    rc = main(["bias", "--functional", "var.json", "--population", "table.json",
+               "--n", "4", "--k", "1", "--out", "t"])
+    assert rc == 0
+    _, rows = _rows(workdir / "t.csv", "trajectory")
+    assert float(rows[0][1]) == pytest.approx(-(2 - 0.25) / 4)
+
+
+def test_scalar_prints_numpy_floats_as_python_floats(tmp_path):
+    assert _scalar(np.float64(0.1)) == "0.1" == _scalar(0.1)
+    assert _scalar(np.float64(-2.5e-300)) == repr(-2.5e-300)
+    assert _scalar(np.float32(0.5)) == "0.5"
+    assert _scalar(np.int64(7)) == "7"
+    assert _scalar(Fraction(-3, 4)) == "-3/4"
+    assert _scalar(True) == "true"
+    path = tmp_path / "d.csv"
+    path.write_text("x\n" + _scalar(np.float64(1 / 3)) + "\n")
+    assert dataset_from_csv(path).rows == ((1 / 3,),)
 
 
 def test_selftest_passes(capsys):

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mobiusboot.mc import (
     normal_sampler,
     resample,
     _mc_values,
+    _multiset_picks,
     _as_functional,
 )
 from mobiusboot.moments import (
@@ -126,6 +128,66 @@ def test_coefficients_reproduce_iterates():
 
 # -- exhaustive chains ----------------------------------------------------------------
 
+def ordered_exhaustive(F, data, coeffs):
+    """Oracle: the chain expectation over all N^N ordered picks at every level."""
+    fn = _as_functional(F)
+    coeffs = list(coeffs)
+    n = data.n
+    picks = list(product(range(n), repeat=n))
+    weight = Fraction(1, len(picks))
+
+    def level(ds, j):
+        total = coeffs[j] * fn(ds)
+        if j + 1 < len(coeffs):
+            sub = 0
+            for pick in picks:
+                sub += level(Dataset([ds.rows[i] for i in pick]), j + 1)
+            total += weight * sub
+        return total
+
+    total = 0
+    for pick in picks:
+        total += level(Dataset([data.rows[i] for i in pick]), 0)
+    return weight * total
+
+
+def row_max(ds):
+    return max(row[0] for row in ds.rows)
+
+
+COVARIANCE_PLUS = MomentPolynomial(
+    2,
+    {
+        LabeledTerm([[0, 1]]): Fraction(1),
+        LabeledTerm([[0], [1]]): Fraction(-1),
+        LabeledTerm([[0], [0], [1]]): Fraction(-7, 2),
+    },
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_multiset_picks_are_a_distribution(n):
+    picks = _multiset_picks(n)
+    assert len(picks) == math.comb(2 * n - 1, n)
+    assert sum(w for _, w in picks) == 1
+    assert all(list(pick) == sorted(pick) for pick, _ in picks)
+
+
+@pytest.mark.parametrize(
+    "n, depth", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)]
+)
+def test_multiset_walk_equals_ordered_walk(n, depth):
+    rng = random.Random(10 * n + depth)
+    data = Dataset(
+        [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2)] for _ in range(n)]
+    )
+    coeffs = expansion_coefficients(StepSchedule.default(4, depth))
+    for F in (COVARIANCE_PLUS, row_max):
+        got = exhaustive_estimate(F, data, coeffs)
+        assert isinstance(got, Fraction)
+        assert got == ordered_exhaustive(F, data, coeffs)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_exhaustive_matches_coefficient_space(n):
     data = Dataset([[Fraction(v)] for v in range(1, n + 1)])
@@ -178,6 +240,52 @@ def test_replica_substreams_are_prefix_stable():
     short = _mc_values(fn, draw, coeffs, 100, 9)
     long = _mc_values(fn, draw, coeffs, 400, 9)
     assert long[:100] == short
+
+
+def test_float_chain_bit_identical_to_fraction_coefficients():
+    # the float-coefficient path for polynomials must reproduce, bit for bit,
+    # Fraction coefficients times float evaluations
+    rng = random.Random(3)
+    data = Dataset([[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(12)])
+    coeffs = expansion_coefficients(StepSchedule.default(12, 2))
+    assert all(isinstance(a, Fraction) for a in coeffs)
+    slow_fn = lambda ds: evaluate(COVARIANCE_PLUS, ds)
+    for draw in (lambda r: resample(data, r), lambda r: normal_sampler(2)(r, 7)):
+        fast = _mc_values(COVARIANCE_PLUS, draw, coeffs, 200, 17)
+        slow = _mc_values(slow_fn, draw, coeffs, 200, 17)
+        assert fast == slow
+
+
+def test_exact_data_keeps_fraction_coefficients():
+    data = Dataset(
+        [[Fraction(1), Fraction(2)], [Fraction(-3), Fraction(1, 2)], [Fraction(0), Fraction(5)]]
+    )
+    coeffs = expansion_coefficients(StepSchedule.default(3, 2))
+    draw = lambda r: resample(data, r)
+    want = []
+    for chain in _replayed_chains(draw, len(coeffs), 50, 8):
+        total = 0.0
+        for a, ds in zip(coeffs, chain):
+            total += a * evaluate(COVARIANCE_PLUS, ds)  # exact product, rounded once
+        want.append(total)
+    assert _mc_values(COVARIANCE_PLUS, draw, coeffs, 50, 8) == want
+
+
+def _replayed_chains(first_draw, length, replicas, seed):
+    for child in np.random.SeedSequence(seed).spawn(replicas):
+        rng = np.random.default_rng(child)
+        chain = [first_draw(rng)]
+        while len(chain) < length:
+            chain.append(resample(chain[-1], rng))
+        yield chain
+
+
+def test_normal_sampler_rows_are_python_floats():
+    ds = normal_sampler(3)(np.random.default_rng(0), 4)
+    assert ds.n == 4 and ds.d == 3 and not ds.exact
+    assert all(type(v) is float for row in ds.rows for v in row)
+    assert all(type(row) is tuple for row in ds.rows)
+    assert ds.rows == tuple(map(tuple, np.random.default_rng(0).standard_normal((4, 3)).tolist()))
 
 
 def test_mc_data_as_x1_convention():
