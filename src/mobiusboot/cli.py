@@ -37,10 +37,11 @@ from .moments import (
     MomentPolynomial,
     MomentTable,
     dataset_from_csv,
-    evaluate,
+    evaluate,  # unused here; benchmarks/test_benchmark.py checks its traced binding
     normal_moment_table,
     polynomial_from_dict,
     polynomial_to_dict,
+    scalar_from_json,
 )
 from .resampling import (
     apply_S,
@@ -202,27 +203,20 @@ def cmd_smatrix(args, argv):
     return 0
 
 
+# what a malformed input JSON raises while it is read into library objects
+_JSON_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
+
+
 def _load_functional(path):
     with open(path) as fh:
         try:
             return polynomial_from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except _JSON_ERRORS as exc:
             raise UsageError(f"malformed functional JSON {path}: {exc!r}") from None
 
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _moment_value(val):
-    """A moment value: a p/q string (exact) or a finite JSON number."""
-    if isinstance(val, str):
-        return Fraction(val)
-    if not (_is_int(val) or isinstance(val, float)):
-        raise ValueError(f"moment value {val!r} is neither a p/q string nor a number")
-    if not math.isfinite(val):
-        raise ValueError(f"moment value {val!r} is not finite")
-    return float(val)
 
 
 def _parse_population(obj, needed_order, d):
@@ -241,7 +235,7 @@ def _parse_population(obj, needed_order, d):
         block = entry["block"]
         if not (isinstance(block, list) and all(_is_int(b) and 0 <= b < d for b in block)):
             raise ValueError(f"block {block!r} is not a list of labels in 0..{d - 1}")
-        values[tuple(block)] = _moment_value(entry["value"])
+        values[tuple(block)] = scalar_from_json(entry["value"])
     return MomentTable(d, values), None
 
 
@@ -252,18 +246,21 @@ def _load_population(path, needed_order, d):
             return _parse_population(json.load(fh), needed_order, d)
         except InfeasibleError:
             raise
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        except _JSON_ERRORS as exc:
             raise UsageError(f"malformed population JSON {path}: {exc!r}") from None
 
 
 def _parse_schedule(text, n, k):
-    """none | default | unit | comma list of steps; None means stationary."""
-    if text in (None, "none", "stationary"):
-        return None
+    """The k-step schedule at sample size n that --schedule names.
+
+    none, stationary and unit (and no flag) all give the stationary iteration
+    StepSchedule.unit(n, k); default gives StepSchedule.default(n, k); a comma
+    list gives its own k positive steps.
+    """
+    if text in (None, "none", "stationary", "unit"):
+        return StepSchedule.unit(n, k)
     if text == "default":
         return StepSchedule.default(n, k)
-    if text == "unit":
-        return StepSchedule.unit(n, k)
     try:
         etas = [Fraction(part) for part in text.split(",") if part.strip()]
     except (ValueError, ZeroDivisionError):
@@ -272,7 +269,10 @@ def _parse_schedule(text, n, k):
         raise UsageError("custom schedule is empty")
     if len(etas) != k:
         raise UsageError(f"schedule has {len(etas)} steps but --k is {k}")
-    return StepSchedule(n, etas)
+    try:
+        return StepSchedule(n, etas)
+    except ValueError as exc:
+        raise UsageError(f"schedule {text!r}: {exc}") from None
 
 
 def cmd_bias(args, argv):
@@ -280,26 +280,13 @@ def cmd_bias(args, argv):
     _at_least("--k", args.k, 0)
     F = _load_functional(args.functional)
     table, _ = _load_population(args.population, F.max_order(), F.d)
-    schedule = _parse_schedule(args.schedule, args.n, args.k)
-    mode = "stationary" if schedule is None else "schedule"
-    report = exact_bias(F, args.n, args.k, table, mode=mode, schedule=schedule)
+    report = exact_bias(F, _parse_schedule(args.schedule, args.n, args.k), table)
     art = Artifact("bias", argv)
     art.add_table("trajectory", ["k", "signed_bias", "abs_bias", "bound"], report.rows())
     art.add_table("target", ["value"], [[report.target]])
     art.extra["functional"] = polynomial_to_dict(F)
     art.write(_out_base(args, "bias"))
     return 0
-
-
-def _chain_expectation(F, n, coeffs, data):
-    """Exact E over chains with the data as first link: evaluate(S.G, data)."""
-    total = MomentPolynomial(F.d, {})
-    g = F
-    for j, a in enumerate(coeffs):
-        if j > 0:
-            g = apply_S(g, n)
-        total = total + a * g
-    return evaluate(apply_S(total, n), data)
 
 
 def cmd_mc_run(args, argv):
@@ -317,9 +304,8 @@ def cmd_mc_run(args, argv):
         except ValueError as exc:
             raise UsageError(f"malformed dataset CSV: {exc}") from None
         n = data.n
-        schedule = _parse_schedule(args.schedule, n, args.k)
-        coeffs = mc_mod.expansion_coefficients(args.k if schedule is None else schedule)
-        target = _chain_expectation(F, n, coeffs, data)
+        coeffs = mc_mod.expansion_coefficients(_parse_schedule(args.schedule, n, args.k))
+        target = mc_mod.chain_expectation(F, coeffs, data)
         if args.exhaustive:
             if n > 4:
                 raise InfeasibleError(
@@ -350,17 +336,8 @@ def cmd_mc_run(args, argv):
                 " use the bias subcommand for exact trajectories"
             )
         schedule = _parse_schedule(args.schedule, args.n, args.k)
-        mode = "stationary" if schedule is None else "schedule"
         rows = mc_mod.bias_experiment(
-            F,
-            table,
-            args.n,
-            args.k,
-            args.replicas,
-            mode=mode,
-            seed=args.seed,
-            schedule=schedule,
-            sampler=sampler,
+            F, table, schedule, args.replicas, seed=args.seed, sampler=sampler
         )
         art.add_table(
             "bias_experiment",
@@ -382,41 +359,51 @@ def cmd_mc_run(args, argv):
     return 0
 
 
-def cmd_bounds(args, argv):
-    art = Artifact("bounds", argv)
+def _bounds_table(args):
+    """(name, columns, rows) of the calculator that --kind names."""
     if args.kind == "trace":
         if args.sigma is None:
             raise UsageError("--sigma is required for kind=trace")
         k, bound = neumann_trace_bound(args.sigma, args.n)
-        art.add_table("trace", ["sigma", "n", "k", "bound"], [[args.sigma, args.n, k, bound]])
-    elif args.kind == "bandlimited":
+        return "trace", ["sigma", "n", "k", "bound"], [[args.sigma, args.n, k, bound]]
+    if args.kind == "bandlimited":
         if args.d is None or args.theta is None:
             raise UsageError("--d and --theta are required for kind=bandlimited")
         k, bound = bandlimited_bound(args.d, args.theta, args.n)
-        art.add_table(
+        return (
             "bandlimited",
             ["d", "theta", "n", "k", "bound"],
             [[args.d, args.theta, args.n, k, bound]],
         )
-    elif args.kind == "general":
+    if args.kind == "general":
         if not args.gammas:
             raise UsageError("--gammas is required for kind=general")
         try:
             gammas = [float(Fraction(g)) for g in args.gammas.split(",")]
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"cannot parse gamma sequence {args.gammas!r}")
-        try:
-            k, bound = general_bound(gammas, args.n)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        art.add_table("general", ["n", "k_star", "bound"], [[args.n, k, bound]])
-    else:  # linconv
-        rows = []
-        for m in range(1, args.m_max + 1):
-            n = max(math.ceil(args.alpha * m * m), m + 1)
-            ratio = math.exp(log_gamma_ratio(m, n))
-            rows.append([m, n, ratio, ratio >= 0.75])
-        art.add_table("linconv", ["m", "n", "gamma_ratio", "at_least_3_4"], rows)
+        k, bound = general_bound(gammas, args.n)
+        return "general", ["n", "k_star", "bound"], [[args.n, k, bound]]
+    # linconv
+    if not args.alpha > 0:
+        raise UsageError(f"--alpha must be > 0, got {args.alpha}")
+    _at_least("--m-max", args.m_max, 1)
+    rows = []
+    for m in range(1, args.m_max + 1):
+        n = max(math.ceil(args.alpha * m * m), m + 1)
+        ratio = math.exp(log_gamma_ratio(m, n))
+        rows.append([m, n, ratio, ratio >= 0.75])
+    return "linconv", ["m", "n", "gamma_ratio", "at_least_3_4"], rows
+
+
+def cmd_bounds(args, argv):
+    _at_least("--n", args.n, 1)
+    try:
+        table = _bounds_table(args)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(str(exc)) from None
+    art = Artifact("bounds", argv)
+    art.add_table(*table)
     art.write(_out_base(args, "bounds"))
     return 0
 
@@ -555,7 +542,7 @@ def _check_exhaustive_chain():
     )
     coeffs = mc_mod.expansion_coefficients(1)
     got = mc_mod.exhaustive_estimate(var, data, coeffs)
-    want = _chain_expectation(var, 2, coeffs, data)
+    want = mc_mod.chain_expectation(var, coeffs, data)
     _ensure(got == want, "exhaustive chain average != operator route at n=2")
 
 
@@ -611,7 +598,7 @@ def build_parser():
     p.add_argument("--population", required=True, help="population JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--schedule", default=None, help="none|default|unit|eta1,eta2,...")
+    p.add_argument("--schedule", default=None, help="none|stationary|unit|default|eta1,eta2,...")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bias)
 
@@ -621,7 +608,7 @@ def build_parser():
     p.add_argument("--population", help="population JSON; replica draws come from it")
     p.add_argument("--n", type=int, help="sample size when drawing from a population")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--schedule", default=None, help="none|default|unit|eta1,eta2,...")
+    p.add_argument("--schedule", default=None, help="none|stationary|unit|default|eta1,eta2,...")
     p.add_argument("--replicas", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true")

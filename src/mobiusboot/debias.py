@@ -1,10 +1,12 @@
 """Exact bias-correction iterations and the bound calculators.
 
-Stationary iteration: f^(j+1) = f^(j) + (f - S f^(j)), whose bias after k
-steps is -(Id-S)^(k+1) f.  Scheduled iteration: G_j = G_(j-1) +
-eta_j*(f - S G_(j-1)), with bias Prod_i (Id - eta_i S)(S f - f).  With step
-sizes eta_i = (falling(N,i)/N^i)^(-1) the i-th factor kills the i-block
-level, so k = m steps with N >= m leave exactly zero bias.
+One iteration form covers every estimator: G_j = G_(j-1) + eta_j*(f - S G_(j-1)),
+G_0 = f, with bias Prod_i (Id - eta_i S)(S f - f).  A StepSchedule holds the
+sample size N and the steps eta_1..eta_k.  The stationary (classical bootstrap)
+iteration is StepSchedule.unit(N, k), every eta_i = 1, whose bias after k steps
+is -(Id-S)^(k+1) f.  With step sizes eta_i = (falling(N,i)/N^i)^(-1)
+(StepSchedule.default) the i-th factor kills the i-block level, so k = m steps
+with N >= m leave exactly zero bias.
 
 Everything here is coefficient-space algebra on MomentPolynomial; nothing
 draws samples.  Bound calculators work in log space so they survive inputs
@@ -112,7 +114,6 @@ class BiasRecord:
 @dataclass(frozen=True)
 class BiasReport:
     n: int
-    mode: str
     target: object
     records: tuple
 
@@ -121,18 +122,19 @@ class BiasReport:
         return [(r.k, r.signed_bias, r.abs_bias, r.bound) for r in self.records]
 
 
-def exact_bias(F, n, k, population, mode="stationary", schedule=None):
-    """Bias trajectory of the iterates against an analytic population.
+def exact_bias(F, schedule, population):
+    """Bias trajectory of the scheduled iterates against an analytic population.
 
-    Signed bias at step j is evaluate(S g_j - f, population); the bound
-    column is mu_inf * f_one * ||Id-S||_1 times the running product of the
-    step norms ||Id-eta_i*S||_1, with every eta_i = 1 in the stationary mode.
-    The population table must cover every block the terms of F can merge into.
+    The schedule carries the sample size N and the steps eta_1..eta_k; the
+    stationary iteration is StepSchedule.unit(N, k).  Signed bias at step j is
+    evaluate(S g_j - f, population); the bound column is
+    mu_inf * f_one * ||Id-S||_1 times the running product of the step norms
+    ||Id-eta_i*S||_1.  The population table must cover every block the terms
+    of F can merge into.
     """
     if not isinstance(population, MomentTable):
         raise TypeError("population must be a MomentTable")
-    if mode not in ("stationary", "schedule"):
-        raise ValueError(f"unknown mode {mode!r}")
+    n = schedule.n
     m = F.max_order()
     mu_inf = max(
         (abs(population.moment(b)) for b in reachable_blocks(F)), default=0
@@ -140,16 +142,11 @@ def exact_bias(F, n, k, population, mode="stationary", schedule=None):
     f_one = sum(abs(c) for c in F.terms.values())
     target = evaluate(F, population)
 
-    if mode == "stationary":
-        schedule = StepSchedule.unit(n, k)
-    elif schedule is None:
-        schedule = StepSchedule.default(n, k)
-    etas = list(schedule)
-
     def norm(eta):
         # a constant F (m = 0) carries no bias, so its bound is 0
         return one_norm_id_minus_scaled(m, n, eta) if m >= 1 else Fraction(0)
 
+    etas = schedule.etas
     records = []
     g = F
     bound = mu_inf * f_one * norm(1)
@@ -166,7 +163,7 @@ def exact_bias(F, n, k, population, mode="stationary", schedule=None):
         eta = etas[j]
         g = g + eta * (F - apply_S(g, n))
         bound = bound * norm(eta)
-    return BiasReport(n=n, mode=mode, target=target, records=tuple(records))
+    return BiasReport(n=n, target=target, records=tuple(records))
 
 
 # -- bound calculators --------------------------------------------------------------

@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .debias import StepSchedule, bias_bound, exact_bias
+from .debias import exact_bias
 from .moments import (
     Dataset,
     MomentPolynomial,
@@ -75,7 +75,8 @@ class ExperimentRow:
 def expansion_coefficients(schedule):
     """Coefficients of the iterate as a combination of chain depths.
 
-    Accepts a StepSchedule or an integer k (stationary, all steps unit).
+    Accepts a StepSchedule, a sequence of step sizes, or an integer k as
+    shorthand for k unit steps (the stationary iteration).
     Follows a_0' = a_0 + eta, a_j' = a_j - eta*a_{j-1}; stationary k yields
     the signed binomials binom(k+1, j+1)(-1)^j.  The coefficients always sum
     to 1: each step adds eta and subtracts eta times the previous total.
@@ -233,6 +234,24 @@ def exhaustive_estimate(F, data, coeffs):
     return total
 
 
+def chain_expectation(F, coeffs, data):
+    """Exact expectation of the chain estimator, by the operator route.
+
+    With X^1 a redraw of data (N = data.n rows), the chain estimator
+    sum_j a_j F(X^{j+1}) has expectation evaluate(S G, data), where
+    G = sum_j a_j S^j F.  This is the value that mc_estimate (with
+    resample_first) and exhaustive_estimate estimate.
+    """
+    n = data.n
+    total = MomentPolynomial(F.d, {})
+    g = F
+    for j, a in enumerate(coeffs):
+        if j > 0:
+            g = apply_S(g, n)
+        total = total + a * g
+    return evaluate(apply_S(total, n), data)
+
+
 def normal_sampler(d):
     """Sampler drawing n rows of d independent standard normals."""
 
@@ -243,24 +262,19 @@ def normal_sampler(d):
     return draw
 
 
-def bias_experiment(
-    F,
-    population,
-    n,
-    k_max,
-    replicas,
-    mode="stationary",
-    seed=0,
-    schedule=None,
-    sampler=None,
-):
+def bias_experiment(F, population, schedule, replicas, seed=0, sampler=None):
     """Empirical bias per iteration count against its exact value and bound.
 
-    For each k in 0..k_max the chain estimator is averaged over fresh
-    replicas with X^1 drawn from the population (by row resampling for a
-    Dataset population, through sampler for an analytic MomentTable), and
-    compared against debias.exact_bias.  Returns one ExperimentRow per k.
+    The schedule carries the sample size N and the steps eta_1..eta_k_max;
+    StepSchedule.unit(N, k_max) gives the stationary iteration.  For each k in
+    0..k_max the chain estimator with coefficients
+    expansion_coefficients(schedule.etas[:k]) is averaged over fresh replicas
+    with X^1 drawn from the population (by row resampling for a Dataset
+    population, through sampler for an analytic MomentTable), and compared
+    against row k of debias.exact_bias, which also supplies the bound.
+    Returns one ExperimentRow per k.
     """
+    n = schedule.n
     if isinstance(population, MomentTable):
         if sampler is None:
             raise ValueError("an analytic population needs a sampler to draw X^1")
@@ -272,34 +286,16 @@ def bias_experiment(
     else:
         raise TypeError("population must be a Dataset or MomentTable")
 
-    if mode == "schedule" and schedule is not None and len(schedule) != k_max:
-        raise ValueError("schedule length must equal k_max")
-    exact = exact_bias(F, n, k_max, table, mode=mode, schedule=schedule)
-    target = exact.target
-    m = max(F.max_order(), 1)
-    f_one = sum(abs(c) for c in F.terms.values())
-    mu_inf = max((abs(table.moment(b)) for b in reachable_blocks(F)), default=0)
-
-    seeds = np.random.SeedSequence(seed).generate_state(k_max + 1)
+    exact = exact_bias(F, schedule, table)
+    target = float(exact.target)
+    seeds = np.random.SeedSequence(seed).generate_state(len(schedule) + 1)
     rows = []
-    for k in range(k_max + 1):
-        if mode == "schedule":
-            coeffs = expansion_coefficients(
-                StepSchedule(n, list(schedule)[:k]) if schedule else StepSchedule.default(n, k)
-            )
-        else:
-            coeffs = expansion_coefficients(k)
+    for k, record in enumerate(exact.records):
+        coeffs = expansion_coefficients(schedule.etas[:k])
         values = _mc_values(F, first_draw, coeffs, replicas, int(seeds[k]))
-        biased = [v - float(target) for v in values]
-        report = _report(biased, float(exact.records[k].signed_bias), int(seeds[k]))
+        biased = [v - target for v in values]
+        report = _report(biased, float(record.signed_bias), int(seeds[k]))
         rows.append(
-            ExperimentRow(
-                k=k,
-                report=report,
-                exact_bias=exact.records[k].signed_bias,
-                bound=float(bias_bound(m, n, k, mu_inf, f_one))
-                if mode == "stationary"
-                else exact.records[k].bound,
-            )
+            ExperimentRow(k=k, report=report, exact_bias=record.signed_bias, bound=record.bound)
         )
     return rows

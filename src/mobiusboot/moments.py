@@ -357,18 +357,28 @@ def polynomial_to_dict(F):
     return {"d": F.d, "terms": out}
 
 
+def scalar_from_json(val):
+    """A number from a JSON scalar: a p/q string is exact, a finite number a float.
+
+    Anything else (a bool, null, a list, nan or inf) raises ValueError.
+    """
+    if isinstance(val, str):
+        return Fraction(val)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError(f"{val!r} is neither a p/q string nor a number")
+    if not math.isfinite(val):
+        raise ValueError(f"{val!r} is not finite")
+    return float(val)
+
+
 def polynomial_from_dict(obj):
     d = obj["d"]
     terms = {}
     exact = True
     for entry in obj["terms"]:
         term = LabeledTerm(entry["blocks"])
-        coeff = entry["coeff"]
-        if isinstance(coeff, str):
-            coeff = Fraction(coeff)
-        else:
-            coeff = float(coeff)
-            exact = False
+        coeff = scalar_from_json(entry["coeff"])
+        exact = exact and isinstance(coeff, Fraction)
         terms[term] = terms.get(term, 0) + coeff
     return MomentPolynomial(d, terms, exact=exact)
 

@@ -258,12 +258,9 @@ def test_10_monte_carlo_bias_agreement():
     rows = bias_experiment(
         variance,
         normal_moment_table(1, 2),
-        10,
-        2,
+        StepSchedule.default(10, 2),
         100_000,
-        mode="schedule",
         seed=42,
-        schedule=StepSchedule.default(10, 2),
         sampler=normal_sampler(1),
     )
     plugin, _, scheduled = rows

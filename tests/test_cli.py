@@ -318,9 +318,12 @@ def test_integer_flags_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
         json.dumps({"d": 1, "terms": [{"blocks": [[0]]}]}),
         json.dumps({"d": 1, "terms": [{"blocks": [[0]], "coeff": "1/0"}]}),
         json.dumps([1, 2]),
+        json.dumps({"d": 1, "terms": [{"blocks": [[0, 0]], "coeff": float("nan")}]}),
+        json.dumps({"d": 1, "terms": [{"blocks": [[0, 0]], "coeff": float("inf")}]}),
+        json.dumps({"d": 1, "terms": [{"blocks": [[0, 0]], "coeff": True}]}),
     ],
     ids=["unparsable", "no-d", "no-terms", "no-blocks", "no-coeff", "zero-denominator",
-         "not-object"],
+         "not-object", "nan-coeff", "inf-coeff", "bool-coeff"],
 )
 def test_malformed_functional_exit_2(workdir, monkeypatch, capsys, text):
     monkeypatch.chdir(workdir)
@@ -328,6 +331,69 @@ def test_malformed_functional_exit_2(workdir, monkeypatch, capsys, text):
     rc = main(["bias", "--functional", "bad.json", "--population", "pop.json",
                "--n", "4", "--k", "1", "--out", "x"])
     _assert_usage_error(rc, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        BIAS + ["--n", "4", "--k", "2", "--schedule", "0,1"],
+        BIAS + ["--n", "4", "--k", "2", "--schedule=-1,2"],
+        MC_DATA + ["--k", "2", "--schedule", "0,1"],
+        MC_POP + ["--n", "4", "--k", "2", "--schedule=-1,2"],
+    ],
+    ids=["bias-zero-step", "bias-negative-step", "mc-data-zero-step",
+         "mc-population-negative-step"],
+)
+def test_nonpositive_schedule_exit_2(workdir, monkeypatch, capsys, argv):
+    monkeypatch.chdir(workdir)
+    _assert_usage_error(main(argv + ["--out", "x"]), capsys)
+    assert not (workdir / "x.csv").exists()
+
+
+def _artifact_tables(workdir, base):
+    """An artifact's CSV without its flags and timestamp lines, and its JSON tables."""
+    csv_lines = [
+        line for line in (workdir / f"{base}.csv").read_text().splitlines()
+        if not line.startswith(("# flags:", "# timestamp:"))
+    ]
+    return csv_lines, json.loads((workdir / f"{base}.json").read_text())["tables"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [BIAS + ["--n", "5", "--k", "3"], MC_POP + ["--n", "5", "--k", "2", "--seed", "4"],
+     MC_DATA + ["--k", "2", "--seed", "4"]],
+    ids=["bias", "mc-population", "mc-data"],
+)
+def test_stationary_schedule_spellings_write_identical_tables(workdir, monkeypatch, argv):
+    monkeypatch.chdir(workdir)
+    spellings = [[], ["--schedule", "none"], ["--schedule", "stationary"], ["--schedule", "unit"]]
+    tables = []
+    for i, flag in enumerate(spellings):
+        assert main(argv + flag + ["--out", f"s{i}"]) == 0
+        tables.append(_artifact_tables(workdir, f"s{i}"))
+    assert all(t == tables[0] for t in tables[1:])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "trace", "--sigma", "2"],
+        ["--kind", "trace", "--sigma", "0.5", "--n", "0"],
+        ["--kind", "bandlimited", "--d", "1", "--theta", "1", "--n", "10"],
+        ["--kind", "bandlimited", "--d", "0", "--theta", "1", "--n", "100000"],
+        ["--kind", "general", "--gammas", "1,1/256", "--n", "0"],
+        ["--kind", "general", "--gammas", "1,1/256", "--n", "800"],
+        ["--kind", "linconv", "--alpha", "0"],
+        ["--kind", "linconv", "--m-max", "0"],
+    ],
+    ids=["trace-sigma-2", "trace-n0", "bandlimited-n-too-small", "bandlimited-d0",
+         "general-n0", "general-short-gammas", "linconv-alpha0", "linconv-m-max0"],
+)
+def test_bounds_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
+    monkeypatch.chdir(workdir)
+    _assert_usage_error(main(["bounds"] + argv + ["--out", "x"]), capsys)
+    assert not (workdir / "x.csv").exists() and not (workdir / "x.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from mobiusboot.moments import (
     InfeasibleError,
     LabeledTerm,
     MomentPolynomial,
+    MomentTable,
     normal_moment_table,
     reachable_blocks,
 )
@@ -173,7 +174,7 @@ def test_monotone_contraction_large_n(m):
 def test_variance_trajectory_against_normal_population():
     F = variance_poly()
     pop = normal_moment_table(1, 4)
-    report = exact_bias(F, 10, 2, pop, mode="stationary")
+    report = exact_bias(F, StepSchedule.unit(10, 2), pop)
     assert report.target == 1
     assert [r.signed_bias for r in report.records] == [
         Fraction(-1, 10),
@@ -187,7 +188,7 @@ def test_variance_trajectory_against_normal_population():
 def test_schedule_trajectory_hits_zero():
     F = variance_poly()
     pop = normal_moment_table(1, 4)
-    report = exact_bias(F, 10, 2, pop, mode="schedule")
+    report = exact_bias(F, StepSchedule.default(10, 2), pop)
     assert report.records[0].signed_bias == Fraction(-1, 10)
     assert report.records[-1].signed_bias == 0
 
@@ -204,8 +205,8 @@ def test_bias_bound_dominates_exact_bias():
                 LabeledTerm([[0, 0, 0], [0]]): Fraction(rng.randint(-2, 2)),
             },
         )
-        for mode in ("stationary", "schedule"):
-            report = exact_bias(F, 6, 3, pop, mode=mode)
+        for schedule in (StepSchedule.unit(6, 3), StepSchedule.default(6, 3)):
+            report = exact_bias(F, schedule, pop)
             for r in report.records:
                 assert float(r.abs_bias) <= r.bound + 1e-12
 
@@ -229,14 +230,14 @@ def test_bound_column_matches_dense_route(m, kind):
     F = _random_poly(random.Random(40 + m), m)
     pop = normal_moment_table(m, m)
     if kind == "stationary":
-        report = exact_bias(F, n, k, pop, mode="stationary")
+        report = exact_bias(F, StepSchedule.unit(n, k), pop)
         etas = [1] * k
     else:
         schedule = (
             StepSchedule.default(n, k) if kind == "default"
             else StepSchedule(n, [Fraction(1, 3), Fraction(7, 2), Fraction(2)])
         )
-        report = exact_bias(F, n, k, pop, mode="schedule", schedule=schedule)
+        report = exact_bias(F, schedule, pop)
         etas = list(schedule)
     assert [r.bound for r in report.records] == _dense_bound_column(F, n, etas, pop)
 
@@ -246,8 +247,8 @@ def test_exact_bias_beyond_dense_cap():
     F = MomentPolynomial(1, {LabeledTerm([[0] * 11]): 1, LabeledTerm([[0], [0]]): -1})
     assert F.max_order() > DEFAULT_CAP
     pop = normal_moment_table(1, 11)
-    for mode in ("stationary", "schedule"):
-        report = exact_bias(F, 12, 2, pop, mode=mode)
+    for schedule in (StepSchedule.unit(12, 2), StepSchedule.default(12, 2)):
+        report = exact_bias(F, schedule, pop)
         assert report.records[0].signed_bias == Fraction(-1, 12)
         # mu_inf = E[x^2] = 1 (odd normal moments vanish) and f_one = 2
         assert report.records[0].bound == float(2 * one_norm_id_minus_S(11, 12))
@@ -256,14 +257,28 @@ def test_exact_bias_beyond_dense_cap():
 
 
 def test_bias_report_rows_shape():
-    report = exact_bias(variance_poly(), 4, 1, normal_moment_table(1, 4))
+    report = exact_bias(variance_poly(), StepSchedule.unit(4, 1), normal_moment_table(1, 4))
     rows = report.rows()
     assert rows[0][0] == 0 and len(rows) == 2 and len(rows[0]) == 4
 
 
-def test_exact_bias_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        exact_bias(variance_poly(), 4, 1, normal_moment_table(1, 4), mode="nope")
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_unit_schedule_bound_equals_bias_bound(m):
+    # the stationary bound mu_inf * f_one * ||Id-S||_1^(j+1), computed directly
+    n, k = m + 1, 4
+    rng = random.Random(70 + m)
+    F = _random_poly(rng, m)
+    # random nonzero moments: a normal table is 0 on every block of distinct labels
+    pop = MomentTable(
+        m, {b: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)) for b in reachable_blocks(F)}
+    )
+    mu_inf = max(abs(pop.moment(b)) for b in reachable_blocks(F))
+    assert mu_inf > 0
+    f_one = sum(abs(c) for c in F.terms.values())
+    report = exact_bias(F, StepSchedule.unit(n, k), pop)
+    assert [r.bound for r in report.records] == [
+        float(bias_bound(m, n, j, mu_inf, f_one)) for j in range(k + 1)
+    ]
 
 
 # -- bound calculators -------------------------------------------------------------------

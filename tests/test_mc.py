@@ -12,6 +12,7 @@ from mobiusboot.debias import StepSchedule, nonstationary_debias, richardson_deb
 from mobiusboot.mc import (
     EstimatorCoefficients,
     bias_experiment,
+    chain_expectation,
     exhaustive_estimate,
     expansion_coefficients,
     mc_estimate,
@@ -199,6 +200,19 @@ def test_exhaustive_matches_coefficient_space(n):
         assert got == evaluate(apply_S(G, n), data)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_chain_expectation_equals_exhaustive_walk(n):
+    rng = random.Random(60 + n)
+    data = Dataset(
+        [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2)] for _ in range(n)]
+    )
+    for schedule in (StepSchedule.unit(n, 2), StepSchedule(n, [Fraction(1, 2), Fraction(3)])):
+        coeffs = expansion_coefficients(schedule)
+        assert chain_expectation(COVARIANCE_PLUS, coeffs, data) == exhaustive_estimate(
+            COVARIANCE_PLUS, data, coeffs
+        )
+
+
 def test_exhaustive_unbiased_after_default_schedule():
     # two default steps at m=2: the chain estimator's exact expectation
     # equals the plug-in value on the source data
@@ -326,7 +340,7 @@ def test_bias_experiment_normal_population():
     F = variance_poly()
     pop = normal_moment_table(1, 4)
     rows = bias_experiment(
-        F, pop, n=10, k_max=2, replicas=4000, mode="schedule",
+        F, pop, StepSchedule.default(10, 2), replicas=4000,
         seed=2024, sampler=normal_sampler(1),
     )
     assert [r.k for r in rows] == [0, 1, 2]
@@ -341,7 +355,7 @@ def test_bias_experiment_dataset_population():
     rng = random.Random(8)
     pop = Dataset([[Fraction(rng.randint(-3, 3))] for _ in range(150)])
     F = variance_poly()
-    rows = bias_experiment(F, pop, n=6, k_max=1, replicas=3000, mode="stationary", seed=7)
+    rows = bias_experiment(F, pop, StepSchedule.unit(6, 1), replicas=3000, seed=7)
     table = MomentTable.from_dataset(pop, [(0,), (0, 0)])
     v = evaluate(F, table)
     assert rows[0].exact_bias == -v * Fraction(1, 6)
@@ -352,12 +366,13 @@ def test_bias_experiment_dataset_population():
 
 def test_bias_experiment_requires_sampler_for_tables():
     with pytest.raises(ValueError):
-        bias_experiment(variance_poly(), normal_moment_table(1, 4), 10, 1, 10)
+        bias_experiment(variance_poly(), normal_moment_table(1, 4), StepSchedule.unit(10, 1), 10)
 
 
 def test_exact_column_independent_of_replicas():
     F = variance_poly()
     pop = normal_moment_table(1, 4)
-    a = bias_experiment(F, pop, 10, 1, 50, mode="stationary", seed=1, sampler=normal_sampler(1))
-    b = bias_experiment(F, pop, 10, 1, 200, mode="stationary", seed=9, sampler=normal_sampler(1))
+    unit = StepSchedule.unit(10, 1)
+    a = bias_experiment(F, pop, unit, 50, seed=1, sampler=normal_sampler(1))
+    b = bias_experiment(F, pop, unit, 200, seed=9, sampler=normal_sampler(1))
     assert [r.exact_bias for r in a] == [r.exact_bias for r in b]

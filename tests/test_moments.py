@@ -29,6 +29,7 @@ from mobiusboot.moments import (
     moments_from_cumulants,
     normal_moment_table,
     polynomial_from_dict,
+    scalar_from_json,
     polynomial_to_dict,
     reachable_blocks,
     symmetric_statistic,
@@ -277,6 +278,21 @@ def test_polynomial_json_round_trip_float():
     assert obj["terms"][0]["coeff"] == 0.25
     G = polynomial_from_dict(obj)
     assert not G.exact and G.terms[LabeledTerm([[0]])] == 0.25
+
+
+def test_scalar_from_json():
+    assert scalar_from_json("-3/4") == Fraction(-3, 4)
+    assert isinstance(scalar_from_json("2"), Fraction)
+    assert scalar_from_json(2) == 2.0 and isinstance(scalar_from_json(2), float)
+    assert scalar_from_json(0.25) == 0.25
+
+
+@pytest.mark.parametrize(
+    "val", [True, False, None, [1], float("nan"), float("inf"), -float("inf"), "nan", "x"]
+)
+def test_scalar_from_json_rejects(val):
+    with pytest.raises(ValueError):
+        scalar_from_json(val)
 
 
 def test_dataset_from_csv(tmp_path):
