@@ -66,13 +66,10 @@ class StepSchedule:
 # -- iterations ------------------------------------------------------------------
 
 def richardson_debias(F, n, k):
-    """k corrected steps, recursion form."""
+    """k corrected steps of the stationary iteration, recursion form."""
     if k < 0:
         raise ValueError(f"step count must be nonnegative, got {k}")
-    g = F
-    for _ in range(k):
-        g = g + (F - apply_S(g, n))
-    return g
+    return nonstationary_debias(F, n, StepSchedule.unit(n, k))
 
 
 def richardson_neumann(F, n, k):
@@ -91,9 +88,12 @@ def richardson_neumann(F, n, k):
 
 
 def nonstationary_debias(F, n, schedule):
-    """Scheduled steps G_j = G_(j-1) + eta_j*(f - S G_(j-1)), G_0 = f."""
-    if len(schedule) < 1:
-        raise InfeasibleError("schedule must contain at least one step")
+    """Scheduled steps G_j = G_(j-1) + eta_j*(f - S G_(j-1)), G_0 = f.
+
+    n must be the schedule's own sample size; an empty schedule returns f.
+    """
+    if n != schedule.n:
+        raise ValueError(f"sample size {n} differs from the schedule's N={schedule.n}")
     g = F
     for eta in schedule:
         g = g + eta * (F - apply_S(g, n))

@@ -125,6 +125,14 @@ class Partition:
             out[label].append(pos)
         return tuple(tuple(b) for b in out)
 
+    def merge(self, grouping):
+        """Merge blocks along a restricted growth string over the block indices.
+
+        Blocks are numbered by first appearance and so is the grouping, so the
+        relabelled string is already canonical.
+        """
+        return Partition(grouping[b] for b in self.rgs)
+
     def __eq__(self, other):
         return isinstance(other, Partition) and self.rgs == other.rgs
 
@@ -227,25 +235,21 @@ class LatticeIndex:
             raise DimensionError(f"{pi!r} is not an element of Pi({self.m})") from None
 
 
-def _check_cap(m, cap):
-    if m < 1 or m > cap:
+def _check_cap(m):
+    if m < 1 or m > DEFAULT_CAP:
         raise CapExceededError(
-            f"m={m} outside supported range 1..{cap} "
+            f"m={m} outside supported range 1..{DEFAULT_CAP} "
             f"(Bell({m}) = {bell(max(m, 0))} partitions)"
         )
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(m):
+def enumerate_partitions(m):
+    """All Bell(m) partitions of {0..m-1} in canonical order."""
+    _check_cap(m)
     parts = [Partition(r) for r in _rgs_strings(m)]
     parts.sort(key=lambda p: (-p.block_count, p.rgs))
     return LatticeIndex(m, parts)
-
-
-def enumerate_partitions(m, cap=DEFAULT_CAP):
-    """All Bell(m) partitions of {0..m-1} in canonical order."""
-    _check_cap(m, cap)
-    return _enumerate_cached(m)
 
 
 def coarsenings(pi):
@@ -254,48 +258,30 @@ def coarsenings(pi):
     Produced by merging blocks of pi along every set partition of its block
     set; the count is Bell(#pi).
     """
-    k = pi.block_count
-    out = []
-    for grouping in _rgs_strings(k):
-        merged = [0] * pi.m
-        relabel = {}
-        for pos in range(pi.m):
-            g = grouping[pi.rgs[pos]]
-            if g not in relabel:
-                relabel[g] = len(relabel)
-            merged[pos] = relabel[g]
-        out.append(Partition(merged))
-    return out
+    return [pi.merge(grouping) for grouping in _rgs_strings(pi.block_count)]
 
 
 def cover_edges(index):
     """Hasse diagram edges (finer, coarser) of the refinement order.
 
     pi is covered by exactly the partitions obtained by merging two of its
-    blocks.
+    blocks: blocks a < b merge along the grouping i -> i below b, b -> a and
+    i -> i - 1 above b.
     """
     edges = []
     for pi in index:
         k = pi.block_count
         for a in range(k):
             for b in range(a + 1, k):
-                merged = [0] * pi.m
-                relabel = {}
-                for pos in range(pi.m):
-                    lab = pi.rgs[pos]
-                    if lab == b:
-                        lab = a
-                    if lab not in relabel:
-                        relabel[lab] = len(relabel)
-                    merged[pos] = relabel[lab]
-                edges.append((pi, Partition(merged)))
+                grouping = [*range(b), a, *range(b, k - 1)]
+                edges.append((pi, pi.merge(grouping)))
     return edges
 
 
 # -- incidence matrices -------------------------------------------------------
 
 class IncidenceMatrix:
-    """Dense Bell(m) x Bell(m) integer matrix over a LatticeIndex."""
+    """Dense Bell(m) x Bell(m) matrix over a LatticeIndex, zero off the order."""
 
     def __init__(self, index, entries, kind):
         self.index = index
@@ -309,17 +295,20 @@ class IncidenceMatrix:
     def entry(self, sigma, pi):
         return self.entries[self.index.position(sigma)][self.index.position(pi)]
 
+    def matvec(self, vec):
+        return _dense_matvec(self.entries, vec)
 
-def _incidence_entries(index, weight, zero=0):
-    """entries[position(pi)][col] = weight(sigma, pi, grouping) for pi >= sigma, else zero.
 
-    grouping is the RGS over sigma's blocks that merges them into pi;
-    coarsenings(sigma) yields pi in _rgs_strings order.
+def _incidence_entries(index, weight):
+    """entries[position(pi)][col] = weight(sigma, pi, grouping) for pi >= sigma, else 0.
+
+    grouping is the RGS over sigma's blocks that merges them into pi.
     """
     n = len(index)
-    entries = [[zero] * n for _ in range(n)]
+    entries = [[0] * n for _ in range(n)]
     for col, sigma in enumerate(index):
-        for grouping, pi in zip(_rgs_strings(sigma.block_count), coarsenings(sigma)):
+        for grouping in _rgs_strings(sigma.block_count):
+            pi = sigma.merge(grouping)
             entries[index.position(pi)][col] = weight(sigma, pi, grouping)
     return entries
 
@@ -333,13 +322,13 @@ def _dense_matvec(entries, vec):
     return [sum(row[j] * vec[j] for j in range(n) if row[j]) for row in entries]
 
 
-def zeta_matrix(m, cap=DEFAULT_CAP):
+def zeta_matrix(m):
     """0/1 incidence matrix of refinement: entry(sigma, pi) = 1 iff pi <= sigma.
 
     Under the finest-first order this is lower triangular with unit diagonal;
     the coarsest partition's row is all ones.
     """
-    index = enumerate_partitions(m, cap)
+    index = enumerate_partitions(m)
     return IncidenceMatrix(index, _incidence_entries(index, lambda *_: 1), "zeta")
 
 
@@ -348,11 +337,11 @@ def _mobius_weight(sigma, pi, grouping):
     return prod((-1) ** (b - 1) * factorial(b - 1) for b in Counter(grouping).values())
 
 
-def mobius_matrix(m, cap=DEFAULT_CAP):
+def mobius_matrix(m):
     """Exact integer inverse of the zeta matrix, by the product formula.
 
     The interval [sigma, pi] is a product of partition lattices, one per block
     of pi, so mu(sigma, pi) factors over those blocks (Stanley, EC1, 3.10).
     """
-    index = enumerate_partitions(m, cap)
+    index = enumerate_partitions(m)
     return IncidenceMatrix(index, _incidence_entries(index, _mobius_weight), "mobius")

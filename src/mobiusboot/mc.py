@@ -75,20 +75,14 @@ class ExperimentRow:
 def expansion_coefficients(schedule):
     """Coefficients of the iterate as a combination of chain depths.
 
-    Accepts a StepSchedule, a sequence of step sizes, or an integer k as
-    shorthand for k unit steps (the stationary iteration).
-    Follows a_0' = a_0 + eta, a_j' = a_j - eta*a_{j-1}; stationary k yields
-    the signed binomials binom(k+1, j+1)(-1)^j.  The coefficients always sum
-    to 1: each step adds eta and subtracts eta times the previous total.
+    Takes the steps: a StepSchedule or a sequence of step sizes.
+    Follows a_0' = a_0 + eta, a_j' = a_j - eta*a_{j-1}; k unit steps (the
+    stationary iteration) yield the signed binomials binom(k+1, j+1)(-1)^j.
+    The coefficients always sum to 1: each step adds eta and subtracts eta
+    times the previous total.
     """
-    if isinstance(schedule, int):
-        if schedule < 0:
-            raise ValueError(f"step count must be nonnegative, got {schedule}")
-        etas = [Fraction(1)] * schedule
-    else:
-        etas = list(schedule)
     coeffs = [Fraction(1)]
-    for eta in etas:
+    for eta in schedule:
         nxt = [coeffs[0] + eta]
         nxt.extend(coeffs[j] - eta * coeffs[j - 1] for j in range(1, len(coeffs)))
         nxt.append(-eta * coeffs[-1])

@@ -29,6 +29,10 @@ def _is_exact(x):
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _canon_blocks(blocks):
     canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: (len(b), b)))
     for block in canon:
@@ -373,6 +377,8 @@ def scalar_from_json(val):
 
 def polynomial_from_dict(obj):
     d = obj["d"]
+    if not (_is_int(d) and d >= 1):
+        raise ValueError(f"d must be a positive integer, got {d!r}")
     terms = {}
     exact = True
     for entry in obj["terms"]:

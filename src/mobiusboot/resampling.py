@@ -16,8 +16,8 @@ import math
 from fractions import Fraction
 
 from .lattice import (
-    DEFAULT_CAP,
     DimensionError,
+    IncidenceMatrix,
     _dense_matvec,
     _incidence_entries,
     _rgs_strings,
@@ -29,46 +29,27 @@ from .lattice import (
 from .moments import MomentPolynomial
 
 
-class SamplingMatrix:
-    """Exact Bell(m) x Bell(m) matrix of the resampling operator."""
-
-    def __init__(self, m, n, index, entries):
-        self.m = m
-        self.n = n
-        self.index = index
-        self.entries = entries
-
-    def entry(self, pi, sigma):
-        return self.entries[self.index.position(pi)][self.index.position(sigma)]
-
-    def matvec(self, vec):
-        return _dense_matvec(self.entries, vec)
-
-    def __repr__(self):
-        return f"SamplingMatrix(m={self.m}, N={self.n})"
-
-
-def sampling_matrix(m, n, cap=DEFAULT_CAP):
+def sampling_matrix(m, n):
     """Build S for order m and sample size n."""
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
-    index = enumerate_partitions(m, cap)
+    index = enumerate_partitions(m)
 
     def weight(sigma, pi, grouping):
         return Fraction(falling_factorial(n, pi.block_count), n**sigma.block_count)
 
-    return SamplingMatrix(m, n, index, _incidence_entries(index, weight, Fraction(0)))
+    return IncidenceMatrix(index, _incidence_entries(index, weight), "sampling")
 
 
-def factorization(m, n, cap=DEFAULT_CAP):
+def factorization(m, n):
     """Diagonal factors (R, C, check) with S = R.zeta.C^{-1}.
 
     R carries falling(N,#pi) on the zeta's row side, C carries N^{#pi} on the
     column side; the diagonals do not commute past zeta, so the orientation
     matters.  check is the exact entrywise comparison and must always be True.
     """
-    S = sampling_matrix(m, n, cap)
-    zeta = zeta_matrix(m, cap)
+    S = sampling_matrix(m, n)
+    zeta = zeta_matrix(m)
     R = [Fraction(falling_factorial(n, pi.block_count)) for pi in S.index]
     C = [Fraction(n ** pi.block_count) for pi in S.index]
     size = len(S.index)
@@ -163,26 +144,18 @@ def poly_level_sums(F, m):
 
 # -- norms and convergence ratios ----------------------------------------------
 
-def one_norm_id_minus_S(m, n, exact=True):
+def one_norm_id_minus_S(m, n):
     """Closed form for the operator 1-norm of Id - S.
 
     2(1 - falling(N,m)/N^m) for m <= N, and exactly 2 otherwise: the worst
     column is the finest partition's, whose diagonal weight is smallest.
-    With exact=False the product is evaluated as a sum of logs, usable for m
-    far beyond the lattice cap.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and N must be positive")
-    if exact:
-        return 2 * (1 - gamma_ratio(m, n))
-    if m > n:
-        return 2.0
-    return -2.0 * math.expm1(log_gamma_ratio(m, n))
+    return one_norm_id_minus_scaled(m, n, 1)
 
 
-def one_norm_direct(m, n, eta=1, cap=DEFAULT_CAP):
+def one_norm_direct(m, n, eta=1):
     """Max column 1-norm of Id - eta*S from the explicit matrix."""
-    S = sampling_matrix(m, n, cap)
+    S = sampling_matrix(m, n)
     size = len(S.index)
     best = Fraction(0)
     for j in range(size):

@@ -290,6 +290,8 @@ MC_DATA = ["mc-run", "--functional", "var.json", "--data", "data.csv", "--replic
     [
         ["smatrix", "--m", "2", "--n", "0"],
         ["smatrix", "--m", "2", "--n", "0", "--reduced"],
+        ["smatrix", "--m", "0", "--n", "2"],
+        ["smatrix", "--m", "0", "--n", "2", "--reduced"],
         BIAS + ["--n", "0", "--k", "1"],
         MC_POP + ["--n", "0", "--k", "1"],
         BIAS + ["--n", "4", "--k", "-1"],
@@ -298,7 +300,7 @@ MC_DATA = ["mc-run", "--functional", "var.json", "--data", "data.csv", "--replic
         MC_DATA + ["--k", "1", "--replicas", "0"],
     ],
     ids=[
-        "smatrix-n0", "smatrix-reduced-n0", "bias-n0", "mc-population-n0",
+        "smatrix-n0", "smatrix-reduced-n0", "smatrix-m0", "smatrix-reduced-m0", "bias-n0", "mc-population-n0",
         "bias-k-negative", "mc-data-k-negative", "mc-population-k-negative", "mc-replicas0",
     ],
 )
@@ -321,9 +323,11 @@ def test_integer_flags_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
         json.dumps({"d": 1, "terms": [{"blocks": [[0, 0]], "coeff": float("nan")}]}),
         json.dumps({"d": 1, "terms": [{"blocks": [[0, 0]], "coeff": float("inf")}]}),
         json.dumps({"d": 1, "terms": [{"blocks": [[0, 0]], "coeff": True}]}),
+        json.dumps({"d": True, "terms": VARIANCE_JSON["terms"]}),
+        json.dumps({"d": 1.5, "terms": VARIANCE_JSON["terms"]}),
     ],
     ids=["unparsable", "no-d", "no-terms", "no-blocks", "no-coeff", "zero-denominator",
-         "not-object", "nan-coeff", "inf-coeff", "bool-coeff"],
+         "not-object", "nan-coeff", "inf-coeff", "bool-coeff", "bool-d", "float-d"],
 )
 def test_malformed_functional_exit_2(workdir, monkeypatch, capsys, text):
     monkeypatch.chdir(workdir)

@@ -119,10 +119,16 @@ def test_richardson_bias_identity(m, n):
 def test_unit_schedule_matches_richardson():
     rng = random.Random(5)
     F = _random_poly(rng, 3)
-    for k in (1, 2, 4):
+    for k in (0, 1, 2, 4):
         assert nonstationary_debias(F, 4, StepSchedule.unit(4, k)) == richardson_debias(
             F, 4, k
         )
+
+
+def test_schedule_sample_size_must_match():
+    # N = 5 for S with N = 10 steps would leave bias -1/225 where the pair leaves 0
+    with pytest.raises(ValueError, match="N=10"):
+        nonstationary_debias(variance_poly(), 5, StepSchedule.default(10, 2))
 
 
 def test_two_step_default_kills_bias_m2_n2():
@@ -228,7 +234,11 @@ def _dense_bound_column(F, n, etas, pop):
 def test_bound_column_matches_dense_route(m, kind):
     n, k = m + 2, 3
     F = _random_poly(random.Random(40 + m), m)
-    pop = normal_moment_table(m, m)
+    # random nonzero moments: a normal table is 0 on every block of distinct labels
+    rng = random.Random(90 + m)
+    pop = MomentTable(
+        m, {b: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)) for b in reachable_blocks(F)}
+    )
     if kind == "stationary":
         report = exact_bias(F, StepSchedule.unit(n, k), pop)
         etas = [1] * k
@@ -239,7 +249,10 @@ def test_bound_column_matches_dense_route(m, kind):
         )
         report = exact_bias(F, schedule, pop)
         etas = list(schedule)
-    assert [r.bound for r in report.records] == _dense_bound_column(F, n, etas, pop)
+    column = [r.bound for r in report.records]
+    assert column == _dense_bound_column(F, n, etas, pop)
+    # ||Id-S||_1 = 0 at m = 1, so only there is the whole column 0
+    assert any(b > 0 for b in column) == (m > 1)
 
 
 def test_exact_bias_beyond_dense_cap():

@@ -96,10 +96,6 @@ def test_cap_errors_name_bell():
         enumerate_partitions(11)
     with pytest.raises(CapExceededError):
         enumerate_partitions(0)
-    # the cap is overridable
-    assert len(enumerate_partitions(2, cap=2)) == 2
-    with pytest.raises(CapExceededError):
-        enumerate_partitions(3, cap=2)
 
 
 def test_partition_canonical_form():

@@ -1,0 +1,108 @@
+"""Property checks of the lattice walk and the operator S on generated inputs."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mobiusboot.lattice import (
+    Partition,
+    bell,
+    cover_edges,
+    format_partition,
+    parse_partition,
+)
+from mobiusboot.moments import LabeledTerm, MomentPolynomial
+from mobiusboot.resampling import apply_S, sampling_matrix
+
+# reproducible examples, no example database written next to the tests
+PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def rgs_strings(draw, min_len=1, max_len=7):
+    """A restricted growth string: each entry at most one above the largest before it."""
+    length = draw(st.integers(min_len, max_len))
+    out, width = [], 0
+    for _ in range(length):
+        v = draw(st.integers(0, width))
+        out.append(v)
+        width += v == width
+    return out
+
+
+@st.composite
+def partition_and_grouping(draw):
+    pi = Partition(draw(rgs_strings()))
+    k = pi.block_count
+    return pi, draw(rgs_strings(min_len=k, max_len=k))
+
+
+def _relabel(pi, grouping):
+    """The merge by first-appearance relabelling, as coarsenings once did it."""
+    merged = [0] * pi.m
+    relabel = {}
+    for pos in range(pi.m):
+        g = grouping[pi.rgs[pos]]
+        if g not in relabel:
+            relabel[g] = len(relabel)
+        merged[pos] = relabel[g]
+    return Partition(merged)
+
+
+@PROPERTY
+@given(partition_and_grouping())
+def test_merge_equals_relabel_route(case):
+    pi, grouping = case
+    assert pi.merge(grouping) == _relabel(pi, grouping)
+
+
+@PROPERTY
+@given(rgs_strings().map(Partition))
+def test_cover_edges_merge_each_pair_of_blocks(pi):
+    blocks = pi.blocks
+    want = [
+        Partition.from_blocks(
+            [blocks[a] + blocks[b]] + [blk for i, blk in enumerate(blocks) if i not in (a, b)]
+        )
+        for a in range(len(blocks))
+        for b in range(a + 1, len(blocks))
+    ]
+    assert cover_edges([pi]) == [(pi, coarser) for coarser in want]
+
+
+@PROPERTY
+@given(rgs_strings(max_len=10).map(Partition))
+def test_format_parse_round_trip(pi):
+    assert parse_partition(format_partition(pi)) == pi
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.integers(1, 6),
+            st.lists(
+                st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                min_size=bell(m),
+                max_size=bell(m),
+            ),
+        )
+    )
+)
+def test_apply_S_equals_dense_matvec(case):
+    m, n, vec = case
+    S = sampling_matrix(m, n)
+    F = MomentPolynomial(
+        m, {LabeledTerm.from_positions(pi, range(m)): v for pi, v in zip(S.index, vec)}
+    )
+    G = apply_S(F, n)
+    got = [G.terms.get(LabeledTerm.from_positions(pi, range(m)), 0) for pi in S.index]
+    assert got == S.matvec(vec)
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(1, 8))
+def test_sampling_columns_sum_to_one(m, n):
+    assert all(sum(col) == Fraction(1) for col in zip(*sampling_matrix(m, n).entries))

@@ -258,13 +258,6 @@ def test_one_norm_direct_equals_closed_form(m):
         assert one_norm_direct(m, m - 1) == 2
 
 
-def test_one_norm_log_domain():
-    for m, n in [(2, 2), (6, 9), (20, 30), (40, 12)]:
-        assert one_norm_id_minus_S(m, n, exact=False) == pytest.approx(
-            float(one_norm_id_minus_S(m, n)), rel=1e-12, abs=1e-15
-        )
-
-
 def test_scaled_one_norm_reduces_to_plain():
     assert one_norm_id_minus_scaled(3, 4, Fraction(1)) == one_norm_id_minus_S(3, 4)
     assert one_norm_id_minus_scaled(3, 4, Fraction(0)) == 1
