@@ -3,8 +3,9 @@
 A moment product is encoded by the multiset of its blocks, each block being a
 sorted multiset of variable labels: the product over blocks of the expectation
 of the product of that block's variables.  Polynomials are sparse coefficient
-maps over such terms and can be evaluated against datasets (plug-in), against
-analytic moment tables, or as unbiased symmetric statistics.
+maps over such terms and can be evaluated against datasets (plug-in) or against
+analytic moment tables.  The unbiased estimator of a polynomial is the plug-in
+value of S^{-1} F, so it lives with the sampling operator in resampling.
 
 Scalars are either exact (int/Fraction) or float; the mode is fixed when an
 object is built and never mixed inside one computation.
@@ -12,9 +13,9 @@ object is built and never mixed inside one computation.
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
-from .lattice import DimensionError, _dense_matvec, _rgs_strings, falling_factorial
+from .lattice import _rgs_strings
 
 
 class InfeasibleError(ValueError):
@@ -255,37 +256,6 @@ def evaluate(F, population):
     return total
 
 
-def symmetric_statistic(data, term):
-    """Average of the term's product over injective block-to-row assignments.
-
-    Unbiased for the term's moment product when rows are independent draws.
-    Cost grows like falling(N, #blocks); fine at desk scale.
-    """
-    k = term.block_count
-    count = falling_factorial(data.n, k)
-    if count == 0:
-        raise InfeasibleError(
-            f"symmetric statistic needs N >= {k} distinct rows, got N={data.n}"
-        )
-    total = 0
-    for assignment in permutations(range(data.n), k):
-        p = 1
-        for block, i in zip(term.blocks, assignment):
-            row = data.rows[i]
-            for lab in block:
-                p = p * row[lab]
-        total += p
-    return Fraction(total, count) if data.exact else total / count
-
-
-def unbiased_evaluate(F, data):
-    """Sum of coefficients times symmetric statistics; unbiased for evaluate(F, population)."""
-    total = 0
-    for term, coeff in F.terms.items():
-        total += coeff * symmetric_statistic(data, term)
-    return total
-
-
 def reachable_blocks(F):
     """Every block multiset any merge of a term's blocks can produce.
 
@@ -298,24 +268,6 @@ def reachable_blocks(F):
         for grouping in _rgs_strings(k):
             out.update(term.merge(grouping).blocks)
     return out
-
-
-# -- moment / cumulant conversion (unlabeled, over one lattice) ---------------
-
-def moments_from_cumulants(kappa, index, zeta):
-    """mu = zeta * kappa on coefficient vectors over a LatticeIndex."""
-    return _matvec(zeta, kappa, index)
-
-
-def cumulants_from_moments(mu, index, mobius):
-    """kappa = mobius * mu, the inverse conversion."""
-    return _matvec(mobius, mu, index)
-
-
-def _matvec(matrix, vec, index):
-    if matrix.m != index.m:
-        raise DimensionError(f"matrix over Pi({matrix.m}) against an index over Pi({index.m})")
-    return _dense_matvec(matrix.entries, vec)
 
 
 # -- analytic populations ------------------------------------------------------

@@ -9,7 +9,8 @@ blocks is zero, since no N-sample respects that many distinct blocks.
 
 S factors through the order incidence as S = R.zeta.C^{-1} with
 R = diag(falling(N,#pi)) and C = diag(N^{#pi}), which is what makes one
-resampling round a Moebius-inversion step in disguise.
+resampling round a Moebius-inversion step in disguise; S^{-1} = C.mu.R^{-1}
+whenever N is at least the largest block count.
 """
 
 import math
@@ -20,13 +21,14 @@ from .lattice import (
     IncidenceMatrix,
     _dense_matvec,
     _incidence_entries,
+    _mobius_weight,
     _rgs_strings,
     enumerate_partitions,
     falling_factorial,
     stirling2,
     zeta_matrix,
 )
-from .moments import MomentPolynomial
+from .moments import InfeasibleError, MomentPolynomial, evaluate
 
 
 def sampling_matrix(m, n):
@@ -34,11 +36,15 @@ def sampling_matrix(m, n):
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     index = enumerate_partitions(m)
+    return IncidenceMatrix(index, _incidence_entries(index, _sampling_weight(n)), "sampling")
 
+
+def _sampling_weight(n):
+    """S's entry for the merge of sigma into pi: falling(N,#pi)/N^{#sigma}."""
     def weight(sigma, pi, grouping):
         return Fraction(falling_factorial(n, pi.block_count), n**sigma.block_count)
 
-    return IncidenceMatrix(index, _incidence_entries(index, weight), "sampling")
+    return weight
 
 
 def factorization(m, n):
@@ -61,26 +67,64 @@ def factorization(m, n):
     return R, C, check
 
 
-def apply_S(F, n):
-    """One resampling round on a polynomial, term by term.
+def _merge_walk(F, n, weight):
+    """Spread each term's coefficient over the Bell(b) merges of its b blocks.
 
-    Each term's coefficient spreads over the merges of its blocks with weight
-    falling(N,#merged)/N^{#blocks}; labels ride along.  Never materializes the
-    full lattice over positions, so it scales with the support of F.
+    The merge of sigma into pi along a grouping gets coeff * weight(sigma, pi,
+    grouping); zero weights are skipped and labels ride along.  Never
+    materializes the lattice over positions, so it scales with the support of F.
     """
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     out = {}
     for term, coeff in F.terms.items():
-        k = term.block_count
-        denom = n**k
-        for grouping in _rgs_strings(k):
+        for grouping in _rgs_strings(term.block_count):
             merged = term.merge(grouping)
-            w = Fraction(falling_factorial(n, merged.block_count), denom)
+            w = weight(term, merged, grouping)
             if not w:
                 continue
             out[merged] = out.get(merged, 0) + coeff * w
     return MomentPolynomial(F.d, out, exact=F.exact)
+
+
+def apply_S(F, n):
+    """One resampling round on a polynomial, term by term.
+
+    Each term's coefficient spreads over the merges of its blocks with weight
+    falling(N,#merged)/N^{#blocks}.
+    """
+    return _merge_walk(F, n, _sampling_weight(n))
+
+
+def apply_S_inverse(F, n):
+    """S^{-1} F = C.mu.R^{-1} F, term by term.
+
+    Each term's coefficient spreads over the merges of its b blocks with weight
+    N^{#merged} mu(term, merged) / falling(N, b).  S^{-1} exists on F's span
+    only when N is at least every term's block count; otherwise this raises
+    InfeasibleError.
+    """
+    most = max((term.block_count for term in F.terms), default=0)
+    if n < most:
+        raise InfeasibleError(f"symmetric statistic needs N >= {most} distinct rows, got N={n}")
+
+    def weight(sigma, pi, grouping):
+        return Fraction(
+            n**pi.block_count * _mobius_weight(sigma, pi, grouping),
+            falling_factorial(n, sigma.block_count),
+        )
+
+    return _merge_walk(F, n, weight)
+
+
+def unbiased_evaluate(F, data):
+    """The symmetric unbiased estimator of F from a Dataset: evaluate(S^{-1} F, data).
+
+    Its expectation over iid draws of data's N rows is F's population value,
+    and it is the only row-symmetric estimator with that property (Halmos
+    1946); it averages each term's product over distinct rows.
+    """
+    return evaluate(apply_S_inverse(F, data.n), data)
 
 
 class ReducedMatrix:
@@ -192,10 +236,11 @@ def log_gamma_ratio(m, n):
 
 
 def linear_regime_check(m, alpha):
-    """Whether N = max(ceil(alpha*m^2), m+1) keeps the per-step contraction.
+    """Whether N = max(ceil(alpha*m^2), m+1) keeps gamma_m >= exp(-1/4 - 1/alpha).
 
-    True iff falling(N,m)/N^m >= exp(-1/4)*exp(-1/alpha) at that N, the
-    regime where each iteration at least halves the bias norm.
+    gamma_m = falling(N,m)/N^m.  That does not make a step halve the bias norm,
+    which needs 2(1 - gamma_m) <= 1/2, i.e. the gamma_m >= 3/4 of `bounds --kind
+    linconv`: alpha = 1/2, m = 2 passes here with gamma_m = 2/3.
     """
     if m < 1 or alpha <= 0:
         raise ValueError("m positive and alpha > 0 required")

@@ -28,7 +28,12 @@ from mobiusboot.moments import (
     normal_moment_table,
     reachable_blocks,
 )
-from mobiusboot.resampling import apply_S, one_norm_direct, one_norm_id_minus_S
+from mobiusboot.resampling import (
+    apply_S,
+    apply_S_inverse,
+    one_norm_direct,
+    one_norm_id_minus_S,
+)
 
 
 def variance_poly():
@@ -120,7 +125,7 @@ def test_unit_schedule_matches_richardson():
     rng = random.Random(5)
     F = _random_poly(rng, 3)
     for k in (0, 1, 2, 4):
-        assert nonstationary_debias(F, 4, StepSchedule.unit(4, k)) == richardson_debias(
+        assert nonstationary_debias(F, 4, StepSchedule.unit(4, k)) == richardson_neumann(
             F, 4, k
         )
 
@@ -165,6 +170,21 @@ def test_exact_annihilation_all_basis_vectors(m):
             e = _embed_basis(pi, m)
             G = nonstationary_debias(e, n, sched)
             assert (apply_S(G, n) - e).terms == {}, f"bias survives at {pi}, N={n}"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_default_iterate_is_closed_form_inverse(m):
+    # S G_k = F once k >= L, and S is invertible on F's span when N >= L
+    rng = random.Random(70 + m)
+    for F in (_random_poly(rng, m), _random_poly(rng, m), variance_poly()):
+        most = max((t.block_count for t in F.terms), default=1)
+        for n in (most, most + 2):
+            G = apply_S_inverse(F, n)
+            for k in range(most, n + 1):
+                assert nonstationary_debias(F, n, StepSchedule.default(n, k)) == G
+        if most > 1:
+            with pytest.raises(InfeasibleError, match=f"N >= {most}"):
+                apply_S_inverse(F, most - 1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])

@@ -1,8 +1,8 @@
-"""Moment polynomial evaluation, symmetric statistics, conversions."""
+"""Moment polynomial evaluation, unbiased evaluation, conversions."""
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -11,6 +11,7 @@ from mobiusboot.lattice import (
     LatticeIndex,
     Partition,
     enumerate_partitions,
+    falling_factorial,
     mobius_matrix,
     zeta_matrix,
 )
@@ -22,19 +23,16 @@ from mobiusboot.moments import (
     MissingMomentError,
     MomentPolynomial,
     MomentTable,
-    cumulants_from_moments,
     dataset_from_csv,
     empirical_moment,
     evaluate,
-    moments_from_cumulants,
     normal_moment_table,
     polynomial_from_dict,
     scalar_from_json,
     polynomial_to_dict,
     reachable_blocks,
-    symmetric_statistic,
-    unbiased_evaluate,
 )
+from mobiusboot.resampling import unbiased_evaluate
 
 
 def variance_poly():
@@ -42,6 +40,59 @@ def variance_poly():
 
 
 TWO_POINT = Dataset([[1], [3]])
+
+
+# -- U-statistic oracle ------------------------------------------------------
+# The permutation route to the unbiased estimator: average each term's product
+# over injective block-to-row assignments.  Cost grows like falling(N, #blocks);
+# unbiased_evaluate must agree with it exactly on exact data.
+
+def symmetric_statistic(data, term):
+    """Average of the term's product over injective block-to-row assignments."""
+    k = term.block_count
+    count = falling_factorial(data.n, k)
+    if count == 0:
+        raise InfeasibleError(
+            f"symmetric statistic needs N >= {k} distinct rows, got N={data.n}"
+        )
+    total = 0
+    for assignment in permutations(range(data.n), k):
+        p = 1
+        for block, i in zip(term.blocks, assignment):
+            row = data.rows[i]
+            for lab in block:
+                p = p * row[lab]
+        total += p
+    return Fraction(total, count) if data.exact else total / count
+
+
+def permutation_unbiased(F, data):
+    """Sum of coefficients times symmetric statistics."""
+    return sum((coeff * symmetric_statistic(data, term) for term, coeff in F.terms.items()), 0)
+
+
+def _random_labeled_poly(rng, d, max_order):
+    """A few terms with random block shapes and labels below d, plus a constant."""
+    terms = {CONSTANT_TERM: Fraction(rng.randint(-5, 5), rng.randint(1, 3))}
+    for _ in range(rng.randint(1, 4)):
+        m = rng.randint(1, max_order)
+        pi = rng.choice(enumerate_partitions(m).partitions)
+        term = LabeledTerm.from_positions(pi, [rng.randrange(d) for _ in range(m)])
+        terms[term] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return MomentPolynomial(d, terms)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_unbiased_evaluate_matches_permutation_oracle(d):
+    rng = random.Random(40 + d)
+    for _ in range(25):
+        F = _random_labeled_poly(rng, d, 4)
+        most = max(t.block_count for t in F.terms)
+        n = rng.randint(most, 6)
+        data = Dataset(
+            [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d)] for _ in range(n)]
+        )
+        assert unbiased_evaluate(F, data) == permutation_unbiased(F, data)
 
 
 # -- exhaustive unbiasedness oracle -------------------------------------------
@@ -120,8 +171,12 @@ def test_unbiased_matches_textbook_sample_variance():
 
 
 def test_symmetric_statistic_infeasible_when_sample_too_small():
+    term = LabeledTerm([[0], [0], [0]])
     with pytest.raises(InfeasibleError):
-        symmetric_statistic(TWO_POINT, LabeledTerm([[0], [0], [0]]))
+        symmetric_statistic(TWO_POINT, term)
+    F = MomentPolynomial(1, {term: 1, LabeledTerm([[0]]): 1})
+    with pytest.raises(InfeasibleError, match="N >= 3 distinct rows, got N=2"):
+        unbiased_evaluate(F, TWO_POINT)
 
 
 def test_constant_term_statistics():
@@ -227,11 +282,9 @@ def test_scalar_modes():
 
 def test_cumulant_of_pair_is_covariance_form():
     m = 2
-    index = LatticeIndex(m, enumerate_partitions(m))
-    mob = mobius_matrix(m)
     mu1, mu2, mu12 = Fraction(2), Fraction(-3), Fraction(5)
     mu = [mu1 * mu2, mu12]  # finest first
-    kappa = cumulants_from_moments(mu, index, mob)
+    kappa = mobius_matrix(m).matvec(mu)
     assert kappa == [mu1 * mu2, mu12 - mu1 * mu2]
 
 
@@ -239,11 +292,9 @@ def test_cumulant_of_pair_is_covariance_form():
 def test_conversion_round_trip(m):
     rng = random.Random(100 + m)
     index = LatticeIndex(m, enumerate_partitions(m))
-    zeta = zeta_matrix(m)
-    mob = mobius_matrix(m)
     kappa = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in index]
-    mu = moments_from_cumulants(kappa, index, zeta)
-    assert cumulants_from_moments(mu, index, mob) == kappa
+    mu = zeta_matrix(m).matvec(kappa)
+    assert mobius_matrix(m).matvec(mu) == kappa
     # partial-sum definition, straight from the order relation
     for i, pi in enumerate(index):
         want = sum(kappa[j] for j, sig in enumerate(index) if _leq(sig, pi))
@@ -319,8 +370,7 @@ def test_dataset_from_csv_rejects_text_after_data(tmp_path):
 
 
 def test_conversion_rejects_mismatched_sizes():
-    index = enumerate_partitions(3)
     with pytest.raises(DimensionError):
-        cumulants_from_moments([1, 2], index, mobius_matrix(3))
+        mobius_matrix(3).matvec([1, 2])
     with pytest.raises(DimensionError):
-        moments_from_cumulants([1] * 5, index, zeta_matrix(2))
+        zeta_matrix(2).matvec([1] * 5)

@@ -13,7 +13,7 @@ from mobiusboot.lattice import (
     parse_partition,
 )
 from mobiusboot.moments import LabeledTerm, MomentPolynomial
-from mobiusboot.resampling import apply_S, sampling_matrix
+from mobiusboot.resampling import apply_S, apply_S_inverse, sampling_matrix
 
 # reproducible examples, no example database written next to the tests
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -100,6 +100,28 @@ def test_apply_S_equals_dense_matvec(case):
     G = apply_S(F, n)
     got = [G.terms.get(LabeledTerm.from_positions(pi, range(m)), 0) for pi in S.index]
     assert got == S.matvec(vec)
+
+
+@st.composite
+def labeled_polynomial_and_n(draw):
+    """A polynomial over d <= 2 labels with at most 5 blocks per term, and N >= L."""
+    d = draw(st.integers(1, 2))
+    terms = {}
+    for rgs in draw(st.lists(rgs_strings(max_len=5), min_size=1, max_size=4)):
+        labels = draw(st.lists(st.integers(0, d - 1), min_size=len(rgs), max_size=len(rgs)))
+        coeff = draw(st.fractions(min_value=-9, max_value=9, max_denominator=7))
+        terms[LabeledTerm.from_positions(Partition(rgs), labels)] = coeff
+    F = MomentPolynomial(d, terms)
+    most = max((t.block_count for t in F.terms), default=1)
+    return F, draw(st.integers(most, 8))
+
+
+@PROPERTY
+@given(labeled_polynomial_and_n())
+def test_apply_S_inverse_inverts_apply_S(case):
+    F, n = case
+    assert apply_S(apply_S_inverse(F, n), n) == F
+    assert apply_S_inverse(apply_S(F, n), n) == F
 
 
 @PROPERTY

@@ -301,6 +301,14 @@ def test_linear_regime_alpha8():
         assert math.exp(log_gamma_ratio(m, max(8 * m * m, m + 1))) >= 0.75
 
 
+def test_linear_regime_does_not_promise_halving():
+    # alpha = 1/2, m = 2: N = 3 and gamma_2 = 2/3 pass the check, yet one step
+    # of Id - S can shrink the bias norm only to 2/3 of itself, not to half
+    assert linear_regime_check(2, 0.5)
+    assert gamma_ratio(2, 3) == Fraction(2, 3) < Fraction(3, 4)
+    assert one_norm_id_minus_S(2, 3) == one_norm_direct(2, 3) == Fraction(2, 3)
+
+
 def test_linear_regime_alpha1_boundary():
     # alpha=1 at m=10 sits between the guarantee and the 3/4 mark
     ratio = math.exp(log_gamma_ratio(10, 100))
