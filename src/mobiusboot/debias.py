@@ -218,17 +218,6 @@ def general_bound(gammas, n):
     return k_star, bound
 
 
-def general_bound_at(gammas, n, k):
-    """Two-term tradeoff gamma_0/2^(k+1) + 2^(k+1)*gamma_cut at a given k."""
-    gammas = _check_gammas(gammas)
-    cut = _cut_index(n)
-    if cut >= len(gammas):
-        raise ValueError(
-            f"gamma sequence of length {len(gammas)} has no index {cut} = ceil(sqrt(N/8))"
-        )
-    return gammas[0] / 2 ** (k + 1) + 2 ** (k + 1) * gammas[cut]
-
-
 def bandlimited_bound(d, theta, n):
     """(k, bound) for a bandlimited function of a sub-Gaussian mean.
 

@@ -176,20 +176,6 @@ def parse_partition(text, m=None):
     return Partition.from_blocks(blocks, m=m)
 
 
-def refines(sigma, pi):
-    """True iff every block of sigma is contained in some block of pi."""
-    if sigma.m != pi.m:
-        raise DimensionError(f"partition sizes differ: {sigma.m} vs {pi.m}")
-    block_image = [-1] * sigma.block_count
-    for pos in range(sigma.m):
-        s, p = sigma.rgs[pos], pi.rgs[pos]
-        if block_image[s] == -1:
-            block_image[s] = p
-        elif block_image[s] != p:
-            return False
-    return True
-
-
 def _rgs_strings(m):
     """All restricted growth strings of length m, lexicographic."""
     out = []
@@ -205,6 +191,23 @@ def _rgs_strings(m):
 
     grow(0, 0)
     return out
+
+
+@lru_cache(maxsize=None)
+def _groupings(b):
+    """One row (rgs, k, groups) per grouping of b blocks, in _rgs_strings(b) order.
+
+    rgs sends block i into merged block rgs[i], k counts the merged blocks, and
+    groups[g] lists, ascending, the blocks merged into g.  _incidence_entries
+    does not read it: kept beside a dense matrix, it raised the peak RSS.
+    """
+    rows = []
+    for rgs in _rgs_strings(b):
+        groups = [[] for _ in range(max(rgs, default=-1) + 1)]
+        for i, g in enumerate(rgs):
+            groups[g].append(i)
+        rows.append((rgs, len(groups), tuple(map(tuple, groups))))
+    return tuple(rows)
 
 
 class LatticeIndex:
@@ -258,7 +261,7 @@ def coarsenings(pi):
     Produced by merging blocks of pi along every set partition of its block
     set; the count is Bell(#pi).
     """
-    return [pi.merge(grouping) for grouping in _rgs_strings(pi.block_count)]
+    return [pi.merge(rgs) for rgs, _, _ in _groupings(pi.block_count)]
 
 
 def cover_edges(index):
@@ -332,7 +335,7 @@ def zeta_matrix(m):
     return IncidenceMatrix(index, _incidence_entries(index, lambda *_: 1), "zeta")
 
 
-def _mobius_weight(sigma, pi, grouping):
+def _mobius_weight(grouping):
     # prod over pi-blocks of (-1)^(b-1) (b-1)!, b = sigma-blocks merged into it
     return prod((-1) ** (b - 1) * factorial(b - 1) for b in Counter(grouping).values())
 
@@ -344,4 +347,5 @@ def mobius_matrix(m):
     of pi, so mu(sigma, pi) factors over those blocks (Stanley, EC1, 3.10).
     """
     index = enumerate_partitions(m)
-    return IncidenceMatrix(index, _incidence_entries(index, _mobius_weight), "mobius")
+    entries = _incidence_entries(index, lambda sigma, pi, grouping: _mobius_weight(grouping))
+    return IncidenceMatrix(index, entries, "mobius")

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .lattice import _rgs_strings
+from .lattice import _groupings
 
 
 class InfeasibleError(ValueError):
@@ -34,8 +34,12 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _block_order(block):
+    return len(block), block
+
+
 def _canon_blocks(blocks):
-    canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: (len(b), b)))
+    canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=_block_order))
     for block in canon:
         if not block:
             raise ValueError("empty block in moment term")
@@ -81,13 +85,24 @@ class LabeledTerm:
     def max_label(self):
         return max((lab for b in self.blocks for lab in b), default=-1)
 
-    def merge(self, grouping):
-        """Merge blocks along a restricted growth string over the block list."""
-        k = len(self.blocks)
-        groups = [[] for _ in range(max(grouping) + 1)] if k else []
-        for b, g in zip(self.blocks, grouping):
-            groups[g].extend(b)
-        return LabeledTerm(groups)
+    def merge(self, groups):
+        """The term whose blocks are the unions of this term's blocks in each group.
+
+        groups is a `lattice._groupings` row's tuple of block-index tuples.  The
+        labels were checked when this term was built, so the normal form is built
+        directly: single blocks are reused, already sorted, only unions are
+        sorted, and blocks are ordered by (size, labels).
+        """
+        blocks = self.blocks
+        merged = [
+            blocks[group[0]] if len(group) == 1
+            else tuple(sorted([lab for i in group for lab in blocks[i]]))
+            for group in groups
+        ]
+        merged.sort(key=_block_order)
+        term = object.__new__(LabeledTerm)
+        object.__setattr__(term, "blocks", tuple(merged))
+        return term
 
     def __eq__(self, other):
         return isinstance(other, LabeledTerm) and self.blocks == other.blocks
@@ -264,9 +279,8 @@ def reachable_blocks(F):
     """
     out = set()
     for term in F.terms:
-        k = term.block_count
-        for grouping in _rgs_strings(k):
-            out.update(term.merge(grouping).blocks)
+        for _, _, groups in _groupings(term.block_count):
+            out.update(term.merge(groups).blocks)
     return out
 
 

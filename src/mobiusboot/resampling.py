@@ -20,15 +20,15 @@ from .lattice import (
     DimensionError,
     IncidenceMatrix,
     _dense_matvec,
+    _groupings,
     _incidence_entries,
     _mobius_weight,
-    _rgs_strings,
     enumerate_partitions,
     falling_factorial,
     stirling2,
     zeta_matrix,
 )
-from .moments import InfeasibleError, MomentPolynomial, evaluate
+from .moments import Dataset, InfeasibleError, MomentPolynomial, evaluate
 
 
 def sampling_matrix(m, n):
@@ -36,15 +36,16 @@ def sampling_matrix(m, n):
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     index = enumerate_partitions(m)
-    return IncidenceMatrix(index, _incidence_entries(index, _sampling_weight(n)), "sampling")
+    num, den = _sampling_weight(n)
+    entries = _incidence_entries(
+        index, lambda sigma, pi, g: Fraction(num(pi.block_count, g), den(sigma.block_count))
+    )
+    return IncidenceMatrix(index, entries, "sampling")
 
 
 def _sampling_weight(n):
-    """S's entry for the merge of sigma into pi: falling(N,#pi)/N^{#sigma}."""
-    def weight(sigma, pi, grouping):
-        return Fraction(falling_factorial(n, pi.block_count), n**sigma.block_count)
-
-    return weight
+    """S's weight for b blocks merged into k, falling(N,k)/N^b, as (numerator, denominator)."""
+    return (lambda k, grouping: falling_factorial(n, k)), (lambda b: n**b)
 
 
 def factorization(m, n):
@@ -70,20 +71,39 @@ def factorization(m, n):
 def _merge_walk(F, n, weight):
     """Spread each term's coefficient over the Bell(b) merges of its b blocks.
 
-    The merge of sigma into pi along a grouping gets coeff * weight(sigma, pi,
-    grouping); zero weights are skipped and labels ride along.  Never
-    materializes the lattice over positions, so it scales with the support of F.
+    With weight = (numerator, denominator), integer functions, the merge of b
+    blocks into k along a grouping gets coeff * numerator(k, grouping) /
+    denominator(b); zero weights are skipped and labels ride along.  Exact sums
+    run in integers over one common denominator D, the lcm over terms of coeff's
+    denominator times denominator(b), and each output coefficient is one
+    Fraction(sum, D).  Float coefficients take coeff * float(weight), the bits a
+    Fraction weight gives.  Weights are worked out once per block count and call,
+    and nothing per term outlives the call: cached merge lists would grow with
+    every polynomial seen, and benchmarks/bench.py's peak_rss_mb reports the
+    high-water mark of its parent, which runs this walk for its oracles.
     """
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
-    out = {}
+    numerator, denominator = weight
+    if F.exact:
+        common = math.lcm(*{c.denominator * denominator(t.block_count)
+                             for t, c in F.terms.items()})
+    levels, out = {}, {}  # out: merged blocks -> [merged term, sum], hashed in C
     for term, coeff in F.terms.items():
-        for grouping in _rgs_strings(term.block_count):
-            merged = term.merge(grouping)
-            w = weight(term, merged, grouping)
-            if not w:
-                continue
-            out[merged] = out.get(merged, 0) + coeff * w
+        b = term.block_count
+        if b not in levels:
+            den = denominator(b)
+            levels[b] = [
+                (groups, num if F.exact else float(Fraction(num, den)))
+                for rgs, k, groups in _groupings(b)
+                if (num := numerator(k, rgs))
+            ]
+        if F.exact:
+            coeff = coeff.numerator * (common // (coeff.denominator * denominator(b)))
+        for groups, w in levels[b]:
+            merged = term.merge(groups)
+            out.setdefault(merged.blocks, [merged, 0])[1] += coeff * w
+    out = {t: Fraction(s, common) if F.exact else s for t, s in out.values()}
     return MomentPolynomial(F.d, out, exact=F.exact)
 
 
@@ -107,13 +127,7 @@ def apply_S_inverse(F, n):
     most = max((term.block_count for term in F.terms), default=0)
     if n < most:
         raise InfeasibleError(f"symmetric statistic needs N >= {most} distinct rows, got N={n}")
-
-    def weight(sigma, pi, grouping):
-        return Fraction(
-            n**pi.block_count * _mobius_weight(sigma, pi, grouping),
-            falling_factorial(n, sigma.block_count),
-        )
-
+    weight = (lambda k, g: n**k * _mobius_weight(g)), (lambda b: falling_factorial(n, b))
     return _merge_walk(F, n, weight)
 
 
@@ -124,6 +138,8 @@ def unbiased_evaluate(F, data):
     and it is the only row-symmetric estimator with that property (Halmos
     1946); it averages each term's product over distinct rows.
     """
+    if not isinstance(data, Dataset):
+        raise TypeError(f"cannot estimate from {type(data).__name__}: a Dataset is needed")
     return evaluate(apply_S_inverse(F, data.n), data)
 
 
@@ -163,27 +179,6 @@ def reduced_matrix(m, n):
         for i in range(1, m + 1)
     ]
     return ReducedMatrix(m, n, entries)
-
-
-def level_sums(vec, index):
-    """Sum coefficient-vector entries by block count; levels 1..m."""
-    vec = list(vec)
-    if len(vec) != len(index):
-        raise DimensionError(f"vector of length {len(vec)} against Bell({index.m})")
-    out = [0] * index.m
-    for v, pi in zip(vec, index):
-        out[pi.block_count - 1] += v
-    return out
-
-
-def poly_level_sums(F, m):
-    """Level sums of a polynomial's coefficients by block count."""
-    out = [0] * m
-    for term, coeff in F.terms.items():
-        if not 1 <= term.block_count <= m:
-            raise DimensionError(f"term with {term.block_count} blocks outside levels 1..{m}")
-        out[term.block_count - 1] += coeff
-    return out
 
 
 # -- norms and convergence ratios ----------------------------------------------

@@ -31,7 +31,6 @@ from mobiusboot.resampling import (
     log_gamma_ratio,
     one_norm_direct,
     one_norm_id_minus_S,
-    poly_level_sums,
     reduced_matrix,
     sampling_matrix,
 )
@@ -42,6 +41,7 @@ from mobiusboot.debias import (
     nonstationary_debias,
 )
 from mobiusboot.mc import bias_experiment, normal_sampler
+from oracles import poly_level_sums
 
 
 def _embed(pi, m):

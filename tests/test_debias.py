@@ -13,7 +13,6 @@ from mobiusboot.debias import (
     bias_bound,
     exact_bias,
     general_bound,
-    general_bound_at,
     neumann_trace_bound,
     nonstationary_debias,
     richardson_debias,
@@ -34,6 +33,7 @@ from mobiusboot.resampling import (
     one_norm_direct,
     one_norm_id_minus_S,
 )
+from oracles import general_bound_at
 
 
 def variance_poly():

@@ -17,10 +17,10 @@ from mobiusboot.lattice import (
     format_partition,
     mobius_matrix,
     parse_partition,
-    refines,
     stirling2,
     zeta_matrix,
 )
+from oracles import refines
 
 # Frozen from the 5x5 incidence matrices of the three-element lattice,
 # order [1|2|3, 12|3, 13|2, 1|23, 123].

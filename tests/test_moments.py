@@ -33,6 +33,7 @@ from mobiusboot.moments import (
     reachable_blocks,
 )
 from mobiusboot.resampling import unbiased_evaluate
+from oracles import refines
 
 
 def variance_poly():
@@ -186,6 +187,11 @@ def test_constant_term_statistics():
     assert unbiased_evaluate(F, TWO_POINT) == Fraction(3, 4)
 
 
+def test_unbiased_evaluate_rejects_moment_table():
+    with pytest.raises(TypeError, match="MomentTable"):
+        unbiased_evaluate(variance_poly(), normal_moment_table(1, 2))
+
+
 def test_row_permutation_invariance():
     data = Dataset([[1, 2], [4, -3], [2, 2], [0, 1]])
     shuffled = Dataset([data.rows[i] for i in (2, 0, 3, 1)])
@@ -212,9 +218,10 @@ def test_from_positions():
 
 def test_merge_blocks():
     term = LabeledTerm([[0], [1], [0, 2]])
-    merged = term.merge((0, 1, 0))
+    merged = term.merge(((0, 2), (1,)))
     assert merged == LabeledTerm([[0, 0, 2], [1]])
-    assert term.merge((0, 0, 0)) == LabeledTerm([[0, 0, 1, 2]])
+    assert merged.blocks == ((1,), (0, 0, 2))
+    assert term.merge(((0, 1, 2),)) == LabeledTerm([[0, 0, 1, 2]])
 
 
 def test_polynomial_cleanup_and_arithmetic():
@@ -297,14 +304,8 @@ def test_conversion_round_trip(m):
     assert mobius_matrix(m).matvec(mu) == kappa
     # partial-sum definition, straight from the order relation
     for i, pi in enumerate(index):
-        want = sum(kappa[j] for j, sig in enumerate(index) if _leq(sig, pi))
+        want = sum(kappa[j] for j, sig in enumerate(index) if refines(sig, pi))
         assert mu[i] == want
-
-
-def _leq(sigma, pi):
-    from mobiusboot.lattice import refines
-
-    return refines(sigma, pi)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -12,8 +12,9 @@ from mobiusboot.lattice import (
     format_partition,
     parse_partition,
 )
-from mobiusboot.moments import LabeledTerm, MomentPolynomial
+from mobiusboot.moments import CONSTANT_TERM, LabeledTerm, MomentPolynomial
 from mobiusboot.resampling import apply_S, apply_S_inverse, sampling_matrix
+import oracles
 
 # reproducible examples, no example database written next to the tests
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -122,6 +123,42 @@ def test_apply_S_inverse_inverts_apply_S(case):
     F, n = case
     assert apply_S(apply_S_inverse(F, n), n) == F
     assert apply_S_inverse(apply_S(F, n), n) == F
+
+
+@st.composite
+def walk_case(draw):
+    """A polynomial for the merge walk, exact or float, and any N in 1..8.
+
+    Labels come from d <= 2, so merges of one term collide on the same merged
+    term; the constant term appears; N falls below a term's block count, where
+    S's weights vanish.
+    """
+    d = draw(st.integers(1, 2))
+    exact = draw(st.booleans())
+    coeffs = (
+        st.fractions(min_value=-9, max_value=9, max_denominator=7)
+        if exact
+        else st.floats(min_value=-9, max_value=9, allow_nan=False).filter(bool)
+    )
+    terms = {}
+    for rgs in draw(st.lists(rgs_strings(max_len=5), min_size=1, max_size=5)):
+        labels = draw(st.lists(st.integers(0, d - 1), min_size=len(rgs), max_size=len(rgs)))
+        terms[LabeledTerm.from_positions(Partition(rgs), labels)] = draw(coeffs)
+    if draw(st.booleans()):
+        terms[CONSTANT_TERM] = draw(coeffs)
+    return MomentPolynomial(d, terms, exact=exact), draw(st.integers(1, 8))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(walk_case())
+def test_merge_walk_matches_fraction_per_merge_oracle(case):
+    F, n = case
+    got, want = apply_S(F, n), oracles.apply_S(F, n)
+    assert got.exact == want.exact == F.exact
+    assert list(got.terms.items()) == list(want.terms.items())
+    if n >= max((t.block_count for t in F.terms), default=0):
+        got, want = apply_S_inverse(F, n), oracles.apply_S_inverse(F, n)
+        assert list(got.terms.items()) == list(want.terms.items())
 
 
 @PROPERTY

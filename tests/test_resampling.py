@@ -12,7 +12,6 @@ from mobiusboot.lattice import (
     LatticeIndex,
     enumerate_partitions,
     falling_factorial,
-    refines,
     zeta_matrix,
 )
 from mobiusboot.moments import (
@@ -25,16 +24,15 @@ from mobiusboot.resampling import (
     apply_S,
     factorization,
     gamma_ratio,
-    level_sums,
     linear_regime_check,
     log_gamma_ratio,
     one_norm_direct,
     one_norm_id_minus_S,
     one_norm_id_minus_scaled,
-    poly_level_sums,
     reduced_matrix,
     sampling_matrix,
 )
+from oracles import level_sums, poly_level_sums, refines
 
 F12 = Fraction(1, 2)
 
