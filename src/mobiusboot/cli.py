@@ -48,6 +48,7 @@ from .resampling import (
     apply_S,
     apply_S_inverse,
     factorization,
+    linear_regime_size,
     log_gamma_ratio,
     one_norm_id_minus_S,
     one_norm_direct,
@@ -138,7 +139,9 @@ class Artifact:
             },
         }
         payload.update(self.extra)
-        Path(f"{base}.json").write_text(json.dumps(payload, indent=1) + "\n")
+        with open(f"{base}.json", "w") as fh:
+            json.dump(payload, fh, indent=1)
+            fh.write("\n")
 
 
 def _out_base(args, default):
@@ -303,6 +306,11 @@ def cmd_mc_run(args, argv):
             data = dataset_from_csv(args.data)
         except ValueError as exc:
             raise UsageError(f"malformed dataset CSV: {exc}") from None
+        label = max((t.max_label() for t in F.terms), default=-1)
+        if label >= data.d:
+            raise UsageError(
+                f"dataset CSV has {data.d} column(s), but the functional reads label {label}"
+            )
         n = data.n
         coeffs = mc_mod.expansion_coefficients(_parse_schedule(args.schedule, n, args.k))
         target = mc_mod.chain_expectation(F, coeffs, data)
@@ -390,7 +398,7 @@ def _bounds_table(args):
     _at_least("--m-max", args.m_max, 1)
     rows = []
     for m in range(1, args.m_max + 1):
-        n = max(math.ceil(args.alpha * m * m), m + 1)
+        n = linear_regime_size(m, args.alpha)
         ratio = math.exp(log_gamma_ratio(m, n))
         rows.append([m, n, ratio, ratio >= 0.75])
     return "linconv", ["m", "n", "gamma_ratio", "at_least_3_4"], rows

@@ -286,17 +286,9 @@ def cover_edges(index):
 class IncidenceMatrix:
     """Dense Bell(m) x Bell(m) matrix over a LatticeIndex, zero off the order."""
 
-    def __init__(self, index, entries, kind):
+    def __init__(self, index, entries):
         self.index = index
         self.entries = entries
-        self.kind = kind
-
-    @property
-    def m(self):
-        return self.index.m
-
-    def entry(self, sigma, pi):
-        return self.entries[self.index.position(sigma)][self.index.position(pi)]
 
     def matvec(self, vec):
         return _dense_matvec(self.entries, vec)
@@ -332,7 +324,7 @@ def zeta_matrix(m):
     the coarsest partition's row is all ones.
     """
     index = enumerate_partitions(m)
-    return IncidenceMatrix(index, _incidence_entries(index, lambda *_: 1), "zeta")
+    return IncidenceMatrix(index, _incidence_entries(index, lambda *_: 1))
 
 
 def _mobius_weight(grouping):
@@ -348,4 +340,4 @@ def mobius_matrix(m):
     """
     index = enumerate_partitions(m)
     entries = _incidence_entries(index, lambda sigma, pi, grouping: _mobius_weight(grouping))
-    return IncidenceMatrix(index, entries, "mobius")
+    return IncidenceMatrix(index, entries)

@@ -38,24 +38,6 @@ from .resampling import apply_S
 
 
 @dataclass(frozen=True)
-class EstimatorCoefficients:
-    """Scalars a_0..a_k of the chain estimator sum_j a_j F(X^{j+1})."""
-
-    coeffs: tuple
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    @property
-    def depth(self):
-        """Resampling rounds needed beyond X^1."""
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
 class McReport:
     replicas: int
     estimate: float
@@ -73,7 +55,7 @@ class ExperimentRow:
 
 
 def expansion_coefficients(schedule):
-    """Coefficients of the iterate as a combination of chain depths.
+    """The tuple (a_0, ..., a_k) of the chain estimator sum_j a_j F(X^{j+1}).
 
     Takes the steps: a StepSchedule or a sequence of step sizes.
     Follows a_0' = a_0 + eta, a_j' = a_j - eta*a_{j-1}; k unit steps (the
@@ -87,7 +69,7 @@ def expansion_coefficients(schedule):
         nxt.extend(coeffs[j] - eta * coeffs[j - 1] for j in range(1, len(coeffs)))
         nxt.append(-eta * coeffs[-1])
         coeffs = nxt
-    return EstimatorCoefficients(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _take(data, indices):
@@ -123,7 +105,7 @@ def _float_chain(F, coeffs):
     polynomial (which evaluates to a Fraction), keeps its exact coefficients.
     """
     if isinstance(F, MomentPolynomial) and F.max_order() > 0:
-        F_float = MomentPolynomial(F.d, F.terms, exact=False)
+        F_float = MomentPolynomial(F.d, {t: float(c) for t, c in F.terms.items()})
         return _as_functional(F_float), tuple(float(a) for a in coeffs)
     return _as_functional(F), tuple(coeffs)
 

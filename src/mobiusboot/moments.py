@@ -2,13 +2,13 @@
 
 A moment product is encoded by the multiset of its blocks, each block being a
 sorted multiset of variable labels: the product over blocks of the expectation
-of the product of that block's variables.  Polynomials are sparse coefficient
-maps over such terms and can be evaluated against datasets (plug-in) or against
-analytic moment tables.  The unbiased estimator of a polynomial is the plug-in
-value of S^{-1} F, so it lives with the sampling operator in resampling.
+of the product of that block's variables.  A term is the tuple of its blocks.
+Polynomials are sparse coefficient maps over terms and can be evaluated against
+datasets (plug-in) or against analytic moment tables.  The unbiased estimator of
+a polynomial is the plug-in value of S^{-1} F, so it lives with resampling.
 
-Scalars are either exact (int/Fraction) or float; the mode is fixed when an
-object is built and never mixed inside one computation.
+Scalars are exact (int/Fraction) or float, never mixed in one computation: a
+polynomial is exact iff every coefficient it is given, zeros included, is.
 """
 
 import math
@@ -44,27 +44,24 @@ def _canon_blocks(blocks):
         if not block:
             raise ValueError("empty block in moment term")
         for lab in block:
-            if not isinstance(lab, int) or lab < 0:
+            if not _is_int(lab) or lab < 0:
                 raise ValueError(f"variable labels must be nonnegative ints, got {lab!r}")
     return canon
 
 
-class LabeledTerm:
+class LabeledTerm(tuple):
     """One moment product: a multiset of blocks of variable labels.
 
     The term for positions partitioned by pi with labels L keeps, per block of
     pi, the sorted multiset of labels; blocks are sorted by (size, labels).
-    Everything about the product survives this normal form, so equal products
-    compare equal.
+    Everything about the product survives this normal form, so a term is the
+    tuple of its blocks: equal products compare and hash equal.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ()
 
-    def __init__(self, blocks):
-        object.__setattr__(self, "blocks", _canon_blocks(blocks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LabeledTerm is immutable")
+    def __new__(cls, blocks):
+        return super().__new__(cls, _canon_blocks(blocks))
 
     @classmethod
     def from_positions(cls, pi, labels):
@@ -75,15 +72,20 @@ class LabeledTerm:
         return cls([[labels[p] for p in block] for block in pi.blocks])
 
     @property
+    def blocks(self):
+        """The blocks in normal form: the term itself."""
+        return self
+
+    @property
     def m(self):
-        return sum(len(b) for b in self.blocks)
+        return sum(map(len, self))
 
     @property
     def block_count(self):
-        return len(self.blocks)
+        return len(self)
 
     def max_label(self):
-        return max((lab for b in self.blocks for lab in b), default=-1)
+        return max((lab for b in self for lab in b), default=-1)
 
     def merge(self, groups):
         """The term whose blocks are the unions of this term's blocks in each group.
@@ -93,26 +95,17 @@ class LabeledTerm:
         directly: single blocks are reused, already sorted, only unions are
         sorted, and blocks are ordered by (size, labels).
         """
-        blocks = self.blocks
         merged = [
-            blocks[group[0]] if len(group) == 1
-            else tuple(sorted([lab for i in group for lab in blocks[i]]))
+            self[group[0]] if len(group) == 1
+            else tuple(sorted([lab for i in group for lab in self[i]]))
             for group in groups
         ]
         merged.sort(key=_block_order)
-        term = object.__new__(LabeledTerm)
-        object.__setattr__(term, "blocks", tuple(merged))
-        return term
-
-    def __eq__(self, other):
-        return isinstance(other, LabeledTerm) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
+        return tuple.__new__(LabeledTerm, merged)
 
     def __repr__(self):
-        body = ")(".join(",".join(f"x{lab}" for lab in b) for b in self.blocks)
-        return f"LabeledTerm(({body}))" if self.blocks else "LabeledTerm(1)"
+        body = ")(".join(",".join(f"x{lab}" for lab in b) for b in self)
+        return f"LabeledTerm(({body}))" if self else "LabeledTerm(1)"
 
 
 CONSTANT_TERM = LabeledTerm(())
@@ -121,12 +114,14 @@ CONSTANT_TERM = LabeledTerm(())
 class MomentPolynomial:
     """Sparse scalar combination of moment products over d variables."""
 
-    def __init__(self, d, terms, exact=None):
+    def __init__(self, d, terms):
         if d < 1:
             raise ValueError(f"d must be positive, got {d}")
         self.d = d
+        terms = dict(terms)
+        self.exact = all(_is_exact(c) for c in terms.values())
         clean = {}
-        for term, coeff in dict(terms).items():
+        for term, coeff in terms.items():
             if not isinstance(term, LabeledTerm):
                 term = LabeledTerm(term)
             if term.max_label() >= d:
@@ -134,14 +129,8 @@ class MomentPolynomial:
             if coeff == 0:
                 continue
             clean[term] = clean.get(term, 0) + coeff
-        if exact is None:
-            exact = all(_is_exact(c) for c in clean.values())
-        if exact:
-            clean = {t: Fraction(c) for t, c in clean.items() if c != 0}
-        else:
-            clean = {t: float(c) for t, c in clean.items() if c != 0}
-        self.exact = exact
-        self.terms = clean
+        scalar = Fraction if self.exact else float
+        self.terms = {t: scalar(c) for t, c in clean.items() if c != 0}
 
     def max_order(self):
         """Largest total block-content size over the stored terms."""
@@ -160,16 +149,13 @@ class MomentPolynomial:
         out = dict(self.terms)
         for t, c in other.terms.items():
             out[t] = out.get(t, 0) + c
-        return MomentPolynomial(self.d, out, exact=self.exact and other.exact)
+        return MomentPolynomial(self.d, out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        exact = self.exact and _is_exact(scalar)
-        return MomentPolynomial(
-            self.d, {t: scalar * c for t, c in self.terms.items()}, exact=exact
-        )
+        return MomentPolynomial(self.d, {t: scalar * c for t, c in self.terms.items()})
 
     def __repr__(self):
         return f"MomentPolynomial(d={self.d}, {len(self.terms)} terms)"
@@ -265,7 +251,7 @@ def evaluate(F, population):
     total = 0
     for term, coeff in F.terms.items():
         v = coeff
-        for block in term.blocks:
+        for block in term:
             v = v * block_value(block)
         total += v
     return total
@@ -280,7 +266,7 @@ def reachable_blocks(F):
     out = set()
     for term in F.terms:
         for _, _, groups in _groupings(term.block_count):
-            out.update(term.merge(groups).blocks)
+            out.update(term.merge(groups))
     return out
 
 
@@ -316,11 +302,11 @@ def normal_moment_table(d, max_order):
 def polynomial_to_dict(F):
     """JSON-ready form: {"d": d, "terms": [{"blocks": [[...]], "coeff": ...}]}."""
     out = []
-    for term in sorted(F.terms, key=lambda t: (t.m, t.blocks)):
+    for term in sorted(F.terms, key=lambda t: (t.m, t)):
         coeff = F.terms[term]
         out.append(
             {
-                "blocks": [list(b) for b in term.blocks],
+                "blocks": [list(b) for b in term],
                 "coeff": str(coeff) if F.exact else float(coeff),
             }
         )
@@ -346,13 +332,10 @@ def polynomial_from_dict(obj):
     if not (_is_int(d) and d >= 1):
         raise ValueError(f"d must be a positive integer, got {d!r}")
     terms = {}
-    exact = True
     for entry in obj["terms"]:
         term = LabeledTerm(entry["blocks"])
-        coeff = scalar_from_json(entry["coeff"])
-        exact = exact and isinstance(coeff, Fraction)
-        terms[term] = terms.get(term, 0) + coeff
-    return MomentPolynomial(d, terms, exact=exact)
+        terms[term] = terms.get(term, 0) + scalar_from_json(entry["coeff"])
+    return MomentPolynomial(d, terms)
 
 
 def dataset_from_csv(path):

@@ -40,7 +40,7 @@ def sampling_matrix(m, n):
     entries = _incidence_entries(
         index, lambda sigma, pi, g: Fraction(num(pi.block_count, g), den(sigma.block_count))
     )
-    return IncidenceMatrix(index, entries, "sampling")
+    return IncidenceMatrix(index, entries)
 
 
 def _sampling_weight(n):
@@ -88,7 +88,7 @@ def _merge_walk(F, n, weight):
     if F.exact:
         common = math.lcm(*{c.denominator * denominator(t.block_count)
                              for t, c in F.terms.items()})
-    levels, out = {}, {}  # out: merged blocks -> [merged term, sum], hashed in C
+    levels, out = {}, {}
     for term, coeff in F.terms.items():
         b = term.block_count
         if b not in levels:
@@ -102,9 +102,10 @@ def _merge_walk(F, n, weight):
             coeff = coeff.numerator * (common // (coeff.denominator * denominator(b)))
         for groups, w in levels[b]:
             merged = term.merge(groups)
-            out.setdefault(merged.blocks, [merged, 0])[1] += coeff * w
-    out = {t: Fraction(s, common) if F.exact else s for t, s in out.values()}
-    return MomentPolynomial(F.d, out, exact=F.exact)
+            out[merged] = out.get(merged, 0) + coeff * w
+    if F.exact:
+        out = {t: Fraction(s, common) for t, s in out.items()}
+    return MomentPolynomial(F.d, out)
 
 
 def apply_S(F, n):
@@ -230,14 +231,19 @@ def log_gamma_ratio(m, n):
     return sum(math.log1p(-i / n) for i in range(m))
 
 
+def linear_regime_size(m, alpha):
+    """The linear-regime sample size N = max(ceil(alpha*m^2), m+1) for order m."""
+    if m < 1 or alpha <= 0:
+        raise ValueError("m positive and alpha > 0 required")
+    return max(math.ceil(alpha * m * m), m + 1)
+
+
 def linear_regime_check(m, alpha):
-    """Whether N = max(ceil(alpha*m^2), m+1) keeps gamma_m >= exp(-1/4 - 1/alpha).
+    """Whether N = linear_regime_size(m, alpha) keeps gamma_m >= exp(-1/4 - 1/alpha).
 
     gamma_m = falling(N,m)/N^m.  That does not make a step halve the bias norm,
     which needs 2(1 - gamma_m) <= 1/2, i.e. the gamma_m >= 3/4 of `bounds --kind
     linconv`: alpha = 1/2, m = 2 passes here with gamma_m = 2/3.
     """
-    if m < 1 or alpha <= 0:
-        raise ValueError("m positive and alpha > 0 required")
-    n = max(math.ceil(alpha * m * m), m + 1)
+    n = linear_regime_size(m, alpha)
     return log_gamma_ratio(m, n) >= -0.25 - 1.0 / alpha

@@ -82,7 +82,7 @@ def merge_walk(F, n, weight):
             if not w:
                 continue
             out[merged] = out.get(merged, 0) + coeff * w
-    return MomentPolynomial(F.d, out, exact=F.exact)
+    return MomentPolynomial(F.d, out)
 
 
 def apply_S(F, n):

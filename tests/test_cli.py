@@ -278,6 +278,7 @@ def _assert_usage_error(rc, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    return err
 
 
 BIAS = ["bias", "--functional", "var.json", "--population", "pop.json"]
@@ -328,9 +329,11 @@ def test_integer_flags_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
         json.dumps({"d": 1, "terms": [{"blocks": [[0, 0]], "coeff": True}]}),
         json.dumps({"d": True, "terms": VARIANCE_JSON["terms"]}),
         json.dumps({"d": 1.5, "terms": VARIANCE_JSON["terms"]}),
+        json.dumps({"d": 2, "terms": [{"blocks": [[True, 0]], "coeff": "1"}]}),
     ],
     ids=["unparsable", "no-d", "no-terms", "no-blocks", "no-coeff", "zero-denominator",
-         "not-object", "nan-coeff", "inf-coeff", "bool-coeff", "bool-d", "float-d"],
+         "not-object", "nan-coeff", "inf-coeff", "bool-coeff", "bool-d", "float-d",
+         "bool-label"],
 )
 def test_malformed_functional_exit_2(workdir, monkeypatch, capsys, text):
     monkeypatch.chdir(workdir)
@@ -338,6 +341,19 @@ def test_malformed_functional_exit_2(workdir, monkeypatch, capsys, text):
     rc = main(["bias", "--functional", "bad.json", "--population", "pop.json",
                "--n", "4", "--k", "1", "--out", "x"])
     _assert_usage_error(rc, capsys)
+
+
+@pytest.mark.parametrize("extra", [[], ["--exhaustive"]], ids=["sampled", "exhaustive"])
+def test_mc_data_narrower_than_functional_exit_2(workdir, monkeypatch, capsys, extra):
+    monkeypatch.chdir(workdir)
+    (workdir / "wide.json").write_text(json.dumps(
+        {"d": 3, "terms": [{"blocks": [[0, 2]], "coeff": "1"}, {"blocks": [[0]], "coeff": "1"}]}
+    ))
+    rc = main(["mc-run", "--functional", "wide.json", "--data", "data.csv", "--k", "1",
+               "--replicas", "10", "--out", "x"] + extra)
+    err = _assert_usage_error(rc, capsys)
+    assert "1 column" in err and "label 2" in err
+    assert not (workdir / "x.csv").exists() and not (workdir / "x.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ import pytest
 
 from mobiusboot.debias import StepSchedule, nonstationary_debias, richardson_debias
 from mobiusboot.mc import (
-    EstimatorCoefficients,
     bias_experiment,
     chain_expectation,
     exhaustive_estimate,
@@ -68,11 +67,12 @@ def test_resample_frequency_law():
 # -- expansion coefficients ---------------------------------------------------------
 
 def test_stationary_coefficients_are_signed_binomials():
-    assert expansion_coefficients([]).coeffs == (1,)
-    assert expansion_coefficients([1]).coeffs == (2, -1)
-    assert expansion_coefficients([1, 1]).coeffs == (3, -3, 1)
+    assert type(expansion_coefficients([1])) is tuple
+    assert expansion_coefficients([]) == (1,)
+    assert expansion_coefficients([1]) == (2, -1)
+    assert expansion_coefficients([1, 1]) == (3, -3, 1)
     for k in (3, 5, 8):
-        got = expansion_coefficients([1] * k).coeffs
+        got = expansion_coefficients([1] * k)
         want = tuple(
             Fraction(math.comb(k + 1, j + 1) * (-1) ** j) for j in range(k + 1)
         )
@@ -80,8 +80,8 @@ def test_stationary_coefficients_are_signed_binomials():
 
 
 def test_default_schedule_coefficients_frozen():
-    assert expansion_coefficients(StepSchedule.default(2, 2)).coeffs == (4, -5, 2)
-    assert expansion_coefficients(StepSchedule.default(10, 2)).coeffs == (
+    assert expansion_coefficients(StepSchedule.default(2, 2)) == (4, -5, 2)
+    assert expansion_coefficients(StepSchedule.default(10, 2)) == (
         Fraction(28, 9),
         Fraction(-29, 9),
         Fraction(10, 9),
@@ -93,7 +93,7 @@ def test_coefficients_sum_to_one():
     for _ in range(10):
         etas = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
         coeffs = expansion_coefficients(StepSchedule(12, etas))
-        assert sum(coeffs.coeffs) == 1
+        assert sum(coeffs) == 1
 
 
 def _poly_from_coeffs(F, n, coeffs):

@@ -208,6 +208,22 @@ def test_labeled_term_canonical_form():
     assert LabeledTerm([[2], [0, 1]]).blocks == ((2,), (0, 1))
 
 
+def test_labeled_term_is_the_tuple_of_its_blocks():
+    term = LabeledTerm([[1, 0], [2]])
+    assert term == ((2,), (0, 1)) and hash(term) == hash(((2,), (0, 1)))
+    with pytest.raises(AttributeError):
+        term.blocks = ()
+    with pytest.raises(AttributeError):
+        term.label = 0
+
+
+@pytest.mark.parametrize("blocks", [[[True]], [[0, False]], [[-1]], [[1.0]], [[]]],
+                         ids=["true", "false", "negative", "float", "empty-block"])
+def test_labeled_term_rejects_bad_labels(blocks):
+    with pytest.raises(ValueError):
+        LabeledTerm(blocks)
+
+
 def test_from_positions():
     pi = Partition((0, 1, 0))
     term = LabeledTerm.from_positions(pi, [5, 1, 5])
@@ -221,6 +237,7 @@ def test_merge_blocks():
     merged = term.merge(((0, 2), (1,)))
     assert merged == LabeledTerm([[0, 0, 2], [1]])
     assert merged.blocks == ((1,), (0, 0, 2))
+    assert type(merged) is LabeledTerm
     assert term.merge(((0, 1, 2),)) == LabeledTerm([[0, 0, 1, 2]])
 
 
@@ -283,6 +300,19 @@ def test_scalar_modes():
     approx = Dataset([[0.5], [1.5]])
     assert isinstance(empirical_moment(approx, (0,)), float)
     assert not MomentPolynomial(1, {LabeledTerm([[0]]): 0.5}).exact
+
+
+def test_polynomial_exact_iff_every_coefficient_is_int_or_fraction():
+    x, xx = LabeledTerm([[0]]), LabeledTerm([[0, 0]])
+    F = MomentPolynomial(1, {x: 2, xx: Fraction(1, 3)})
+    assert F.exact and all(type(c) is Fraction for c in F.terms.values())
+    G = MomentPolynomial(1, {x: 2, xx: 0.5})
+    assert not G.exact and all(type(c) is float for c in G.terms.values())
+    assert MomentPolynomial(1, {}).exact
+    # a float zero is dropped but keeps the polynomial float, as do float
+    # terms that cancel
+    assert not MomentPolynomial(1, {x: 1, xx: 0.0}).exact
+    assert not (G - G).exact and (G - G).terms == {}
 
 
 # -- moment/cumulant conversion -------------------------------------------------

@@ -146,7 +146,7 @@ def walk_case(draw):
         terms[LabeledTerm.from_positions(Partition(rgs), labels)] = draw(coeffs)
     if draw(st.booleans()):
         terms[CONSTANT_TERM] = draw(coeffs)
-    return MomentPolynomial(d, terms, exact=exact), draw(st.integers(1, 8))
+    return MomentPolynomial(d, terms), draw(st.integers(1, 8))
 
 
 @settings(PROPERTY, max_examples=150)
