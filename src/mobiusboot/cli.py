@@ -296,6 +296,8 @@ def cmd_mc_run(args, argv):
         raise UsageError("exactly one of --data or --population is required")
     _at_least("--k", args.k, 0)
     _at_least("--replicas", args.replicas, 1)
+    if args.replicas >= 2**32:  # a replica's spawn key is one uint32 word
+        raise UsageError(f"--replicas must be < 2**32, got {args.replicas}")
     _at_least("--seed", args.seed, 0)
     F = _load_functional(args.functional)
     art = Artifact("mc-run", argv, seed=args.seed)

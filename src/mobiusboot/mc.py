@@ -4,9 +4,14 @@ A chain starts from X^1 (the data, or one redraw of it) and repeatedly
 resamples N rows with replacement; the estimator sum_j a_j F(X^{j+1})
 realizes the coefficient-space iterates in expectation.
 
-Seed contract: every replica owns one generator, spawned from the run seed and
-keyed by replica index, and draws one resample per chain link from it, so
-enlarging the replica count extends earlier runs instead of reshuffling them.
+Seed contract: the run seed is a nonnegative int.  Every replica owns one
+generator, keyed by its index i: the PCG64 stream that numpy's
+SeedSequence(seed).spawn(R)[i] seeds.  The seed words of a block of replicas
+are derived in one vectorised pass (_spawn_states, numpy's SeedSequence hash
+in uint32 arithmetic), with numpy's own spawn as the test oracle, so no
+SeedSequence object is built per replica.  Each replica draws one resample per
+chain link from its generator, and enlarging the replica count extends earlier
+runs instead of reshuffling them.
 A replica step does only float work on float data: the coefficients a_j and
 those of a polynomial F are converted to float once per run (bit-identical,
 since Fraction times float is computed as float(a) * b), and picked rows skip
@@ -31,6 +36,7 @@ from .moments import (
     Dataset,
     MomentPolynomial,
     MomentTable,
+    _is_int,
     evaluate,
     reachable_blocks,
 )
@@ -123,15 +129,106 @@ def _chain_value(fn, coeffs, first, rng):
     return total
 
 
+# numpy's SeedSequence constants (pool of 4 uint32 words)
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# replicas whose seed words are derived, and generators built, at a time
+_SPAWN_BLOCK = 4096
+
+
+def _check_run(seed, replicas):
+    """Reject a seed that is not a nonnegative int, and a replica count outside 1..2**32-1.
+
+    Each replica's spawn key is one uint32 word, hence the cap.
+    """
+    if not _is_int(seed):
+        raise TypeError(f"seed must be a nonnegative int, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
+    if not _is_int(replicas) or not 1 <= replicas < 2**32:
+        raise ValueError(f"replicas must be an int in 1..2**32-1, got {replicas!r}")
+
+
+def _spawn_states(seed, start, stop):
+    """Rows i = start..stop-1 of SeedSequence(seed).spawn(stop)[i].generate_state(4, np.uint64).
+
+    The same hash, vectorised over replicas in uint32 arithmetic: the entropy
+    is the seed's 32-bit words (low first, padded to the pool size because a
+    spawn key follows) and then the spawn key i; hashmix/mix fold it into a
+    pool of 4 words, and generate_state hashes the pool into 8 words, read
+    pairwise as little-endian uint64.  The hash constant only depends on the
+    step, so it stays a Python int.  Needs 0 <= start <= stop <= 2**32.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    count = stop - start
+    entropy = [np.full(count, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    state = np.empty((count, 2 * _POOL), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _replica_generators(seed, replicas):
+    """The generator of every replica 0..replicas-1, in order, built block by block.
+
+    Replica i's generator is Generator(PCG64(s)) for s the i-th child of
+    SeedSequence(seed), which is what default_rng(child) builds; the child's
+    generate_state is replaced by its row of _spawn_states.
+    """
+    # numpy.random loads here, not when the package is imported
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SpawnedState(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    for start in range(0, replicas, _SPAWN_BLOCK):
+        for words in _spawn_states(seed, start, min(start + _SPAWN_BLOCK, replicas)):
+            yield Generator(PCG64(SpawnedState(words)))
+
+
 def _mc_values(F, first_draw, coeffs, replicas, seed):
-    if replicas < 1:
-        raise ValueError(f"need at least one replica, got {replicas}")
+    _check_run(seed, replicas)
     exact_chain = _as_functional(F), tuple(coeffs)
     float_chain = _float_chain(F, coeffs)
-    children = np.random.SeedSequence(seed).spawn(replicas)
     values = []
-    for r, child in enumerate(children):
-        rng = np.random.default_rng(child)
+    for r, rng in enumerate(_replica_generators(seed, replicas)):
         try:
             first = first_draw(rng)
             fn, chain_coeffs = exact_chain if first.exact else float_chain
@@ -250,6 +347,7 @@ def bias_experiment(F, population, schedule, replicas, seed=0, sampler=None):
     against row k of debias.exact_bias, which also supplies the bound.
     Returns one ExperimentRow per k.
     """
+    _check_run(seed, replicas)
     n = schedule.n
     if isinstance(population, MomentTable):
         if sampler is None:

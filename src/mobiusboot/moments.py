@@ -128,9 +128,13 @@ class MomentPolynomial:
                 raise ValueError(f"label {term.max_label()} out of range for d={d}")
             if coeff == 0:
                 continue
-            clean[term] = clean.get(term, 0) + coeff
+            if term in clean:  # two keys with one normal form
+                coeff = clean[term] + coeff
+            clean[term] = coeff
         scalar = Fraction if self.exact else float
-        self.terms = {t: scalar(c) for t, c in clean.items() if c != 0}
+        self.terms = {
+            t: c if type(c) is scalar else scalar(c) for t, c in clean.items() if c != 0
+        }
 
     def max_order(self):
         """Largest total block-content size over the stored terms."""
@@ -220,17 +224,36 @@ class MomentTable:
 
 
 def empirical_moment(data, block):
-    """Plug-in moment: mean over rows of the product of the block's variables."""
+    """Plug-in moment: mean over rows of the product of the block's variables.
+
+    Each row's product is 1 * x_a * x_b * ... left to right, and the sum runs
+    in row order from 0 (not the built-in sum, which compensates float sums
+    from Python 3.12 on), so float data gives the same bits on every version.
+    Since 1 * x is x, blocks of one and two labels, the blocks variances and
+    covariances read, skip the leading 1 and the per-label loop.
+    """
+    rows = data.rows
+    d = len(rows[0])
     for lab in block:
-        if not 0 <= lab < data.d:
-            raise ValueError(f"label {lab} out of range for d={data.d}")
+        if not 0 <= lab < d:
+            raise ValueError(f"label {lab} out of range for d={d}")
     total = 0
-    for row in data.rows:
-        p = 1
-        for lab in block:
-            p = p * row[lab]
-        total += p
-    return Fraction(total, data.n) if data.exact else total / data.n
+    if len(block) == 1:
+        (a,) = block
+        for row in rows:
+            total += row[a]
+    elif len(block) == 2:
+        a, b = block
+        for row in rows:
+            total += row[a] * row[b]
+    else:
+        for row in rows:
+            p = 1
+            for lab in block:
+                p = p * row[lab]
+            total += p
+    n = len(rows)
+    return Fraction(total, n) if data.exact else total / n
 
 
 def evaluate(F, population):

@@ -101,3 +101,19 @@ def apply_S_inverse(F, n):
             n**pi.block_count * _mobius_weight(g), falling_factorial(n, sigma.block_count)
         ),
     )
+
+
+# -- the plug-in moment, one interpreted multiplication per label ------------------
+
+def empirical_moment(data, block):
+    """Mean over rows of 1 * x_a * x_b * ..., summed row by row from int 0."""
+    for lab in block:
+        if not 0 <= lab < data.d:
+            raise ValueError(f"label {lab} out of range for d={data.d}")
+    total = 0
+    for row in data.rows:
+        p = 1
+        for lab in block:
+            p = p * row[lab]
+        total += p
+    return Fraction(total, data.n) if data.exact else total / data.n

@@ -301,11 +301,14 @@ MC_DATA = ["mc-run", "--functional", "var.json", "--data", "data.csv", "--replic
         MC_DATA + ["--k", "1", "--replicas", "0"],
         MC_DATA + ["--k", "1", "--seed", "-1"],
         MC_POP + ["--n", "4", "--k", "1", "--seed", "-1"],
+        MC_DATA + ["--k", "1", "--replicas", str(2**32)],
+        MC_POP + ["--n", "4", "--k", "1", "--replicas", str(2**32)],
     ],
     ids=[
         "smatrix-n0", "smatrix-reduced-n0", "smatrix-m0", "smatrix-reduced-m0", "bias-n0", "mc-population-n0",
         "bias-k-negative", "mc-data-k-negative", "mc-population-k-negative", "mc-replicas0",
         "mc-data-seed-negative", "mc-population-seed-negative",
+        "mc-data-replicas-2^32", "mc-population-replicas-2^32",
     ],
 )
 def test_integer_flags_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):

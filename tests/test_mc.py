@@ -1,12 +1,18 @@
 """Chain simulation: coefficients, exhaustive oracle, seeded replicas."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import mobiusboot
 
 from mobiusboot.debias import StepSchedule, nonstationary_debias, richardson_debias
 from mobiusboot.mc import (
@@ -20,6 +26,8 @@ from mobiusboot.mc import (
     _mc_values,
     _multiset_picks,
     _as_functional,
+    _replica_generators,
+    _spawn_states,
 )
 from mobiusboot.moments import (
     Dataset,
@@ -254,6 +262,79 @@ def test_replica_substreams_are_prefix_stable():
     short = _mc_values(fn, draw, coeffs, 100, 9)
     long = _mc_values(fn, draw, coeffs, 400, 9)
     assert long[:100] == short
+
+
+SPAWN_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128, 2**130 + 3]
+
+
+@pytest.mark.parametrize("seed", SPAWN_SEEDS)
+@pytest.mark.parametrize("replicas", [1, 7, 1000])
+def test_spawn_states_match_numpy_spawn(seed, replicas):
+    want = [
+        child.generate_state(4, np.uint64)
+        for child in np.random.SeedSequence(seed).spawn(replicas)
+    ]
+    got = _spawn_states(seed, 0, replicas)
+    assert got.dtype == np.uint64 and got.shape == (replicas, 4)
+    assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("seed", SPAWN_SEEDS)
+def test_spawn_states_are_prefix_stable(seed):
+    assert np.array_equal(_spawn_states(seed, 0, 200)[:50], _spawn_states(seed, 0, 50))
+    assert np.array_equal(_spawn_states(seed, 0, 200)[120:], _spawn_states(seed, 120, 200))
+
+
+def test_replica_generators_equal_default_rng_of_spawned_children():
+    # 5000 replicas span two blocks of the generator pass
+    got = [rng.integers(2**62, size=3).tolist() for rng in _replica_generators(2**40 + 5, 5000)]
+    want = [
+        np.random.default_rng(child).integers(2**62, size=3).tolist()
+        for child in np.random.SeedSequence(2**40 + 5).spawn(5000)
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "seed, error",
+    [(None, TypeError), (True, TypeError), (1.0, TypeError), ("7", TypeError), (-1, ValueError)],
+)
+def test_bad_seed_rejected_before_any_replica(seed, error):
+    calls = []
+    draw = lambda rng: calls.append(rng) or DATA4
+    with pytest.raises(error, match="seed must be a nonnegative int"):
+        _mc_values(variance_poly(), draw, (1,), 3, seed)
+    with pytest.raises(error, match=repr(seed)):
+        mc_estimate(variance_poly(), DATA4, (1,), 3, seed)
+    sampler = lambda rng, n: calls.append(rng) or DATA4
+    with pytest.raises(error, match="seed must be a nonnegative int"):
+        bias_experiment(
+            variance_poly(), normal_moment_table(1, 4), StepSchedule.unit(4, 1), 3,
+            seed=seed, sampler=sampler,
+        )
+    assert calls == []
+
+
+@pytest.mark.parametrize("replicas", [0, 2**32, 2**40, 3.0, True])
+def test_replica_count_outside_uint32_keys_rejected(replicas):
+    with pytest.raises(ValueError, match="replicas must be an int in 1..2\\*\\*32-1"):
+        mc_estimate(variance_poly(), DATA4, (1,), replicas, 0)
+    with pytest.raises(ValueError, match="replicas must be an int"):
+        bias_experiment(
+            variance_poly(), normal_moment_table(1, 4), StepSchedule.unit(4, 1), replicas,
+            sampler=normal_sampler(1),
+        )
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # the generator pass imports numpy.random on first use: loading it with the
+    # package would raise every CLI run's peak memory
+    code = "import sys, mobiusboot.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(mobiusboot.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_float_chain_bit_identical_to_fraction_coefficients():

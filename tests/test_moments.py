@@ -249,6 +249,11 @@ def test_polynomial_cleanup_and_arithmetic():
     assert (-1 * F + F).terms == {}
     with pytest.raises(ValueError):
         MomentPolynomial(1, {LabeledTerm([[1]]): 1})
+    # raw keys with one normal form add up, and cancel to nothing
+    xy = LabeledTerm([[0], [1]])
+    H = MomentPolynomial(2, {((1,), (0,)): 1, ((0,), (1,)): Fraction(1, 2)})
+    assert H.terms == {xy: Fraction(3, 2)} and type(H.terms[xy]) is Fraction
+    assert MomentPolynomial(2, {((1,), (0,)): 0.25, xy: -0.25}).terms == {}
 
 
 def test_reachable_blocks_variance():
@@ -313,6 +318,12 @@ def test_polynomial_exact_iff_every_coefficient_is_int_or_fraction():
     # terms that cancel
     assert not MomentPolynomial(1, {x: 1, xx: 0.0}).exact
     assert not (G - G).exact and (G - G).terms == {}
+    # coefficients that already have the scalar type are kept, others converted
+    for H in (F + F, F - 3 * F, Fraction(1, 2) * F):
+        assert H.exact and all(type(c) is Fraction for c in H.terms.values())
+    for H in (G + G, 3 * G, Fraction(1, 3) * G):
+        assert not H.exact and all(type(c) is float for c in H.terms.values())
+    assert (3 * G).terms == {x: 6.0, xx: 1.5}
 
 
 # -- moment/cumulant conversion -------------------------------------------------

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,13 @@ from mobiusboot.lattice import (
     format_partition,
     parse_partition,
 )
-from mobiusboot.moments import CONSTANT_TERM, LabeledTerm, MomentPolynomial
+from mobiusboot.moments import (
+    CONSTANT_TERM,
+    Dataset,
+    LabeledTerm,
+    MomentPolynomial,
+    empirical_moment,
+)
 from mobiusboot.resampling import apply_S, apply_S_inverse, sampling_matrix
 import oracles
 
@@ -165,3 +172,45 @@ def test_merge_walk_matches_fraction_per_merge_oracle(case):
 @given(st.integers(1, 5), st.integers(1, 8))
 def test_sampling_columns_sum_to_one(m, n):
     assert all(sum(col) == Fraction(1) for col in zip(*sampling_matrix(m, n).entries))
+
+
+# floats that overflow when multiplied (1e300), vanish (subnormals) and carry a sign (-0.0)
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.5, -3.0])
+CELLS = {
+    "float": st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False)),
+    "fraction": st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    "int": st.integers(-(2**70), 2**70),
+}
+
+
+@st.composite
+def dataset_and_block(draw):
+    """A float, Fraction or int dataset and a block of up to 4 labels, repeats allowed."""
+    cells = CELLS[draw(st.sampled_from(sorted(CELLS)))]
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=6))
+    block = draw(st.lists(st.integers(0, d - 1), max_size=4))
+    return Dataset(rows), tuple(block)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(dataset_and_block())
+def test_empirical_moment_matches_per_row_loop(case):
+    data, block = case
+    got, want = empirical_moment(data, block), oracles.empirical_moment(data, block)
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)  # -0.0, inf and every last bit count
+
+
+@PROPERTY
+@given(dataset_and_block(), st.integers(-3, 5))
+def test_empirical_moment_label_error_unchanged(case, bad):
+    data, block = case
+    if 0 <= bad < data.d:
+        bad = data.d
+    block = block + (bad,)
+    with pytest.raises(ValueError) as got:
+        empirical_moment(data, block)
+    with pytest.raises(ValueError) as want:
+        oracles.empirical_moment(data, block)
+    assert str(got.value) == str(want.value)
