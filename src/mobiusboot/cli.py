@@ -5,18 +5,23 @@ prefixed with a provenance header (tool version, the exact flag set, seed,
 timestamp).  Reruns with identical flags and seed are byte-identical except
 for the timestamp line.  Exact quantities print as p/q strings.
 
+Table rows are rendered at write time, one row at a time: each row's cells
+become text once and go to both files before the next row is read, so no
+table is held as text.  The JSON mirror is byte for byte what
+json.dump(payload, fh, indent=1) followed by a newline would write.
+
 Exit codes: 0 success, 2 usage error, 3 infeasible inputs, 4 selftest failure.
 """
 
 import argparse
 import csv
-import io
 import json
 import math
 import numbers
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import __version__
@@ -90,8 +95,25 @@ def _scalar(v):
     return str(v)
 
 
+_PLAIN_CELLS = frozenset((int, Fraction, str))
+
+# top-level keys of the JSON mirror that Artifact.extra may not replace
+_RESERVED_KEYS = frozenset(("provenance", "timestamp", "tables"))
+
+
+def _cells(row):
+    """Cell texts of one row; str() when every cell is an int, Fraction or str."""
+    if _PLAIN_CELLS.issuperset(map(type, row)):
+        return list(map(str, row))
+    return [_scalar(v) for v in row]
+
+
 class Artifact:
-    """Named tables plus provenance, rendered to a CSV and a JSON mirror."""
+    """Named tables plus provenance, rendered to a CSV and a JSON mirror.
+
+    Rows are kept as the caller gave them and rendered at write time, one row
+    at a time into both files, so no table is ever held as text.
+    """
 
     def __init__(self, command, argv, seed=None):
         self.provenance = {
@@ -105,43 +127,65 @@ class Artifact:
         self.extra = {}
 
     def add_table(self, name, columns, rows):
-        self.tables.append(
-            {
-                "name": name,
-                "columns": list(columns),
-                "rows": [[_scalar(v) for v in row] for row in rows],
-            }
-        )
+        """Add a table; ROWS (an iterable of cell sequences) is read once, by write."""
+        if any(name == t[0] for t in self.tables):
+            raise ValueError(f"duplicate table name {name!r}")
+        self.tables.append((name, list(columns), rows))
 
     def write(self, base):
+        """Write BASE.csv and BASE.json, each table's rows streamed into both.
+
+        Each row's cells are rendered once and written to both files before
+        the next row is read.  The JSON mirror is byte for byte what
+        json.dump(payload, fh, indent=1) plus a newline gives, the payload
+        being the provenance, the timestamp, the tables by name and then the
+        extra keys.
+        """
+        clash = _RESERVED_KEYS.intersection(self.extra)
+        if clash:
+            raise ValueError(f"extra keys {sorted(clash)} would replace the artifact's own blocks")
         stamp = datetime.now(timezone.utc).isoformat()
         base = Path(base)
         if base.parent != Path("."):
             base.parent.mkdir(parents=True, exist_ok=True)
 
-        buf = io.StringIO()
-        for key, val in self.provenance.items():
-            buf.write(f"# {key}: {val}\n")
-        buf.write(f"# timestamp: {stamp}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        for table in self.tables:
-            buf.write(f"# table: {table['name']}\n")
-            writer.writerow(table["columns"])
-            writer.writerows(table["rows"])
-        Path(f"{base}.csv").write_text(buf.getvalue())
+        # The small parts first, so that one JSON cannot encode fails before any
+        # file opens.  Columns sit three levels deep: JSON strings never hold a
+        # raw newline, so re-indenting every newline of json.dumps is exact.
+        head = json.dumps({"provenance": self.provenance, "timestamp": stamp}, indent=1)
+        extra = json.dumps(self.extra, indent=1)[1:-2]  # '\n "key": value,...', '' if empty
+        table_heads = [
+            f'  {_json_str(name)}: {{\n   "columns": '
+            + json.dumps(columns, indent=1).replace("\n", "\n   ")
+            + ',\n   "rows": ['
+            for name, columns, _ in self.tables
+        ]
 
-        payload = {
-            "provenance": dict(self.provenance),
-            "timestamp": stamp,
-            "tables": {
-                t["name"]: {"columns": t["columns"], "rows": t["rows"]}
-                for t in self.tables
-            },
-        }
-        payload.update(self.extra)
-        with open(f"{base}.json", "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        with open(f"{base}.csv", "w") as csv_fh, open(f"{base}.json", "w") as json_fh:
+            for key, val in self.provenance.items():
+                csv_fh.write(f"# {key}: {val}\n")
+            csv_fh.write(f"# timestamp: {stamp}\n")
+            writer = csv.writer(csv_fh, lineterminator="\n")
+            json_fh.write(head[:-2] + ',\n "tables": {')
+            table_sep = "\n"
+            for (name, columns, rows), table_head in zip(self.tables, table_heads):
+                csv_fh.write(f"# table: {name}\n")
+                writer.writerow(columns)
+                json_fh.write(table_sep + table_head)
+                row_sep = ""
+                for row in rows:
+                    cells = _cells(row)
+                    writer.writerow(cells)
+                    if cells:
+                        text = ",\n     ".join(map(_json_str, cells))
+                        json_fh.write(f"{row_sep}\n    [\n     {text}\n    ]")
+                    else:
+                        json_fh.write(f"{row_sep}\n    []")
+                    row_sep = ","
+                json_fh.write("\n   ]\n  }" if row_sep else "]\n  }")
+                table_sep = ",\n"
+            json_fh.write("\n }" if self.tables else "}")
+            json_fh.write(f",{extra}\n}}\n" if extra else "\n}\n")
 
 
 def _out_base(args, default):
@@ -153,9 +197,7 @@ def _out_base(args, default):
 
 def _matrix_table(artifact, name, labels, entries):
     artifact.add_table(
-        name,
-        ["row"] + labels,
-        [[labels[i]] + list(row) for i, row in enumerate(entries)],
+        name, ["row"] + labels, ([label, *row] for label, row in zip(labels, entries))
     )
 
 

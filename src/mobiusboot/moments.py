@@ -259,23 +259,22 @@ def empirical_moment(data, block):
 def evaluate(F, population):
     """Value of the polynomial against a Dataset (plug-in) or a MomentTable."""
     if isinstance(population, Dataset):
-        cache = {}
-
-        def block_value(b):
-            # each distinct block moment once per call: the variance reads (0) twice
-            if b not in cache:
-                cache[b] = empirical_moment(population, b)
-            return cache[b]
-
+        plug_in = True
     elif isinstance(population, MomentTable):
-        block_value = population.moment
+        plug_in = False
     else:
         raise TypeError(f"cannot evaluate against {type(population).__name__}")
+    # each distinct block's moment once per call: the variance reads (0) twice
+    cache = {}
     total = 0
     for term, coeff in F.terms.items():
         v = coeff
         for block in term:
-            v = v * block_value(block)
+            m = cache.get(block)
+            if m is None:
+                m = empirical_moment(population, block) if plug_in else population.moment(block)
+                cache[block] = m
+            v = v * m
         total += v
     return total
 

@@ -5,9 +5,14 @@ its place, or a helper only the tests call.  The test modules import them by
 name from this directory.
 """
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
+from mobiusboot.cli import _scalar
 from mobiusboot.lattice import (
     DimensionError,
     _mobius_weight,
@@ -117,3 +122,38 @@ def empirical_moment(data, block):
             p = p * row[lab]
         total += p
     return Fraction(total, data.n) if data.exact else total / data.n
+
+
+# -- the artifact writer that rendered every cell before writing anything ---------
+
+def write_artifact(artifact, base, stamp):
+    """BASE.csv and BASE.json of an Artifact, each file assembled whole.
+
+    Every cell goes through _scalar into lists, the CSV is built in a
+    StringIO, and the JSON mirror is json.dump(payload, indent=1) plus a
+    newline.  STAMP stands in for the write time.
+    """
+    tables = [
+        {"name": name, "columns": list(columns), "rows": [[_scalar(v) for v in row] for row in rows]}
+        for name, columns, rows in artifact.tables
+    ]
+    buf = io.StringIO()
+    for key, val in artifact.provenance.items():
+        buf.write(f"# {key}: {val}\n")
+    buf.write(f"# timestamp: {stamp}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    for table in tables:
+        buf.write(f"# table: {table['name']}\n")
+        writer.writerow(table["columns"])
+        writer.writerows(table["rows"])
+    Path(f"{base}.csv").write_text(buf.getvalue())
+
+    payload = {
+        "provenance": dict(artifact.provenance),
+        "timestamp": stamp,
+        "tables": {t["name"]: {"columns": t["columns"], "rows": t["rows"]} for t in tables},
+    }
+    payload.update(artifact.extra)
+    with open(f"{base}.json", "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mobiusboot import polynomial_from_dict
-from mobiusboot.cli import _scalar, main
+from mobiusboot.cli import Artifact, _scalar, main
 from mobiusboot.moments import dataset_from_csv
 
 
@@ -528,3 +528,46 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+class CountingRows:
+    """Rows that record how often they are iterated and how many rows were read."""
+
+    def __init__(self, n):
+        self.n, self.iterations, self.read = n, 0, 0
+
+    def __iter__(self):
+        self.iterations += 1
+        for i in range(self.n):
+            self.read += 1
+            yield [i, Fraction(i, 3), 0.5 * i]
+
+
+def test_artifact_rows_read_once_at_write_time(tmp_path):
+    art = Artifact("test", [])
+    tables = {"a": CountingRows(3), "b": CountingRows(0), "c": CountingRows(2)}
+    for name, rows in tables.items():
+        art.add_table(name, ["i", "q", "x"], rows)
+    assert all(rows.iterations == rows.read == 0 for rows in tables.values())
+    art.write(tmp_path / "out")
+    assert [(rows.iterations, rows.read) for rows in tables.values()] == [(1, 3), (1, 0), (1, 2)]
+    written = json.loads((tmp_path / "out.json").read_text())["tables"]
+    assert written["a"]["rows"] == [["0", "0", "0.0"], ["1", "1/3", "0.5"], ["2", "2/3", "1.0"]]
+    assert written["b"]["rows"] == []
+
+
+@pytest.mark.parametrize("key", ["provenance", "timestamp", "tables"])
+def test_artifact_extra_may_not_replace_its_own_blocks(tmp_path, key):
+    art = Artifact("test", [])
+    art.add_table("t", ["x"], [[1]])
+    art.extra[key] = "shadow"
+    with pytest.raises(ValueError, match=key):
+        art.write(tmp_path / "out")
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out.json").exists()
+
+
+def test_artifact_rejects_duplicate_table_names():
+    art = Artifact("test", [])
+    art.add_table("t", ["x"], [[1]])
+    with pytest.raises(ValueError, match="duplicate table name 't'"):
+        art.add_table("t", ["y"], [[2]])

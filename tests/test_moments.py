@@ -416,3 +416,36 @@ def test_conversion_rejects_mismatched_sizes():
         mobius_matrix(3).matvec([1, 2])
     with pytest.raises(DimensionError):
         zeta_matrix(2).matvec([1] * 5)
+
+
+def test_evaluate_reads_each_distinct_block_once_per_call(monkeypatch):
+    from mobiusboot import moments
+
+    calls = []
+
+    def counted(data, block):
+        calls.append(block)
+        return empirical_moment(data, block)
+
+    monkeypatch.setattr(moments, "empirical_moment", counted)
+    F = MomentPolynomial(
+        2,
+        {
+            LabeledTerm([[0], [0]]): -1.0,
+            LabeledTerm([[0, 0]]): 1.0,
+            LabeledTerm([[0], [1]]): 2.5,
+            LabeledTerm([[0, 1], [0]]): 1.0,
+        },
+    )
+    data = Dataset([[1.5, 2.0], [3.0, -1.0], [0.25, 4.0]])
+    blocks = {block for term in F.terms for block in term}
+    got = evaluate(F, data)
+    assert sorted(calls) == sorted(blocks)
+    assert evaluate(F, data) == got and len(calls) == 2 * len(blocks)  # no memo across calls
+    want = 0
+    for term, coeff in F.terms.items():
+        v = coeff
+        for block in term:
+            v = v * empirical_moment(data, block)
+        want += v
+    assert repr(got) == repr(want)

@@ -1,11 +1,18 @@
 """Property checks of the lattice walk and the operator S on generated inputs."""
 
+import math
+import tempfile
+from datetime import datetime, timezone
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobiusboot import cli
 from mobiusboot.lattice import (
     Partition,
     bell,
@@ -214,3 +221,61 @@ def test_empirical_moment_label_error_unchanged(case, bad):
     with pytest.raises(ValueError) as want:
         oracles.empirical_moment(data, block)
     assert str(got.value) == str(want.value)
+
+
+# -- the streaming artifact writer against the one that rendered everything first --
+
+FIXED_STAMP = datetime(2024, 5, 6, 7, 8, 9, 123456, tzinfo=timezone.utc)
+
+
+class _FixedClock:
+    @staticmethod
+    def now(tz=None):
+        return FIXED_STAMP
+
+
+# text that CSV must quote, or that JSON must escape
+ODD_TEXT = st.sampled_from(["", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "grüße", "€😀", "\\"])
+TEXT = st.one_of(ODD_TEXT, st.text(max_size=6))
+PLAIN_CELLS = st.one_of(st.integers(-(2**70), 2**70), st.fractions(max_denominator=9), TEXT)
+ANY_CELLS = st.one_of(
+    PLAIN_CELLS,
+    st.booleans(),
+    st.sampled_from([2**70, -(2**70), -0.0, 5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(TEXT, inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def artifacts(draw):
+    """An Artifact with 0-3 tables of plain or mixed cells and a nested extra payload."""
+    art = cli.Artifact(draw(TEXT), draw(st.lists(TEXT, max_size=3)), draw(st.none() | st.integers()))
+    for name in draw(st.lists(TEXT, unique=True, max_size=3)):
+        headers = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+        columns = draw(st.lists(headers, max_size=4))
+        cells = draw(st.sampled_from([PLAIN_CELLS, ANY_CELLS]))
+        art.add_table(name, columns, draw(st.lists(st.lists(cells, max_size=4), max_size=4)))
+    extra = draw(st.dictionaries(TEXT, JSON_VALUES, max_size=3))
+    art.extra.update((k, v) for k, v in extra.items() if k not in ("provenance", "timestamp", "tables"))
+    return art
+
+
+@settings(PROPERTY, max_examples=200)
+@given(artifacts())
+def test_streamed_artifact_matches_whole_file_writer(art):
+    with tempfile.TemporaryDirectory() as tmp:
+        with mock.patch.object(cli, "datetime", _FixedClock):
+            art.write(Path(tmp, "new"))
+        oracles.write_artifact(art, Path(tmp, "old"), FIXED_STAMP.isoformat())
+        for suffix in (".csv", ".json"):
+            assert Path(tmp, f"new{suffix}").read_bytes() == Path(tmp, f"old{suffix}").read_bytes()
