@@ -7,8 +7,10 @@ for the timestamp line.  Exact quantities print as p/q strings.
 
 Table rows are rendered at write time, one row at a time: each row's cells
 become text once and go to both files before the next row is read, so no
-table is held as text.  The JSON mirror is byte for byte what
-json.dump(payload, fh, indent=1) followed by a newline would write.
+table is held as text.  A row whose cell texts neither CSV quoting nor JSON
+escaping would touch is joined once, and both files are written from that line.
+The JSON mirror is byte for byte what json.dump(payload, fh, indent=1)
+followed by a newline would write.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible inputs, 4 selftest failure.
 """
@@ -108,6 +110,27 @@ def _cells(row):
     return [_scalar(v) for v in row]
 
 
+def _plain_line(cells):
+    """The cells joined by commas, when csv.writer and JSON would write them as they are.
+
+    That holds when the line is printable ASCII without '"' or '\\' and holds
+    exactly len(cells) - 1 commas, so that no cell has one.  Otherwise None,
+    and None for an empty line: no cells, or one empty cell, which csv.writer
+    writes as '""'.
+    """
+    line = ",".join(cells)
+    if (
+        line
+        and line.isascii()
+        and line.isprintable()
+        and '"' not in line
+        and "\\" not in line
+        and line.count(",") == len(cells) - 1
+    ):
+        return line
+    return None
+
+
 class Artifact:
     """Named tables plus provenance, rendered to a CSV and a JSON mirror.
 
@@ -175,9 +198,14 @@ class Artifact:
                 row_sep = ""
                 for row in rows:
                     cells = _cells(row)
-                    writer.writerow(cells)
-                    if cells:
+                    line = _plain_line(cells)
+                    if line is None:
+                        writer.writerow(cells)
                         text = ",\n     ".join(map(_json_str, cells))
+                    else:
+                        csv_fh.write(line + "\n")
+                        text = '"' + line.replace(",", '",\n     "') + '"'
+                    if cells:
                         json_fh.write(f"{row_sep}\n    [\n     {text}\n    ]")
                     else:
                         json_fh.write(f"{row_sep}\n    []")
@@ -215,7 +243,7 @@ def cmd_lattice(args, argv):
     art.add_table(
         "covers",
         ["finer", "coarser"],
-        [[format_partition(a), format_partition(b)] for a, b in cover_edges(index)],
+        [[labels[index.position(a)], labels[index.position(b)]] for a, b in cover_edges(index)],
     )
     _matrix_table(art, "zeta", labels, zeta_matrix(args.m).entries)
     _matrix_table(art, "mobius", labels, mobius_matrix(args.m).entries)

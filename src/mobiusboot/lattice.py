@@ -199,7 +199,7 @@ def _groupings(b):
 
     rgs sends block i into merged block rgs[i], k counts the merged blocks, and
     groups[g] lists, ascending, the blocks merged into g.  _incidence_entries
-    does not read it: kept beside a dense matrix, it raised the peak RSS.
+    and resampling's merge walk work out each weight once per row.
     """
     rows = []
     for rgs in _rgs_strings(b):
@@ -295,16 +295,25 @@ class IncidenceMatrix:
 
 
 def _incidence_entries(index, weight):
-    """entries[position(pi)][col] = weight(sigma, pi, grouping) for pi >= sigma, else 0.
+    """entries[position(pi)][col] = weight(b, k, grouping) for pi >= sigma, else 0.
 
-    grouping is the RGS over sigma's blocks that merges them into pi.
+    sigma (column col) has b blocks, grouping is the RGS over them that merges
+    them into pi, and k is pi's block count.  The weight is worked out once per
+    _groupings(b) row and shared by every column with b blocks; the index lists
+    those columns as one run of stirling2(m, b), finest level first.  The merged
+    RGS is looked up as a tuple, so no Partition is built per cell.
     """
     n = len(index)
+    position = {pi.rgs: i for i, pi in enumerate(index)}
     entries = [[0] * n for _ in range(n)]
-    for col, sigma in enumerate(index):
-        for grouping in _rgs_strings(sigma.block_count):
-            pi = sigma.merge(grouping)
-            entries[index.position(pi)][col] = weight(sigma, pi, grouping)
+    col = 0
+    for b in range(index.m, 0, -1):
+        rows = [(grouping, weight(b, k, grouping)) for grouping, k, _ in _groupings(b)]
+        for sigma in index.partitions[col:col + stirling2(index.m, b)]:
+            rgs = sigma.rgs
+            for grouping, w in rows:
+                entries[position[tuple(grouping[v] for v in rgs)]][col] = w
+            col += 1
     return entries
 
 
@@ -324,7 +333,7 @@ def zeta_matrix(m):
     the coarsest partition's row is all ones.
     """
     index = enumerate_partitions(m)
-    return IncidenceMatrix(index, _incidence_entries(index, lambda *_: 1))
+    return IncidenceMatrix(index, _incidence_entries(index, lambda b, k, grouping: 1))
 
 
 def _mobius_weight(grouping):
@@ -339,5 +348,5 @@ def mobius_matrix(m):
     of pi, so mu(sigma, pi) factors over those blocks (Stanley, EC1, 3.10).
     """
     index = enumerate_partitions(m)
-    entries = _incidence_entries(index, lambda sigma, pi, grouping: _mobius_weight(grouping))
+    entries = _incidence_entries(index, lambda b, k, grouping: _mobius_weight(grouping))
     return IncidenceMatrix(index, entries)

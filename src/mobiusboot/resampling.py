@@ -32,14 +32,16 @@ from .moments import Dataset, InfeasibleError, MomentPolynomial, evaluate
 
 
 def sampling_matrix(m, n):
-    """Build S for order m and sample size n."""
+    """Build S for order m and sample size n.
+
+    The weight of b blocks merged into k, Fraction(falling(N,k), N^b), is one
+    object per grouping row of b blocks, shared by every column with b blocks.
+    """
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     index = enumerate_partitions(m)
     num, den = _sampling_weight(n)
-    entries = _incidence_entries(
-        index, lambda sigma, pi, g: Fraction(num(pi.block_count, g), den(sigma.block_count))
-    )
+    entries = _incidence_entries(index, lambda b, k, grouping: Fraction(num(k, grouping), den(b)))
     return IncidenceMatrix(index, entries)
 
 
@@ -53,19 +55,20 @@ def factorization(m, n):
 
     R carries falling(N,#pi) on the zeta's row side, C carries N^{#pi} on the
     column side; the diagonals do not commute past zeta, so the orientation
-    matters.  check is the exact entrywise comparison and must always be True.
+    matters.  check is the exact entrywise comparison and must always be True:
+    every cell s of S, zero or not, must have s * C[j] == R[i] * zeta[i][j],
+    compared in integers as s.numerator * C[j] == R[i] * zeta[i][j] * s.denominator.
     """
     S = sampling_matrix(m, n)
     zeta = zeta_matrix(m)
-    R = [Fraction(falling_factorial(n, pi.block_count)) for pi in S.index]
-    C = [Fraction(n ** pi.block_count) for pi in S.index]
-    size = len(S.index)
+    R = [falling_factorial(n, pi.block_count) for pi in S.index]
+    C = [n ** pi.block_count for pi in S.index]
     check = all(
-        S.entries[i][j] == R[i] * zeta.entries[i][j] / C[j]
-        for i in range(size)
-        for j in range(size)
+        s.numerator * c == r * z * s.denominator
+        for r, row, zeta_row in zip(R, S.entries, zeta.entries)
+        for s, z, c in zip(row, zeta_row, C)
     )
-    return R, C, check
+    return [Fraction(r) for r in R], [Fraction(c) for c in C], check
 
 
 def _merge_walk(F, n, weight):
@@ -194,12 +197,15 @@ def one_norm_id_minus_S(m, n):
 
 
 def one_norm_direct(m, n, eta=1):
-    """Max column 1-norm of Id - eta*S from the explicit matrix."""
+    """Max column 1-norm of Id - eta*S from the explicit matrix.
+
+    A column's sum runs, in row order, over its diagonal cell and its nonzero
+    cells: a zero off the diagonal adds exactly 0.
+    """
     S = sampling_matrix(m, n)
-    size = len(S.index)
     best = Fraction(0)
-    for j in range(size):
-        total = sum(abs((1 if i == j else 0) - eta * S.entries[i][j]) for i in range(size))
+    for j, col in enumerate(zip(*S.entries)):
+        total = sum(abs((1 if i == j else 0) - eta * s) for i, s in enumerate(col) if s or i == j)
         best = max(best, total)
     return best
 

@@ -12,12 +12,15 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+from mobiusboot import resampling
 from mobiusboot.cli import _scalar
 from mobiusboot.lattice import (
     DimensionError,
     _mobius_weight,
     _rgs_strings,
+    enumerate_partitions,
     falling_factorial,
+    zeta_matrix,
 )
 from mobiusboot.moments import LabeledTerm, MomentPolynomial
 
@@ -61,6 +64,68 @@ def general_bound_at(gammas, n, k):
     """Two-term tradeoff gamma_0/2^(k+1) + 2^(k+1)*gamma_cut, cut = ceil(sqrt(N/8))."""
     cut = math.ceil(math.sqrt(n / 8))
     return gammas[0] / 2 ** (k + 1) + 2 ** (k + 1) * gammas[cut]
+
+
+# -- dense incidence matrices with one Partition per cell ----------------------------
+
+def incidence_entries(index, weight):
+    """entries[position(pi)][col] = weight(sigma, pi, grouping) for pi >= sigma, else 0.
+
+    pi is sigma.merge(grouping), a checked Partition, placed by index.position.
+    """
+    n = len(index)
+    entries = [[0] * n for _ in range(n)]
+    for col, sigma in enumerate(index):
+        for grouping in _rgs_strings(sigma.block_count):
+            pi = sigma.merge(grouping)
+            entries[index.position(pi)][col] = weight(sigma, pi, grouping)
+    return entries
+
+
+def zeta_entries(m):
+    return incidence_entries(enumerate_partitions(m), lambda *_: 1)
+
+
+def mobius_entries(m):
+    return incidence_entries(enumerate_partitions(m), lambda sigma, pi, g: _mobius_weight(g))
+
+
+def sampling_entries(m, n):
+    """S's entries falling(N,#pi)/N^{#sigma}, one Fraction per comparable cell."""
+    return incidence_entries(
+        enumerate_partitions(m),
+        lambda sigma, pi, g: Fraction(falling_factorial(n, pi.block_count), n**sigma.block_count),
+    )
+
+
+def factorization(m, n):
+    """(R, C, check) with S = R.zeta.C^{-1}, every cell compared as a Fraction quotient.
+
+    S is read through resampling.sampling_matrix, so a test that replaces it
+    sees its replacement here too.
+    """
+    S = resampling.sampling_matrix(m, n)
+    zeta = zeta_matrix(m)
+    R = [Fraction(falling_factorial(n, pi.block_count)) for pi in S.index]
+    C = [Fraction(n ** pi.block_count) for pi in S.index]
+    size = len(S.index)
+    check = all(
+        S.entries[i][j] == R[i] * zeta.entries[i][j] / C[j]
+        for i in range(size)
+        for j in range(size)
+    )
+    return R, C, check
+
+
+def one_norm_direct(m, n, eta=1):
+    """Max column 1-norm of Id - eta*S, every cell of every column summed."""
+    entries = sampling_entries(m, n)
+    size = len(entries)
+    best = Fraction(0)
+    for j in range(size):
+        total = sum(abs((1 if i == j else 0) - eta * entries[i][j]) for i in range(size))
+        best = max(best, total)
+    return best
 
 
 # -- the merge walk with one Fraction per merge -----------------------------------

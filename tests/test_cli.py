@@ -1,16 +1,19 @@
 """End-to-end checks of the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mobiusboot import polynomial_from_dict
+from mobiusboot import cli, polynomial_from_dict
 from mobiusboot.cli import Artifact, _scalar, main
 from mobiusboot.moments import dataset_from_csv
+import oracles
 
 
 VARIANCE_JSON = {
@@ -571,3 +574,79 @@ def test_artifact_rejects_duplicate_table_names():
     art.add_table("t", ["x"], [[1]])
     with pytest.raises(ValueError, match="duplicate table name 't'"):
         art.add_table("t", ["y"], [[2]])
+
+
+# sha256 of each artifact with its timestamp line removed, as the CLI wrote
+# them before the dense operators moved to integer routes and plain rows to a
+# single join.  The flags line holds the argv, so each run uses this --out.
+ARTIFACT_DIGESTS = {
+    ("lattice", "--m", "5", "--out", "lat5"): {
+        "lat5.csv": "4f0d0ac3f7e8fc57f974bb3a28d9b4e08a64ca9b57be0365b8337493b3efe90d",
+        "lat5.json": "bc37b83ebf116f036597cd416f6bbfebf036b077cbcc4a51ac9aab07b30ac96f",
+    },
+    ("smatrix", "--m", "4", "--n", "3", "--out", "sm43"): {
+        "sm43.csv": "2cd116d1a9d7e69540c56e6c2981bd07b3ce09e169b911d7fb8085480cc58582",
+        "sm43.json": "19f4c160335c6e5439df53f28bb169d2c2d46e23e44f49b423076a7080cf8340",
+    },
+    ("smatrix", "--m", "5", "--n", "7", "--reduced", "--out", "sm57r"): {
+        "sm57r.csv": "81bc47e8904bafc87118ea43af0534d5bb4f29f7726f8cdd6f1ad7a2e9d6d756",
+        "sm57r.json": "c3c9912eb746193c282a87ab7f18a741241880c30bdad5781aa8ee03d2ab7301",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(ARTIFACT_DIGESTS), ids=lambda argv: argv[-1])
+def test_dense_artifacts_keep_their_bytes(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    for name, digest in ARTIFACT_DIGESTS[argv].items():
+        lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith((b"# timestamp: ", b' "timestamp": '))]
+        assert len(kept) == len(lines) - 1, name
+        assert hashlib.sha256(b"".join(kept)).hexdigest() == digest, name
+
+
+FIXED_STAMP = datetime(2026, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
+
+
+class _FixedClock:
+    @staticmethod
+    def now(tz=None):
+        return FIXED_STAMP
+
+
+ODD_TEXTS = [",", '"', "\\", "\n", "\r", " ", "grüße", "a,b", 'say "hi"', "tab\there", "del\x7f", ""]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        ["13|2", 0, 1, -1, 2, 0],
+        [-3, -17, 0, -(2**70)],
+        ["1|2|3", Fraction(-3, 4), Fraction(1, 7), 0, Fraction(5)],
+        ["x", "a b", "S = R.zeta.C^-1", "true"],
+        ["", "", 1],
+        [1, "", 2],
+        *([text] for text in ODD_TEXTS),
+        *(["13|2", 0, text, Fraction(1, 3)] for text in ODD_TEXTS),
+    ],
+)
+def test_plain_row_join_matches_whole_file_writer(tmp_path, monkeypatch, row):
+    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    art = Artifact("rows", ["--m", "2"])
+    art.add_table("t", ["row", "a", "b", "c"], [row, ["13|2", 1, 0, 0], row])
+    art.add_table("u", ["x"], [row])
+    art.write(tmp_path / "new")
+    oracles.write_artifact(art, tmp_path / "old", FIXED_STAMP.isoformat())
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"old{suffix}").read_bytes()
+
+
+def test_plain_line_only_for_cells_written_as_they_are():
+    assert cli._plain_line(["13|2", "0", "-3/4", "a b"]) == "13|2,0,-3/4,a b"
+    assert cli._plain_line(["", ""]) == ","
+    for text in ODD_TEXTS:
+        if text not in (" ", ""):
+            assert cli._plain_line(["1", text]) is None, text
+    assert cli._plain_line([]) is None
+    assert cli._plain_line([""]) is None

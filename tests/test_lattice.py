@@ -20,6 +20,7 @@ from mobiusboot.lattice import (
     stirling2,
     zeta_matrix,
 )
+import oracles
 from oracles import refines
 
 # Frozen from the 5x5 incidence matrices of the three-element lattice,
@@ -245,6 +246,14 @@ def _mobius_by_substitution(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_mobius_product_formula_matches_forward_substitution(m):
     assert mobius_matrix(m).entries == _mobius_by_substitution(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_zeta_and_mobius_match_per_cell_oracle(m):
+    # one weight per grouping row, placed by RGS tuple, against one checked
+    # Partition merge and index lookup per cell
+    assert zeta_matrix(m).entries == oracles.zeta_entries(m)
+    assert mobius_matrix(m).entries == oracles.mobius_entries(m)
 
 
 def test_mobius_finest_to_coarsest_entry():

@@ -7,8 +7,11 @@ from itertools import product
 
 import pytest
 
+from mobiusboot import resampling
+from mobiusboot.debias import StepSchedule
 from mobiusboot.lattice import (
     DimensionError,
+    IncidenceMatrix,
     LatticeIndex,
     enumerate_partitions,
     falling_factorial,
@@ -32,6 +35,7 @@ from mobiusboot.resampling import (
     reduced_matrix,
     sampling_matrix,
 )
+import oracles
 from oracles import level_sums, poly_level_sums, refines
 
 F12 = Fraction(1, 2)
@@ -154,6 +158,50 @@ def test_factorization_orientation_is_pinned():
     assert wrong != S.entries
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_sampling_matrix_matches_per_cell_oracle(m):
+    for n in (1, 2, 3, 5, 8):
+        got = sampling_matrix(m, n).entries
+        want = oracles.sampling_entries(m, n)
+        assert got == want, n
+        # a Fraction at every comparable cell, zero weights included; int 0 elsewhere
+        assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want], n
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_factorization_matches_fraction_oracle(m):
+    for n in (1, 2, 3, 5, 8):
+        R, C, check = factorization(m, n)
+        assert (R, C, check) == oracles.factorization(m, n)
+        assert check and all(type(x) is Fraction for x in R + C)
+
+
+def _tampered_sampling_matrix(kind):
+    """sampling_matrix with one comparable entry moved by 1/N^b, or one structural zero made nonzero."""
+    real = resampling.sampling_matrix
+
+    def build(m, n):
+        S = real(m, n)
+        entries = [list(row) for row in S.entries]
+        if kind == "shift":
+            # coarsest row, finest column: weight N/N^m, b = m blocks merged
+            entries[-1][0] += Fraction(1, n**m)
+        else:
+            # finest row, coarsest column: the finest partition is not coarser
+            entries[0][-1] = Fraction(1, n)
+        return IncidenceMatrix(S.index, entries)
+
+    return build
+
+
+@pytest.mark.parametrize("kind", ["shift", "structural_zero"])
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 5), (4, 3)])
+def test_factorization_detects_tampered_entry(monkeypatch, kind, m, n):
+    monkeypatch.setattr(resampling, "sampling_matrix", _tampered_sampling_matrix(kind))
+    assert factorization(m, n)[2] is False
+    assert oracles.factorization(m, n)[2] is False
+
+
 # -- apply_S ----------------------------------------------------------------------
 
 def test_apply_S_frozen_column():
@@ -270,6 +318,16 @@ def test_scaled_one_norm_closed_form_matches_dense(m):
             etas += [Fraction(n**i, falling_factorial(n, i)) for i in range(1, m + 1)]
         for eta in etas:
             assert one_norm_id_minus_scaled(m, n, eta) == one_norm_direct(m, n, eta), (n, eta)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_one_norm_direct_matches_full_scan_oracle(m):
+    for n in (1, 2, 3, 5, 8):
+        etas = [0, Fraction(1, 3), 1, Fraction(7, 2)]
+        if m <= n:
+            etas += StepSchedule.default(n, m).etas
+        for eta in etas:
+            assert one_norm_direct(m, n, eta) == oracles.one_norm_direct(m, n, eta), (n, eta)
 
 
 def test_scaled_one_norm_beyond_dense_cap():
