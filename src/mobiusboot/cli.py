@@ -327,18 +327,16 @@ def _parse_schedule(text, n, k):
 
     none, stationary and unit (and no flag) all give the stationary iteration
     StepSchedule.unit(n, k); default gives StepSchedule.default(n, k); a comma
-    list gives its own k positive steps.
+    list gives its own k positive steps, and none of its entries may be empty.
     """
     if text in (None, "none", "stationary", "unit"):
         return StepSchedule.unit(n, k)
     if text == "default":
         return StepSchedule.default(n, k)
     try:
-        etas = [Fraction(part) for part in text.split(",") if part.strip()]
+        etas = [Fraction(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse schedule {text!r}")
-    if not etas:
-        raise UsageError("custom schedule is empty")
     if len(etas) != k:
         raise UsageError(f"schedule has {len(etas)} steps but --k is {k}")
     try:
@@ -385,13 +383,13 @@ def cmd_mc_run(args, argv):
             )
         n = data.n
         coeffs = mc_mod.expansion_coefficients(_parse_schedule(args.schedule, n, args.k))
+        if args.exhaustive and n > 4:
+            raise InfeasibleError(
+                f"exhaustive enumeration needs C({2 * n - 1}, {n}) ="
+                f" {math.comb(2 * n - 1, n)} resamples per level; n <= 4 only"
+            )
         target = mc_mod.chain_expectation(F, coeffs, data)
         if args.exhaustive:
-            if n > 4:
-                raise InfeasibleError(
-                    f"exhaustive enumeration needs C({2 * n - 1}, {n}) ="
-                    f" {math.comb(2 * n - 1, n)} resamples per level; n <= 4 only"
-                )
             value = mc_mod.exhaustive_estimate(F, data, coeffs)
             art.add_table("exhaustive", ["k", "value", "target"], [[args.k, value, target]])
         else:

@@ -19,8 +19,9 @@ Dataset validation.  Batching replicas into numpy blocks would change the
 seed-to-value mapping and waits for a benchmark change that re-pins the
 per-link evaluate/resample counts.
 
-The exhaustive route walks the C(2N-1, N) row multisets of each resample with
-multinomial weights instead of the N^N ordered picks.
+The exhaustive route pushes the exact law of the resampled row multiset one
+chain level at a time: C(2N-1, N) states per level with multinomial weights,
+instead of the N^N ordered picks, so its cost is linear in the chain length.
 """
 
 import math
@@ -249,19 +250,13 @@ def _report(values, target, seed):
     return McReport(replicas=n, estimate=mean, se=se, target=target, seed=seed)
 
 
-def mc_estimate(F, data, coeffs, replicas, seed, resample_first=True, target=None):
+def mc_estimate(F, data, coeffs, replicas, seed, target=None):
     """Average the chain estimator over seeded replicas.
 
-    With resample_first the chain opens with a redraw of data, so the
-    estimator is unbiased for evaluate(apply_S(G), data) where G carries the
-    coefficients; without it the data itself serves as X^1 and the a_0 term
-    is deterministic.
+    The chain opens with a redraw of data as X^1, so the estimator is unbiased
+    for evaluate(apply_S(G), data) where G carries the coefficients.
     """
-    if resample_first:
-        first_draw = lambda rng: resample(data, rng)
-    else:
-        first_draw = lambda rng: data
-    values = _mc_values(F, first_draw, coeffs, replicas, seed)
+    values = _mc_values(F, lambda rng: resample(data, rng), coeffs, replicas, seed)
     return _report(values, target, seed)
 
 
@@ -284,26 +279,29 @@ def _multiset_picks(n):
 def exhaustive_estimate(F, data, coeffs):
     """Exact expectation of the chain estimator by total enumeration.
 
-    F must be symmetric in the rows (every MomentPolynomial is), so each
-    resample is walked as a row multiset with its multinomial weight: C(2N-1, N)
-    branches per chain level instead of N^N, 35 instead of 256 at N = 4.
-    Feasible for N <= 4 and shallow chains only; exact on exact data.  X^1 is
-    a redraw of data, matching mc_estimate's resample_first convention.
+    F must be symmetric in the rows (every MomentPolynomial is), so X^{j+1} is
+    known by its row multiset, a sorted tuple of data's row indices.  The exact
+    law of that multiset starts at data (X^1 is a redraw of data, as in
+    mc_estimate); each level pushes it through the C(2N-1, N) multinomial picks
+    and adds a_j E[F].  Linear in k: (k+1)*C(2N-1, N) evaluations of F and
+    C(2N-1, N)^2 picks per level.  Exact on exact data.
     """
     fn = _as_functional(F)
-    coeffs = list(coeffs)
     picks = _multiset_picks(data.n)
-
-    def level(ds, j):
-        total = coeffs[j] * fn(ds)
-        if j + 1 < len(coeffs):
-            for pick, weight in picks:
-                total += weight * level(_take(ds, pick), j + 1)
-        return total
-
+    law = {tuple(range(data.n)): 1}
     total = 0
-    for pick, weight in picks:
-        total += weight * level(_take(data, pick), 0)
+    for a in coeffs:
+        nxt = {}
+        for rows, p in law.items():
+            for pick, w in picks:
+                key = tuple(sorted([rows[i] for i in pick]))
+                nxt[key] = nxt.get(key, 0) + p * w
+        law = nxt
+        # a plain loop, not sum(): from Python 3.12 sum compensates float sums
+        level = 0
+        for rows, p in law.items():
+            level += p * fn(_take(data, rows))
+        total += a * level
     return total
 
 
@@ -312,8 +310,8 @@ def chain_expectation(F, coeffs, data):
 
     With X^1 a redraw of data (N = data.n rows), the chain estimator
     sum_j a_j F(X^{j+1}) has expectation evaluate(S G, data), where
-    G = sum_j a_j S^j F.  This is the value that mc_estimate (with
-    resample_first) and exhaustive_estimate estimate.
+    G = sum_j a_j S^j F.  This is the value that mc_estimate and
+    exhaustive_estimate estimate.
     """
     n = data.n
     total = MomentPolynomial(F.d, {})

@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven end-to-end checks at stated tolerances and runtimes.
+"""Acceptance suite: twelve end-to-end checks at stated tolerances and runtimes.
 
 Run with -v for one pass/fail line per check; -s additionally shows a ✓ line
 with the measured time for each.
@@ -40,7 +40,12 @@ from mobiusboot.debias import (
     neumann_trace_bound,
     nonstationary_debias,
 )
-from mobiusboot.mc import bias_experiment, normal_sampler
+from mobiusboot.mc import (
+    bias_experiment,
+    exhaustive_estimate,
+    expansion_coefficients,
+    normal_sampler,
+)
 from oracles import poly_level_sums
 
 
@@ -101,7 +106,7 @@ def test_01_m3_incidence_matrices_match_known_tables():
     assert ok
     assert all(isinstance(x, int) for row in M.entries for x in row)
     assert dt < 1e-3
-    print(f"✓ [ 1/11] m=3 zeta and Moebius matrices match the known 5x5 tables, exact ints ({dt * 1000:.2f} ms)")
+    print(f"✓ [ 1/12] m=3 zeta and Moebius matrices match the known 5x5 tables, exact ints ({dt * 1000:.2f} ms)")
 
 
 def test_02_column_sums_one_and_starved_rows_vanish():
@@ -122,7 +127,7 @@ def test_02_column_sums_one_and_starved_rows_vanish():
                     assert all(S.entries[i][j] == 0 for j in range(size)), (m, n, i)
     dt = time.perf_counter() - t0
     assert dt < 10
-    print(f"✓ [ 2/11] all S columns sum to 1 and rows with more blocks than N vanish, m<=6, N<=8, exact ({dt:.2f} s)")
+    print(f"✓ [ 2/12] all S columns sum to 1 and rows with more blocks than N vanish, m<=6, N<=8, exact ({dt:.2f} s)")
 
 
 def test_03_one_norm_closed_form():
@@ -137,7 +142,7 @@ def test_03_one_norm_closed_form():
             assert direct == expected, (m, n)
             assert one_norm_id_minus_S(m, n) == expected, (m, n)
     dt = time.perf_counter() - t0
-    print(f"✓ [ 3/11] max-column 1-norm of Id-S equals 2(1 - falling(N,m)/N^m), m<=6, N<=10, exact ({dt:.2f} s)")
+    print(f"✓ [ 3/12] max-column 1-norm of Id-S equals 2(1 - falling(N,m)/N^m), m<=6, N<=10, exact ({dt:.2f} s)")
 
 
 def test_04_diagonal_factorization():
@@ -156,7 +161,7 @@ def test_04_diagonal_factorization():
                 for j in range(size):
                     assert S.entries[i][j] == Fraction(R[i] * Z.entries[i][j], C[j]), (m, n, i, j)
     dt = time.perf_counter() - t0
-    print(f"✓ [ 4/11] S = R.zeta.C^-1 exactly, m<=6, N<=8 ({dt:.2f} s)")
+    print(f"✓ [ 4/12] S = R.zeta.C^-1 exactly, m<=6, N<=8 ({dt:.2f} s)")
 
 
 def test_05_level_sums_commute_with_reduced_matrix():
@@ -171,7 +176,7 @@ def test_05_level_sums_commute_with_reduced_matrix():
                 rhs = R.matvec(poly_level_sums(f, m))
                 assert lhs == rhs, (m, n)
     dt = time.perf_counter() - t0
-    print(f"✓ [ 5/11] level_sums(S.f) = reduced @ level_sums(f) for 100 random rational f per (m<=8, N<=10), exact ({dt:.2f} s)")
+    print(f"✓ [ 5/12] level_sums(S.f) = reduced @ level_sums(f) for 100 random rational f per (m<=8, N<=10), exact ({dt:.2f} s)")
 
 
 def _average_over_all_resamples(F, data):
@@ -200,7 +205,7 @@ def test_06_exhaustive_resampling_oracle():
                 assert brute == operator, (n, m)
     dt = time.perf_counter() - t0
     assert dt < 30
-    print(f"✓ [ 6/11] averaging over all N^N resamples equals evaluate(apply_S(F,N), data), N in {{2,3}}, m<=3, 20 random F each, exact ({dt:.2f} s)")
+    print(f"✓ [ 6/12] averaging over all N^N resamples equals evaluate(apply_S(F,N), data), N in {{2,3}}, m<=3, 20 random F each, exact ({dt:.2f} s)")
 
 
 def test_07_default_schedule_annihilates_every_basis_vector():
@@ -219,7 +224,7 @@ def test_07_default_schedule_annihilates_every_basis_vector():
                 assert not residual.terms, (m, n, pi)
                 checked += 1
     dt = time.perf_counter() - t0
-    print(f"✓ [ 7/11] default m-step schedule leaves zero bias on all {checked} basis vectors, m<=6, N in {{m..m+3}}, exact ({dt:.2f} s)")
+    print(f"✓ [ 7/12] default m-step schedule leaves zero bias on all {checked} basis vectors, m<=6, N in {{m..m+3}}, exact ({dt:.2f} s)")
 
 
 def test_08_gamma_ratio_regimes():
@@ -233,7 +238,7 @@ def test_08_gamma_ratio_regimes():
     ratios = [math.exp(log_gamma_ratio(m, m * m // 4)) for m in (20, 30, 40, 50)]
     assert all(r < converse for r in ratios)
     dt = time.perf_counter() - t0
-    print(f"✓ [ 8/11] gamma_ratio(m, max(8m^2, m+1)) >= 3/4 for m<=50; at N=m^2/4 it falls to {ratios[-1]:.3f} < exp(-1/4)*3/4 ({dt:.2f} s)")
+    print(f"✓ [ 8/12] gamma_ratio(m, max(8m^2, m+1)) >= 3/4 for m<=50; at N=m^2/4 it falls to {ratios[-1]:.3f} < exp(-1/4)*3/4 ({dt:.2f} s)")
 
 
 def test_09_iterates_contract_entrywise():
@@ -252,7 +257,7 @@ def test_09_iterates_contract_entrywise():
         crossings[m] = k
     dt = time.perf_counter() - t0
     assert max(crossings.values()) <= 10_000
-    print(f"✓ [ 9/11] max |(Id-S)^k| < 1e-6 within k <= 10^4 at N=m, m<=5 (worst k={max(crossings.values())}) ({dt:.2f} s)")
+    print(f"✓ [ 9/12] max |(Id-S)^k| < 1e-6 within k <= 10^4 at N=m, m<=5 (worst k={max(crossings.values())}) ({dt:.2f} s)")
 
 
 def test_10_monte_carlo_bias_agreement():
@@ -275,7 +280,7 @@ def test_10_monte_carlo_bias_agreement():
     assert abs(scheduled.report.estimate) <= 3 * scheduled.report.se
     dt = time.perf_counter() - t0
     assert dt < 60
-    print(f"✓ [10/11] variance at N=10, 1e5 replicas: plug-in bias {plugin.report.estimate:+.4f} ~ -0.1, default 2-step bias {scheduled.report.estimate:+.5f} ~ 0, both within 3 SE ({dt:.1f} s)")
+    print(f"✓ [10/12] variance at N=10, 1e5 replicas: plug-in bias {plugin.report.estimate:+.4f} ~ -0.1, default 2-step bias {scheduled.report.estimate:+.5f} ~ 0, both within 3 SE ({dt:.1f} s)")
 
 
 def test_11_bound_calculators():
@@ -290,4 +295,30 @@ def test_11_bound_calculators():
             closed = 4 / (1 - sigma) * sigma ** math.sqrt(n / 32)
             assert abs(math.log(got) - math.log(closed)) < 1e-12, (sigma, n)
     dt = time.perf_counter() - t0
-    print(f"✓ [11/11] trace bound (1, 4) at sigma=1/2, N=32; general bound matches (4/(1-s))s^sqrt(N/32) within 1e-12 on the grid ({dt:.2f} s)")
+    print(f"✓ [11/12] trace bound (1, 4) at sigma=1/2, N=32; general bound matches (4/(1-s))s^sqrt(N/32) within 1e-12 on the grid ({dt:.2f} s)")
+
+
+def test_12_black_box_unbiased_after_default_schedule():
+    # The paper's last claim on opaque callables: L >= m default steps make the
+    # chain estimator of an order-m moment polynomial exactly unbiased for its
+    # plug-in value, with only row symmetry of the callable used.
+    t0 = time.perf_counter()
+    rng = random.Random(12)
+    cases = 12
+    for _ in range(cases):
+        d, m = rng.randint(1, 2), rng.randint(1, 4)
+        F = _random_statistic(rng, m, d) + _random_statistic(rng, rng.randint(1, m), d)
+        steps = rng.randint(m, 5)
+        n = rng.randint(steps, 5)
+        data = Dataset(
+            [
+                tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d))
+                for _ in range(n)
+            ]
+        )
+        coeffs = expansion_coefficients(StepSchedule.default(n, steps))
+        got = exhaustive_estimate(lambda ds: evaluate(F, ds), data, coeffs)
+        assert got == evaluate(F, data), (d, m, steps, n)
+    dt = time.perf_counter() - t0
+    assert dt < 30
+    print(f"✓ [12/12] default L-step chain on {cases} black-box order-m functionals (d<=2, m<=4, m<=L<=N<=5) is exactly unbiased over all resample chains ({dt:.2f} s)")

@@ -124,6 +124,25 @@ def test_mc_exhaustive_matches_target(workdir):
     assert value == pytest.approx(target, rel=1e-12)
 
 
+def test_mc_exhaustive_deep_chain_matches_target(workdir):
+    (workdir / "four.csv").write_text("x\n0.5\n-1.0\n2.0\n3.25\n")
+    rc = main(
+        [
+            "mc-run",
+            "--functional", str(workdir / "var.json"),
+            "--data", str(workdir / "four.csv"),
+            "--k", "8",
+            "--exhaustive",
+            "--out", str(workdir / "deep"),
+        ]
+    )
+    assert rc == 0
+    _, rows = _rows(workdir / "deep.csv", "exhaustive")
+    assert rows[0][0] == "8"
+    value, target = float(rows[0][1]), float(rows[0][2])
+    assert value == pytest.approx(target, rel=1e-12)
+
+
 def test_mc_estimate_near_target(workdir):
     out = workdir / "mc"
     rc = main(
@@ -261,7 +280,12 @@ def test_exit_code_missing_moment(workdir):
     assert rc == 3
 
 
-def test_exit_code_exhaustive_too_large(workdir):
+def test_exit_code_exhaustive_too_large(workdir, monkeypatch):
+    # the cap fires before the target is computed
+    def target_not_wanted(*args):
+        raise AssertionError("the target was computed before the cap check")
+
+    monkeypatch.setattr(cli.mc_mod, "chain_expectation", target_not_wanted)
     (workdir / "big.csv").write_text("x\n" + "\n".join(str(i) for i in range(6)) + "\n")
     rc = main(
         [
@@ -369,9 +393,11 @@ def test_mc_data_narrower_than_functional_exit_2(workdir, monkeypatch, capsys, e
         BIAS + ["--n", "4", "--k", "2", "--schedule=-1,2"],
         MC_DATA + ["--k", "2", "--schedule", "0,1"],
         MC_POP + ["--n", "4", "--k", "2", "--schedule=-1,2"],
+        BIAS + ["--n", "4", "--k", "2", "--schedule", "1,,2"],
+        BIAS + ["--n", "4", "--k", "1", "--schedule", "2,"],
     ],
     ids=["bias-zero-step", "bias-negative-step", "mc-data-zero-step",
-         "mc-population-negative-step"],
+         "mc-population-negative-step", "bias-empty-entry", "bias-trailing-empty-entry"],
 )
 def test_nonpositive_schedule_exit_2(workdir, monkeypatch, capsys, argv):
     monkeypatch.chdir(workdir)

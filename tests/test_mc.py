@@ -383,17 +383,6 @@ def test_normal_sampler_rows_are_python_floats():
     assert ds.rows == tuple(map(tuple, np.random.default_rng(0).standard_normal((4, 3)).tolist()))
 
 
-def test_mc_data_as_x1_convention():
-    # without the opening redraw, coeffs (1,) is deterministic: F(data) itself
-    F = variance_poly()
-    data = Dataset([[1.0], [4.0]])
-    report = mc_estimate(
-        F, data, expansion_coefficients([]), 50, seed=1, resample_first=False
-    )
-    assert report.estimate == pytest.approx(evaluate(F, data))
-    assert report.se == 0
-
-
 def test_mc_functional_error_names_replica():
     def bad(ds):
         raise ValueError("boom")

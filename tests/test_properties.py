@@ -20,6 +20,7 @@ from mobiusboot.lattice import (
     format_partition,
     parse_partition,
 )
+from mobiusboot.mc import chain_expectation, exhaustive_estimate, expansion_coefficients
 from mobiusboot.moments import (
     CONSTANT_TERM,
     Dataset,
@@ -173,6 +174,24 @@ def test_merge_walk_matches_fraction_per_merge_oracle(case):
     if n >= max((t.block_count for t in F.terms), default=0):
         got, want = apply_S_inverse(F, n), oracles.apply_S_inverse(F, n)
         assert list(got.terms.items()) == list(want.terms.items())
+
+
+@st.composite
+def chain_case(draw):
+    """An exact polynomial over d <= 2 labels, N <= 5 exact rows and k <= 3 positive steps."""
+    F, _ = draw(labeled_polynomial_and_n())
+    n = draw(st.integers(1, 5))
+    cell = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    rows = draw(st.lists(st.lists(cell, min_size=F.d, max_size=F.d), min_size=n, max_size=n))
+    step = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+    return F, Dataset(rows), expansion_coefficients(draw(st.lists(step, max_size=3)))
+
+
+@PROPERTY
+@given(chain_case())
+def test_exhaustive_chain_equals_operator_route(case):
+    F, data, coeffs = case
+    assert exhaustive_estimate(F, data, coeffs) == chain_expectation(F, coeffs, data)
 
 
 @PROPERTY
