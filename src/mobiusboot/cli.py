@@ -7,8 +7,11 @@ for the timestamp line.  Exact quantities print as p/q strings.
 
 Table rows are rendered at write time, one row at a time: each row's cells
 become text once and go to both files before the next row is read, so no
-table is held as text.  A row whose cell texts neither CSV quoting nor JSON
-escaping would touch is joined once, and both files are written from that line.
+table is held as text.  A row of int, Fraction and str cells takes each text
+from a value -> text dict that lives for one write, so str runs once per
+distinct value, not once per cell.  A row whose cell texts neither CSV quoting
+nor JSON escaping would touch is joined once, and both files are written from
+that line.
 The JSON mirror is byte for byte what json.dump(payload, fh, indent=1)
 followed by a newline would write.
 
@@ -103,10 +106,26 @@ _PLAIN_CELLS = frozenset((int, Fraction, str))
 _RESERVED_KEYS = frozenset(("provenance", "timestamp", "tables"))
 
 
-def _cells(row):
-    """Cell texts of one row; str() when every cell is an int, Fraction or str."""
+class _Texts(dict):
+    """value -> str(value) for int, Fraction and str cells, filled on a miss.
+
+    Exact within those three types: equal values print the same text (2 and
+    Fraction(2) both print 2, and a str never equals a number).  A bool, float
+    or numpy cell may equal an int yet print otherwise, so none is ever a key.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        text = self[value] = str(value)
+        return text
+
+
+def _cells(row, texts):
+    """Cell texts of one row: from TEXTS, a _Texts, when every cell is an int,
+    Fraction or str, through _scalar otherwise."""
     if _PLAIN_CELLS.issuperset(map(type, row)):
-        return list(map(str, row))
+        return list(map(texts.__getitem__, row))
     return [_scalar(v) for v in row]
 
 
@@ -191,13 +210,14 @@ class Artifact:
             writer = csv.writer(csv_fh, lineterminator="\n")
             json_fh.write(head[:-2] + ',\n "tables": {')
             table_sep = "\n"
+            texts = _Texts()
             for (name, columns, rows), table_head in zip(self.tables, table_heads):
                 csv_fh.write(f"# table: {name}\n")
                 writer.writerow(columns)
                 json_fh.write(table_sep + table_head)
                 row_sep = ""
                 for row in rows:
-                    cells = _cells(row)
+                    cells = _cells(row, texts)
                     line = _plain_line(cells)
                     if line is None:
                         writer.writerow(cells)

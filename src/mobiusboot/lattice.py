@@ -12,8 +12,11 @@ All combinatorics (Bell, Stirling, falling factorials) are exact integers.
 from collections import Counter
 from functools import lru_cache
 from math import factorial, perm, prod
+from operator import itemgetter
 
-DEFAULT_CAP = 10  # Bell(10) = 115975 dense lattice elements
+# Bell(8) = 4140: one dense matrix holds Bell(8)^2 = 1.7e7 cells.  At m = 9 one
+# would hold 4.5e8 list slots, 3.6 GB of pointers alone.
+DEFAULT_CAP = 8
 
 
 class CapExceededError(ValueError):
@@ -210,6 +213,31 @@ def _groupings(b):
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _lattice_rgs(m):
+    """Every RGS of length m in LatticeIndex order: decreasing block count, then lex."""
+    return tuple(sorted(_rgs_strings(m), key=lambda rgs: (-max(rgs), rgs)))
+
+
+@lru_cache(maxsize=None)
+def _coarsening_rows(m):
+    """Per column sigma of enumerate_partitions(m), in index order, the positions
+    of sigma's merges: one per _groupings(b) row, in that order, b = #sigma.
+
+    Zeta, Moebius and the dense S read this one table per m, so the merged RGS
+    of each comparable pair is looked up once per process, not once per build.
+    """
+    order = _lattice_rgs(m)
+    if m == 1:  # itemgetter of one item gives that item, not a 1-tuple
+        return ((0,),)
+    position = {rgs: i for i, rgs in enumerate(order)}
+    table = []
+    for rgs in order:
+        merged = itemgetter(*rgs)  # grouping -> the merged RGS, as a tuple
+        table.append(tuple([position[merged(g)] for g, _, _ in _groupings(max(rgs) + 1)]))
+    return tuple(table)
+
+
 class LatticeIndex:
     """Linear order on all of Pi(m): decreasing block count, then lex on RGS.
 
@@ -250,9 +278,7 @@ def _check_cap(m):
 def enumerate_partitions(m):
     """All Bell(m) partitions of {0..m-1} in canonical order."""
     _check_cap(m)
-    parts = [Partition(r) for r in _rgs_strings(m)]
-    parts.sort(key=lambda p: (-p.block_count, p.rgs))
-    return LatticeIndex(m, parts)
+    return LatticeIndex(m, map(Partition, _lattice_rgs(m)))
 
 
 def coarsenings(pi):
@@ -300,19 +326,20 @@ def _incidence_entries(index, weight):
     sigma (column col) has b blocks, grouping is the RGS over them that merges
     them into pi, and k is pi's block count.  The weight is worked out once per
     _groupings(b) row and shared by every column with b blocks; the index lists
-    those columns as one run of stirling2(m, b), finest level first.  The merged
-    RGS is looked up as a tuple, so no Partition is built per cell.
+    those columns as one run of stirling2(m, b), finest level first.  Each
+    column's weights are placed along its _coarsening_rows entry, so no merged
+    RGS is built or looked up per cell.
     """
+    m = index.m
     n = len(index)
-    position = {pi.rgs: i for i, pi in enumerate(index)}
+    table = _coarsening_rows(m)
     entries = [[0] * n for _ in range(n)]
     col = 0
-    for b in range(index.m, 0, -1):
-        rows = [(grouping, weight(b, k, grouping)) for grouping, k, _ in _groupings(b)]
-        for sigma in index.partitions[col:col + stirling2(index.m, b)]:
-            rgs = sigma.rgs
-            for grouping, w in rows:
-                entries[position[tuple(grouping[v] for v in rgs)]][col] = w
+    for b in range(m, 0, -1):
+        weights = [weight(b, k, grouping) for grouping, k, _ in _groupings(b)]
+        for rows in table[col:col + stirling2(m, b)]:
+            for row, w in zip(rows, weights):
+                entries[row][col] = w
             col += 1
     return entries
 

@@ -261,18 +261,17 @@ def mc_estimate(F, data, coeffs, replicas, seed, target=None):
 
 
 def _multiset_picks(n):
-    """Every multiset of n row indices from range(n), with its probability.
+    """Every multiset of n row indices from range(n), with its ordered-pick count.
 
-    n uniform picks land on a multiset with counts c_i with probability
-    n!/prod(c_i!) / n^n; there are C(2n-1, n) multisets.
+    n uniform picks land on a multiset with counts c_i in n!/prod(c_i!) of the
+    n^n ordered ways; there are C(2n-1, n) multisets.
     """
-    ordered = n**n
     out = []
     for pick in combinations_with_replacement(range(n), n):
         ways = math.factorial(n)
         for c in Counter(pick).values():
             ways //= math.factorial(c)
-        out.append((pick, Fraction(ways, ordered)))
+        out.append((pick, ways))
     return out
 
 
@@ -284,11 +283,16 @@ def exhaustive_estimate(F, data, coeffs):
     law of that multiset starts at data (X^1 is a redraw of data, as in
     mc_estimate); each level pushes it through the C(2N-1, N) multinomial picks
     and adds a_j E[F].  Linear in k: (k+1)*C(2N-1, N) evaluations of F and
-    C(2N-1, N)^2 picks per level.  Exact on exact data.
+    C(2N-1, N)^2 picks per level.  The law holds integer counts of ordered
+    paths over one denominator, N^(N*level), so the push is integer work; each
+    multiset's probability becomes one Fraction when F is evaluated, and
+    Fraction times float is float(Fraction) * float.  Exact on exact data.
     """
     fn = _as_functional(F)
-    picks = _multiset_picks(data.n)
-    law = {tuple(range(data.n)): 1}
+    n = data.n
+    picks = _multiset_picks(n)
+    law = {tuple(range(n)): 1}
+    den = 1
     total = 0
     for a in coeffs:
         nxt = {}
@@ -297,10 +301,11 @@ def exhaustive_estimate(F, data, coeffs):
                 key = tuple(sorted([rows[i] for i in pick]))
                 nxt[key] = nxt.get(key, 0) + p * w
         law = nxt
+        den *= n**n
         # a plain loop, not sum(): from Python 3.12 sum compensates float sums
         level = 0
         for rows, p in law.items():
-            level += p * fn(_take(data, rows))
+            level += Fraction(p, den) * fn(_take(data, rows))
         total += a * level
     return total
 

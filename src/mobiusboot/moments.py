@@ -361,9 +361,10 @@ def polynomial_from_dict(obj):
 
 
 def dataset_from_csv(path):
-    """Read one sample per row, d numeric columns; a header row is skipped.
+    """Read one sample per row, d numeric columns; a non-numeric line 1 is a header.
 
-    A non-numeric row after the data or a nan/inf cell raises ValueError.
+    A non-numeric row after line 1 or a nan/inf cell raises ValueError naming
+    its line; blank lines are skipped.
     """
     import csv
 
@@ -375,7 +376,7 @@ def dataset_from_csv(path):
             try:
                 row = [float(v) for v in record]
             except ValueError:
-                if rows:
+                if line > 1:
                     raise ValueError(f"{path}, line {line}: non-numeric row {record}") from None
                 continue  # header line
             if not all(map(math.isfinite, row)):

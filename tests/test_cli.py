@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mobiusboot import cli, polynomial_from_dict
+from mobiusboot import cli, lattice, polynomial_from_dict
 from mobiusboot.cli import Artifact, _scalar, main
 from mobiusboot.moments import dataset_from_csv
 import oracles
@@ -248,6 +248,27 @@ def test_exit_code_cap(workdir):
     assert main(["lattice", "--m", "40", "--out", str(workdir / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["lattice", "--m", "9"], ["smatrix", "--m", "9", "--n", "9"]], ids=["lattice", "smatrix"]
+)
+def test_dense_m9_exits_2_before_enumerating(workdir, monkeypatch, capsys, argv):
+    # Bell(9)^2 cells do not fit in memory; the cap fires before the lattice is built
+    def enumeration_not_wanted(m):
+        raise AssertionError("the lattice was enumerated before the cap check")
+
+    monkeypatch.setattr(lattice, "_rgs_strings", enumeration_not_wanted)
+    assert main(argv + ["--out", str(workdir / "x")]) == 2
+    assert "Bell(9) = 21147" in capsys.readouterr().err
+    assert not (workdir / "x.csv").exists()
+
+
+def test_reduced_smatrix_is_not_held_to_the_dense_cap(workdir):
+    out = workdir / "r9"
+    assert main(["smatrix", "--m", "9", "--n", "9", "--reduced", "--out", str(out)]) == 0
+    _, rows = _rows(workdir / "r9.csv", "reduced")
+    assert len(rows) == 9
+
+
 def test_exit_code_infeasible_schedule(workdir):
     rc = main(
         [
@@ -453,8 +474,15 @@ def test_bounds_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize(
     "rows",
-    ["x\n0.0\n1.0\nabc\n", "x\n0.0\nnan\n2.0\n", "x\n0.0\ninf\n", "x\n-inf\n1.0\n"],
-    ids=["text-after-data", "nan", "inf", "negative-inf"],
+    [
+        "x\n0.0\n1.0\nabc\n",
+        "x\n0.0\nnan\n2.0\n",
+        "x\n0.0\ninf\n",
+        "x\n-inf\n1.0\n",
+        "x\n1/2\n-1\n2\n",
+        "a\nb\n1\n",
+    ],
+    ids=["text-after-data", "nan", "inf", "negative-inf", "fraction-after-header", "second-header"],
 )
 def test_malformed_dataset_exit_2(workdir, monkeypatch, capsys, rows):
     monkeypatch.chdir(workdir)
@@ -604,11 +632,17 @@ def test_artifact_rejects_duplicate_table_names():
 
 # sha256 of each artifact with its timestamp line removed, as the CLI wrote
 # them before the dense operators moved to integer routes and plain rows to a
-# single join.  The flags line holds the argv, so each run uses this --out.
+# single join; lattice --m 7 (the benchmark's own call) as it wrote it before
+# the coarsening table and the per-write cell texts.  The flags line holds the
+# argv, so each run uses this --out.
 ARTIFACT_DIGESTS = {
     ("lattice", "--m", "5", "--out", "lat5"): {
         "lat5.csv": "4f0d0ac3f7e8fc57f974bb3a28d9b4e08a64ca9b57be0365b8337493b3efe90d",
         "lat5.json": "bc37b83ebf116f036597cd416f6bbfebf036b077cbcc4a51ac9aab07b30ac96f",
+    },
+    ("lattice", "--m", "7", "--out", "lat7"): {
+        "lat7.csv": "c525017fbff3157e71165a721861934f00a37d9f7ac489a2e7b58e44838ddde5",
+        "lat7.json": "ea4c81e1eafb2bab57497e6fca36ef8edb2ade305232623cf242b386ba37b160",
     },
     ("smatrix", "--m", "4", "--n", "3", "--out", "sm43"): {
         "sm43.csv": "2cd116d1a9d7e69540c56e6c2981bd07b3ce09e169b911d7fb8085480cc58582",
@@ -666,6 +700,28 @@ def test_plain_row_join_matches_whole_file_writer(tmp_path, monkeypatch, row):
     oracles.write_artifact(art, tmp_path / "old", FIXED_STAMP.isoformat())
     for suffix in (".csv", ".json"):
         assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"old{suffix}").read_bytes()
+
+
+def test_equal_cells_of_other_types_keep_their_own_text(tmp_path, monkeypatch):
+    # 1, Fraction(1) and "1" share the write's text dict in plain rows; True,
+    # 1.0 and np.int64(1) equal 1 but print through _scalar, in mixed rows
+    # written both before and after the plain ones
+    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    mixed = [1, Fraction(1), "1", True, 1.0, np.int64(1), Fraction(2, 4)]
+    plain = [1, Fraction(1), "1", Fraction(2, 4), Fraction(1, 2), 2, Fraction(2)]
+    art = Artifact("mixed", [])
+    art.add_table(
+        "t",
+        ["a", "b", "c", "d", "e", "f", "g"],
+        [mixed, plain, [True, 1, 1.0, Fraction(1), np.int64(1), "1", 0], plain, mixed[::-1]],
+    )
+    art.add_table("u", ["x", "y"], [[1.0, 1], [1, True], [Fraction(1), "true"], [0.5, Fraction(1, 2)]])
+    art.write(tmp_path / "new")
+    oracles.write_artifact(art, tmp_path / "old", FIXED_STAMP.isoformat())
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"old{suffix}").read_bytes()
+    _, rows = _rows(tmp_path / "new.csv", "t")
+    assert rows[0] == ["1", "1", "1", "true", "1.0", "1", "1/2"]
 
 
 def test_plain_line_only_for_cells_written_as_they_are():

@@ -19,6 +19,8 @@ from mobiusboot.lattice import (
     parse_partition,
     stirling2,
     zeta_matrix,
+    _coarsening_rows,
+    _groupings,
 )
 import oracles
 from oracles import refines
@@ -95,8 +97,22 @@ def test_enumeration_is_linear_extension():
 def test_cap_errors_name_bell():
     with pytest.raises(CapExceededError, match="Bell"):
         enumerate_partitions(11)
+    # Bell(9)^2 list slots would already be 3.6 GB of pointers per matrix
+    with pytest.raises(CapExceededError, match=r"Bell\(9\) = 21147"):
+        enumerate_partitions(9)
     with pytest.raises(CapExceededError):
         enumerate_partitions(0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
+def test_coarsening_rows_are_merge_positions(m):
+    idx = enumerate_partitions(m)
+    table = _coarsening_rows(m)
+    assert len(table) == len(idx)
+    for sigma, rows in zip(idx, table):
+        assert rows == tuple(
+            idx.position(sigma.merge(grouping)) for grouping, _, _ in _groupings(sigma.block_count)
+        )
 
 
 def test_partition_canonical_form():
@@ -250,8 +266,8 @@ def test_mobius_product_formula_matches_forward_substitution(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_zeta_and_mobius_match_per_cell_oracle(m):
-    # one weight per grouping row, placed by RGS tuple, against one checked
-    # Partition merge and index lookup per cell
+    # one weight per grouping row, placed along the coarsening table, against
+    # one checked Partition merge and index lookup per cell
     assert zeta_matrix(m).entries == oracles.zeta_entries(m)
     assert mobius_matrix(m).entries == oracles.mobius_entries(m)
 

@@ -178,7 +178,7 @@ COVARIANCE_PLUS = MomentPolynomial(
 def test_multiset_picks_are_a_distribution(n):
     picks = _multiset_picks(n)
     assert len(picks) == math.comb(2 * n - 1, n)
-    assert sum(w for _, w in picks) == 1
+    assert sum(w for _, w in picks) == n**n  # ordered-pick counts of n draws
     assert all(list(pick) == sorted(pick) for pick, _ in picks)
 
 

@@ -411,6 +411,22 @@ def test_dataset_from_csv_rejects_text_after_data(tmp_path):
         dataset_from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text", ["x\n1/2\n-1\n2\n", "a\nb\n1\n"], ids=["fraction-after-header", "second-header"]
+)
+def test_dataset_from_csv_only_line_1_is_a_header(tmp_path, text):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="line 2: non-numeric row"):
+        dataset_from_csv(path)
+
+
+def test_dataset_from_csv_without_header_keeps_every_row(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("0.5,1\n-1,2\n\n3,4e-3\n")
+    assert dataset_from_csv(path).rows == ((0.5, 1.0), (-1.0, 2.0), (3.0, 0.004))
+
+
 def test_conversion_rejects_mismatched_sizes():
     with pytest.raises(DimensionError):
         mobius_matrix(3).matvec([1, 2])
