@@ -198,18 +198,18 @@ def _rgs_strings(m):
 
 @lru_cache(maxsize=None)
 def _groupings(b):
-    """One row (rgs, k, groups) per grouping of b blocks, in _rgs_strings(b) order.
+    """One row (rgs, k, masks) per grouping of b blocks, in _rgs_strings(b) order.
 
     rgs sends block i into merged block rgs[i], k counts the merged blocks, and
-    groups[g] lists, ascending, the blocks merged into g.  _incidence_entries
+    bit i of masks[g] is set iff block i merges into g.  _incidence_entries
     and resampling's merge walk work out each weight once per row.
     """
     rows = []
     for rgs in _rgs_strings(b):
-        groups = [[] for _ in range(max(rgs, default=-1) + 1)]
+        masks = [0] * (max(rgs, default=-1) + 1)
         for i, g in enumerate(rgs):
-            groups[g].append(i)
-        rows.append((rgs, len(groups), tuple(map(tuple, groups))))
+            masks[g] |= 1 << i
+        rows.append((rgs, len(masks), tuple(masks)))
     return tuple(rows)
 
 

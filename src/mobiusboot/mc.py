@@ -11,7 +11,8 @@ are derived in one vectorised pass (_spawn_states, numpy's SeedSequence hash
 in uint32 arithmetic), with numpy's own spawn as the test oracle, so no
 SeedSequence object is built per replica.  Each replica draws one resample per
 chain link from its generator, and enlarging the replica count extends earlier
-runs instead of reshuffling them.
+runs instead of reshuffling them.  numpy loads on the first draw, so the exact
+routes and the CLI commands that never draw run without it.
 A replica step does only float work on float data: the coefficients a_j and
 those of a polynomial F are converted to float once per run (bit-identical,
 since Fraction times float is computed as float(a) * b), and picked rows skip
@@ -29,8 +30,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-
-import numpy as np
 
 from .debias import exact_bias
 from .moments import (
@@ -163,6 +162,7 @@ def _spawn_states(seed, start, stop):
     pairwise as little-endian uint64.  The hash constant only depends on the
     step, so it stays a Python int.  Needs 0 <= start <= stop <= 2**32.
     """
+    import numpy as np
     words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_POOL - len(words))
     count = stop - start
@@ -208,7 +208,8 @@ def _replica_generators(seed, replicas):
     SeedSequence(seed), which is what default_rng(child) builds; the child's
     generate_state is replaced by its row of _spawn_states.
     """
-    # numpy.random loads here, not when the package is imported
+    # numpy loads here, on the first draw, not when the package is imported
+    import numpy as np
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -282,23 +283,27 @@ def exhaustive_estimate(F, data, coeffs):
     known by its row multiset, a sorted tuple of data's row indices.  The exact
     law of that multiset starts at data (X^1 is a redraw of data, as in
     mc_estimate); each level pushes it through the C(2N-1, N) multinomial picks
-    and adds a_j E[F].  Linear in k: (k+1)*C(2N-1, N) evaluations of F and
-    C(2N-1, N)^2 picks per level.  The law holds integer counts of ordered
-    paths over one denominator, N^(N*level), so the push is integer work; each
-    multiset's probability becomes one Fraction when F is evaluated, and
+    and adds a_j E[F].  Linear in k: (k+1)*C(2N-1, N) evaluations of F, and a
+    state's picks are summed per target once, not once per level.  The law
+    holds integer counts of ordered paths over one denominator, N^(N*level);
+    each multiset's probability becomes one Fraction when F is evaluated, and
     Fraction times float is float(Fraction) * float.  Exact on exact data.
     """
     fn = _as_functional(F)
     n = data.n
     picks = _multiset_picks(n)
     law = {tuple(range(n)): 1}
+    moves = {}
     den = 1
     total = 0
     for a in coeffs:
         nxt = {}
         for rows, p in law.items():
-            for pick, w in picks:
-                key = tuple(sorted([rows[i] for i in pick]))
+            if rows not in moves:
+                moves[rows] = targets = Counter()
+                for pick, w in picks:
+                    targets[tuple(sorted([rows[i] for i in pick]))] += w
+            for key, w in moves[rows].items():
                 nxt[key] = nxt.get(key, 0) + p * w
         law = nxt
         den *= n**n
@@ -363,9 +368,10 @@ def bias_experiment(F, population, schedule, replicas, seed=0, sampler=None):
     else:
         raise TypeError("population must be a Dataset or MomentTable")
 
+    from numpy.random import SeedSequence
     exact = exact_bias(F, schedule, table)
     target = float(exact.target)
-    seeds = np.random.SeedSequence(seed).generate_state(len(schedule) + 1)
+    seeds = SeedSequence(seed).generate_state(len(schedule) + 1)
     rows = []
     for k, record in enumerate(exact.records):
         coeffs = expansion_coefficients(schedule.etas[:k])

@@ -15,8 +15,6 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .lattice import _groupings
-
 
 class InfeasibleError(ValueError):
     """The sample is too small for the requested estimator or schedule."""
@@ -34,12 +32,8 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _block_order(block):
-    return len(block), block
-
-
 def _canon_blocks(blocks):
-    canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=_block_order))
+    canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: (len(b), b)))
     for block in canon:
         if not block:
             raise ValueError("empty block in moment term")
@@ -87,21 +81,17 @@ class LabeledTerm(tuple):
     def max_label(self):
         return max((lab for b in self for lab in b), default=-1)
 
-    def merge(self, groups):
-        """The term whose blocks are the unions of this term's blocks in each group.
+    def unions(self):
+        """U[mask], for mask < 2**b: the sorted labels of the blocks i with bit i set.
 
-        groups is a `lattice._groupings` row's tuple of block-index tuples.  The
-        labels were checked when this term was built, so the normal form is built
-        directly: single blocks are reused, already sorted, only unions are
-        sorted, and blocks are ordered by (size, labels).
+        U[0] is empty and U[1 << i] is block i; each block doubles the table,
+        extending every union so far by its labels.  A _groupings(b) row's masks
+        pick, from U, the blocks of that merge of the term.
         """
-        merged = [
-            self[group[0]] if len(group) == 1
-            else tuple(sorted([lab for i in group for lab in self[i]]))
-            for group in groups
-        ]
-        merged.sort(key=_block_order)
-        return tuple.__new__(LabeledTerm, merged)
+        out = [()]
+        for block in self:
+            out += [tuple(sorted(u + block)) for u in out]
+        return out
 
     def __repr__(self):
         body = ")(".join(",".join(f"x{lab}" for lab in b) for b in self)
@@ -280,15 +270,14 @@ def evaluate(F, population):
 
 
 def reachable_blocks(F):
-    """Every block multiset any merge of a term's blocks can produce.
+    """Every union of some of a term's blocks: each is a block of some merge.
 
     Population tables used for exact bias trajectories must cover this set,
     since resampling pushes coefficients onto merged blocks.
     """
     out = set()
     for term in F.terms:
-        for _, _, groups in _groupings(term.block_count):
-            out.update(term.merge(groups))
+        out.update(term.unions()[1:])
     return out
 
 

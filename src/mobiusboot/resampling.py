@@ -28,7 +28,7 @@ from .lattice import (
     stirling2,
     zeta_matrix,
 )
-from .moments import Dataset, InfeasibleError, MomentPolynomial, evaluate
+from .moments import Dataset, InfeasibleError, LabeledTerm, MomentPolynomial, evaluate
 
 
 def sampling_matrix(m, n):
@@ -80,8 +80,9 @@ def _merge_walk(F, n, weight):
     run in integers over one common denominator D, the lcm over terms of coeff's
     denominator times denominator(b), and each output coefficient is one
     Fraction(sum, D).  Float coefficients take coeff * float(weight), the bits a
-    Fraction weight gives.  Weights are worked out once per block count and call,
-    and nothing per term outlives the call: cached merge lists would grow with
+    Fraction weight gives.  A merge reads its blocks from the term's unions by
+    the grouping's masks.  Weights are worked out once per block count and call,
+    and nothing per term outlives its term: cached merge lists would grow with
     every polynomial seen, and benchmarks/bench.py's peak_rss_mb reports the
     high-water mark of its parent, which runs this walk for its oracles.
     """
@@ -97,14 +98,17 @@ def _merge_walk(F, n, weight):
         if b not in levels:
             den = denominator(b)
             levels[b] = [
-                (groups, num if F.exact else float(Fraction(num, den)))
-                for rgs, k, groups in _groupings(b)
+                (masks, num if F.exact else float(Fraction(num, den)))
+                for rgs, k, masks in _groupings(b)
                 if (num := numerator(k, rgs))
             ]
         if F.exact:
             coeff = coeff.numerator * (common // (coeff.denominator * denominator(b)))
-        for groups, w in levels[b]:
-            merged = term.merge(groups)
+        union = term.unions().__getitem__
+        for masks, w in levels[b]:
+            merged = sorted(map(union, masks))
+            merged.sort(key=len)  # stable: blocks end in (size, labels) order
+            merged = tuple.__new__(LabeledTerm, merged)
             out[merged] = out.get(merged, 0) + coeff * w
     if F.exact:
         out = {t: Fraction(s, common) for t, s in out.items()}

@@ -173,6 +173,41 @@ def apply_S_inverse(F, n):
     )
 
 
+# -- merging a term's blocks group by group -------------------------------------
+
+def groups_of(grouping):
+    """Per merged block of a restricted growth string, the ascending indices merged into it."""
+    groups = [[] for _ in range(max(grouping, default=-1) + 1)]
+    for i, g in enumerate(grouping):
+        groups[g].append(i)
+    return tuple(map(tuple, groups))
+
+
+def merge(term, groups):
+    """The term whose blocks are the unions of term's blocks in each group.
+
+    The labels were checked when term was built, so the normal form is built
+    directly: single blocks are reused, only unions are sorted, and blocks are
+    ordered by (size, labels).
+    """
+    merged = [
+        term[group[0]] if len(group) == 1
+        else tuple(sorted([lab for i in group for lab in term[i]]))
+        for group in groups
+    ]
+    merged.sort(key=lambda block: (len(block), block))
+    return tuple.__new__(LabeledTerm, merged)
+
+
+def reachable_blocks(F):
+    """Every block of every merge of every term of F, collected grouping by grouping."""
+    out = set()
+    for term in F.terms:
+        for grouping in _rgs_strings(term.block_count):
+            out.update(merge(term, groups_of(grouping)))
+    return out
+
+
 # -- the plug-in moment, one interpreted multiplication per label ------------------
 
 def empirical_moment(data, block):

@@ -1,5 +1,6 @@
 """Chain simulation: coefficients, exhaustive oracle, seeded replicas."""
 
+import json
 import math
 import os
 import random
@@ -335,6 +336,40 @@ def test_cli_import_leaves_numpy_random_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_only_drawing_commands_load_numpy(tmp_path):
+    # numpy loads on the first Monte Carlo draw: every exact command runs
+    # without it, and only the replica run loads it
+    (tmp_path / "var.json").write_text(
+        '{"d": 1, "terms": [{"blocks": [[0], [0]], "coeff": "-1"},'
+        ' {"blocks": [[0, 0]], "coeff": "1"}]}'
+    )
+    (tmp_path / "pop.json").write_text('{"family": "normal", "d": 1}')
+    (tmp_path / "data.csv").write_text("x\n0.0\n1.0\n2.0\n")
+    chain = ["mc-run", "--functional", "var.json", "--data", "data.csv", "--k", "2"]
+    commands = [
+        ["lattice", "--m", "4", "--out", "lat"],
+        ["smatrix", "--m", "3", "--n", "3", "--out", "sm"],
+        ["smatrix", "--m", "4", "--n", "3", "--reduced", "--out", "red"],
+        ["bias", "--functional", "var.json", "--population", "pop.json", "--n", "4", "--k", "2",
+         "--out", "bias"],
+        ["selftest"],
+        chain + ["--exhaustive", "--out", "ex"],
+        chain + ["--replicas", "20", "--out", "mc"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from mobiusboot.cli import main\n"
+        "print(json.dumps([[main(argv), 'numpy' in sys.modules] for argv in json.loads(sys.argv[1])]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mobiusboot.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert loaded == [[0, False]] * (len(commands) - 1) + [[0, True]]
 
 
 def test_float_chain_bit_identical_to_fraction_coefficients():

@@ -32,8 +32,8 @@ from mobiusboot.moments import (
     polynomial_to_dict,
     reachable_blocks,
 )
-from mobiusboot.resampling import unbiased_evaluate
-from oracles import refines
+from mobiusboot.resampling import apply_S, unbiased_evaluate
+from oracles import merge, refines
 
 
 def variance_poly():
@@ -234,11 +234,16 @@ def test_from_positions():
 
 def test_merge_blocks():
     term = LabeledTerm([[0], [1], [0, 2]])
-    merged = term.merge(((0, 2), (1,)))
+    unions = term.unions()
+    assert unions == [(), (0,), (1,), (0, 1), (0, 2), (0, 0, 2), (0, 1, 2), (0, 0, 1, 2)]
+    merged = merge(term, ((0, 2), (1,)))
     assert merged == LabeledTerm([[0, 0, 2], [1]])
     assert merged.blocks == ((1,), (0, 0, 2))
     assert type(merged) is LabeledTerm
-    assert term.merge(((0, 1, 2),)) == LabeledTerm([[0, 0, 1, 2]])
+    assert merge(term, ((0, 1, 2),)) == LabeledTerm([[0, 0, 1, 2]])
+    # the walk merges along rgs (0, 1, 0), masks 0b101 and 0b010, with weight
+    # falling(2, 2) / 2**3
+    assert apply_S(MomentPolynomial(3, {term: 1}), 2).terms[merged] == Fraction(1, 4)
 
 
 def test_polynomial_cleanup_and_arithmetic():

@@ -27,6 +27,7 @@ from mobiusboot.moments import (
     LabeledTerm,
     MomentPolynomial,
     empirical_moment,
+    reachable_blocks,
 )
 from mobiusboot.resampling import apply_S, apply_S_inverse, sampling_matrix
 import oracles
@@ -144,11 +145,11 @@ def test_apply_S_inverse_inverts_apply_S(case):
 def walk_case(draw):
     """A polynomial for the merge walk, exact or float, and any N in 1..8.
 
-    Labels come from d <= 2, so merges of one term collide on the same merged
-    term; the constant term appears; N falls below a term's block count, where
-    S's weights vanish.
+    Terms have up to 6 blocks; labels come from d <= 3, so blocks repeat and
+    merges of one term collide on the same merged term; the constant term
+    appears; N falls below a term's block count, where S's weights vanish.
     """
-    d = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 3))
     exact = draw(st.booleans())
     coeffs = (
         st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -156,7 +157,7 @@ def walk_case(draw):
         else st.floats(min_value=-9, max_value=9, allow_nan=False).filter(bool)
     )
     terms = {}
-    for rgs in draw(st.lists(rgs_strings(max_len=5), min_size=1, max_size=5)):
+    for rgs in draw(st.lists(rgs_strings(max_len=6), min_size=1, max_size=5)):
         labels = draw(st.lists(st.integers(0, d - 1), min_size=len(rgs), max_size=len(rgs)))
         terms[LabeledTerm.from_positions(Partition(rgs), labels)] = draw(coeffs)
     if draw(st.booleans()):
@@ -167,13 +168,18 @@ def walk_case(draw):
 @settings(PROPERTY, max_examples=150)
 @given(walk_case())
 def test_merge_walk_matches_fraction_per_merge_oracle(case):
+    # the union walk against one checked merge and one Fraction weight per
+    # grouping: same terms in the same order, same Fractions, same float bits
+    # (repr tells -0.0 from 0.0)
     F, n = case
     got, want = apply_S(F, n), oracles.apply_S(F, n)
     assert got.exact == want.exact == F.exact
-    assert list(got.terms.items()) == list(want.terms.items())
+    assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+    assert all(type(t) is LabeledTerm for t in got.terms)
     if n >= max((t.block_count for t in F.terms), default=0):
         got, want = apply_S_inverse(F, n), oracles.apply_S_inverse(F, n)
-        assert list(got.terms.items()) == list(want.terms.items())
+        assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+    assert reachable_blocks(F) == oracles.reachable_blocks(F)
 
 
 @st.composite
