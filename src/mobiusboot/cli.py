@@ -277,8 +277,7 @@ def cmd_smatrix(args, argv):
     art = Artifact("smatrix", argv)
     if args.reduced:
         R = reduced_matrix(args.m, args.n)
-        levels = [str(i) for i in range(1, args.m + 1)]
-        _matrix_table(art, "reduced", levels, R.entries)
+        _matrix_table(art, "reduced", [str(i) for i in R.index], R.entries)
     else:
         S = sampling_matrix(args.m, args.n)
         labels = [format_partition(pi) for pi in S.index]
@@ -392,6 +391,8 @@ def cmd_mc_run(args, argv):
     art.extra["functional"] = polynomial_to_dict(F)
 
     if args.data is not None:
+        if args.n is not None:
+            raise UsageError("--n applies to --population runs only")
         try:
             data = dataset_from_csv(args.data)
         except ValueError as exc:
@@ -413,9 +414,7 @@ def cmd_mc_run(args, argv):
             value = mc_mod.exhaustive_estimate(F, data, coeffs)
             art.add_table("exhaustive", ["k", "value", "target"], [[args.k, value, target]])
         else:
-            report = mc_mod.mc_estimate(
-                F, data, coeffs, args.replicas, args.seed, target=float(target)
-            )
+            report = mc_mod.mc_estimate(F, data, coeffs, args.replicas, args.seed)
             art.add_table(
                 "estimate",
                 ["k", "replicas", "estimate", "se", "target", "seed"],

@@ -14,13 +14,12 @@ far beyond double range.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .lattice import falling_factorial
 from .moments import (
     InfeasibleError,
-    MomentPolynomial,
     MomentTable,
     evaluate,
     reachable_blocks,
@@ -28,18 +27,27 @@ from .moments import (
 from .resampling import apply_S, one_norm_id_minus_S, one_norm_id_minus_scaled
 
 
+def _check_size(n, k):
+    if n < 1:
+        raise ValueError(f"sample size must be positive, got {n}")
+    if k < 0:
+        raise ValueError(f"step count must be nonnegative, got {k}")
+
+
 class StepSchedule:
-    """A sample size together with step sizes eta_1..eta_k."""
+    """A sample size N >= 1 together with step sizes eta_1..eta_k."""
 
     def __init__(self, n, etas):
         self.n = n
         self.etas = tuple(etas)
+        _check_size(n, len(self.etas))
         if any(eta <= 0 for eta in self.etas):
             raise ValueError("step sizes must be positive")
 
     @classmethod
     def default(cls, n, k):
         """eta_i = N^i (N-i)! / N!, the reciprocal level-i diagonal weight."""
+        _check_size(n, k)
         if k > n:
             raise InfeasibleError(
                 f"default schedule needs k <= N, got k={k} steps at N={n}"
@@ -48,6 +56,7 @@ class StepSchedule:
 
     @classmethod
     def unit(cls, n, k):
+        _check_size(n, k)
         return cls(n, [Fraction(1)] * k)
 
     def __len__(self):
@@ -67,8 +76,6 @@ class StepSchedule:
 
 def richardson_debias(F, n, k):
     """k corrected steps of the stationary iteration, recursion form."""
-    if k < 0:
-        raise ValueError(f"step count must be nonnegative, got {k}")
     return nonstationary_debias(F, n, StepSchedule.unit(n, k))
 
 
@@ -102,20 +109,11 @@ def nonstationary_debias(F, n, schedule):
 
 # -- exact bias trajectories -------------------------------------------------------
 
-@dataclass(frozen=True)
-class BiasRecord:
-    k: int
-    estimator: MomentPolynomial
-    signed_bias: object
-    abs_bias: object
-    bound: float
+BiasRecord = namedtuple("BiasRecord", "k estimator signed_bias abs_bias bound")
 
 
-@dataclass(frozen=True)
-class BiasReport:
-    n: int
-    target: object
-    records: tuple
+class BiasReport(namedtuple("BiasReport", "target records")):
+    __slots__ = ()
 
     def rows(self):
         """(k, signed_bias, abs_bias, bound) per iteration."""
@@ -152,18 +150,13 @@ def exact_bias(F, schedule, population):
     bound = mu_inf * f_one * norm(1)
     for j in range(len(etas) + 1):
         signed = evaluate(apply_S(g, n), population) - target
-        records.append(
-            BiasRecord(
-                k=j, estimator=g, signed_bias=signed, abs_bias=abs(signed),
-                bound=float(bound),
-            )
-        )
+        records.append(BiasRecord(j, g, signed, abs(signed), float(bound)))
         if j == len(etas):
             break
         eta = etas[j]
         g = g + eta * (F - apply_S(g, n))
         bound = bound * norm(eta)
-    return BiasReport(n=n, target=target, records=tuple(records))
+    return BiasReport(target, tuple(records))
 
 
 # -- bound calculators --------------------------------------------------------------

@@ -310,14 +310,23 @@ def cover_edges(index):
 # -- incidence matrices -------------------------------------------------------
 
 class IncidenceMatrix:
-    """Dense Bell(m) x Bell(m) matrix over a LatticeIndex, zero off the order."""
+    """Dense square matrix whose rows and columns follow index.
+
+    The index is either a LatticeIndex (a Bell(m) x Bell(m) matrix, zero off
+    the order) or the levels 1..m (the level-sum compression of S).
+    """
 
     def __init__(self, index, entries):
         self.index = index
         self.entries = entries
 
     def matvec(self, vec):
-        return _dense_matvec(self.entries, vec)
+        """entries . vec over exact or float scalars, skipping zero entries."""
+        vec = list(vec)
+        n = len(self.index)
+        if len(vec) != n:
+            raise DimensionError(f"vector of length {len(vec)} against {n} matrix columns")
+        return [sum(row[j] * vec[j] for j in range(n) if row[j]) for row in self.entries]
 
 
 def _incidence_entries(index, weight):
@@ -342,15 +351,6 @@ def _incidence_entries(index, weight):
                 entries[row][col] = w
             col += 1
     return entries
-
-
-def _dense_matvec(entries, vec):
-    """entries . vec over exact or float scalars, skipping zero entries."""
-    vec = list(vec)
-    n = len(entries[0]) if entries else 0
-    if len(vec) != n:
-        raise DimensionError(f"vector of length {len(vec)} against {n} matrix columns")
-    return [sum(row[j] * vec[j] for j in range(n) if row[j]) for row in entries]
 
 
 def zeta_matrix(m):

@@ -26,8 +26,7 @@ instead of the N^N ordered picks, so its cost is linear in the chain length.
 """
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -43,21 +42,8 @@ from .moments import (
 from .resampling import apply_S
 
 
-@dataclass(frozen=True)
-class McReport:
-    replicas: int
-    estimate: float
-    se: float
-    target: object
-    seed: object
-
-
-@dataclass(frozen=True)
-class ExperimentRow:
-    k: int
-    report: McReport
-    exact_bias: object
-    bound: float
+McReport = namedtuple("McReport", "replicas estimate se seed")
+ExperimentRow = namedtuple("ExperimentRow", "k report exact_bias bound")
 
 
 def expansion_coefficients(schedule):
@@ -240,7 +226,7 @@ def _mc_values(F, first_draw, coeffs, replicas, seed):
     return values
 
 
-def _report(values, target, seed):
+def _report(values, seed):
     n = len(values)
     mean = math.fsum(values) / n
     if n > 1:
@@ -248,17 +234,17 @@ def _report(values, target, seed):
         se = math.sqrt(var / n)
     else:
         se = 0.0
-    return McReport(replicas=n, estimate=mean, se=se, target=target, seed=seed)
+    return McReport(n, mean, se, seed)
 
 
-def mc_estimate(F, data, coeffs, replicas, seed, target=None):
+def mc_estimate(F, data, coeffs, replicas, seed):
     """Average the chain estimator over seeded replicas.
 
     The chain opens with a redraw of data as X^1, so the estimator is unbiased
     for evaluate(apply_S(G), data) where G carries the coefficients.
     """
     values = _mc_values(F, lambda rng: resample(data, rng), coeffs, replicas, seed)
-    return _report(values, target, seed)
+    return _report(values, seed)
 
 
 def _multiset_picks(n):
@@ -283,17 +269,19 @@ def exhaustive_estimate(F, data, coeffs):
     known by its row multiset, a sorted tuple of data's row indices.  The exact
     law of that multiset starts at data (X^1 is a redraw of data, as in
     mc_estimate); each level pushes it through the C(2N-1, N) multinomial picks
-    and adds a_j E[F].  Linear in k: (k+1)*C(2N-1, N) evaluations of F, and a
-    state's picks are summed per target once, not once per level.  The law
-    holds integer counts of ordered paths over one denominator, N^(N*level);
-    each multiset's probability becomes one Fraction when F is evaluated, and
-    Fraction times float is float(Fraction) * float.  Exact on exact data.
+    and adds a_j E[F].  Linear in k: F is evaluated once per distinct multiset,
+    at most C(2N-1, N) times, and a state's picks are summed per target once,
+    not once per level.  The law holds integer counts of ordered paths over one
+    denominator, N^(N*level); each multiset's probability becomes one Fraction
+    when its level is summed, and Fraction times float is float(Fraction) *
+    float.  Exact on exact data.
     """
     fn = _as_functional(F)
     n = data.n
     picks = _multiset_picks(n)
     law = {tuple(range(n)): 1}
     moves = {}
+    values = {}
     den = 1
     total = 0
     for a in coeffs:
@@ -310,7 +298,9 @@ def exhaustive_estimate(F, data, coeffs):
         # a plain loop, not sum(): from Python 3.12 sum compensates float sums
         level = 0
         for rows, p in law.items():
-            level += Fraction(p, den) * fn(_take(data, rows))
+            if rows not in values:
+                values[rows] = fn(_take(data, rows))
+            level += Fraction(p, den) * values[rows]
         total += a * level
     return total
 
@@ -377,8 +367,6 @@ def bias_experiment(F, population, schedule, replicas, seed=0, sampler=None):
         coeffs = expansion_coefficients(schedule.etas[:k])
         values = _mc_values(F, first_draw, coeffs, replicas, int(seeds[k]))
         biased = [v - target for v in values]
-        report = _report(biased, float(record.signed_bias), int(seeds[k]))
-        rows.append(
-            ExperimentRow(k=k, report=report, exact_bias=record.signed_bias, bound=record.bound)
-        )
+        report = _report(biased, int(seeds[k]))
+        rows.append(ExperimentRow(k, report, record.signed_bias, record.bound))
     return rows

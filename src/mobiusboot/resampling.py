@@ -17,9 +17,7 @@ import math
 from fractions import Fraction
 
 from .lattice import (
-    DimensionError,
     IncidenceMatrix,
-    _dense_matvec,
     _groupings,
     _incidence_entries,
     _mobius_weight,
@@ -151,29 +149,10 @@ def unbiased_evaluate(F, data):
     return evaluate(apply_S_inverse(F, data.n), data)
 
 
-class ReducedMatrix:
-    """m x m level-sum compression of S, indexed by block counts 1..m."""
-
-    def __init__(self, m, n, entries):
-        self.m = m
-        self.n = n
-        self.entries = entries
-
-    def entry(self, i, j):
-        if not (1 <= i <= self.m and 1 <= j <= self.m):
-            raise DimensionError(f"levels run 1..{self.m}, got ({i}, {j})")
-        return self.entries[i - 1][j - 1]
-
-    def matvec(self, vec):
-        return _dense_matvec(self.entries, vec)
-
-    def __repr__(self):
-        return f"ReducedMatrix(m={self.m}, N={self.n})"
-
-
 def reduced_matrix(m, n):
-    """entry(i,j) = stirling2(j,i) * falling(N,i) / N^j for i <= j, else 0.
+    """m x m level-sum compression of S, indexed by block counts 1..m.
 
+    entries[i-1][j-1] = stirling2(j,i) * falling(N,i) / N^j for i <= j, else 0.
     A partition with j blocks has stirling2(j,i) coarsenings with i blocks,
     all receiving the same weight, which is why S acts on level sums.
     """
@@ -186,7 +165,7 @@ def reduced_matrix(m, n):
         ]
         for i in range(1, m + 1)
     ]
-    return ReducedMatrix(m, n, entries)
+    return IncidenceMatrix(range(1, m + 1), entries)
 
 
 # -- norms and convergence ratios ----------------------------------------------
@@ -246,14 +225,3 @@ def linear_regime_size(m, alpha):
     if m < 1 or alpha <= 0:
         raise ValueError("m positive and alpha > 0 required")
     return max(math.ceil(alpha * m * m), m + 1)
-
-
-def linear_regime_check(m, alpha):
-    """Whether N = linear_regime_size(m, alpha) keeps gamma_m >= exp(-1/4 - 1/alpha).
-
-    gamma_m = falling(N,m)/N^m.  That does not make a step halve the bias norm,
-    which needs 2(1 - gamma_m) <= 1/2, i.e. the gamma_m >= 3/4 of `bounds --kind
-    linconv`: alpha = 1/2, m = 2 passes here with gamma_m = 2/3.
-    """
-    n = linear_regime_size(m, alpha)
-    return log_gamma_ratio(m, n) >= -0.25 - 1.0 / alpha

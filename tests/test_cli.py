@@ -408,6 +408,21 @@ def test_mc_data_narrower_than_functional_exit_2(workdir, monkeypatch, capsys, e
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (MC_DATA + ["--n", "7", "--k", "1"], "--n applies to --population runs only"),
+        (MC_POP + ["--n", "4", "--k", "1", "--exhaustive"], "--exhaustive applies to --data runs only"),
+    ],
+    ids=["mc-data-n", "mc-population-exhaustive"],
+)
+def test_mc_flag_of_the_other_input_exit_2(workdir, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(workdir)
+    err = _assert_usage_error(main(argv + ["--out", "x"]), capsys)
+    assert message in err
+    assert not (workdir / "x.csv").exists() and not (workdir / "x.json").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         BIAS + ["--n", "4", "--k", "2", "--schedule", "0,1"],

@@ -81,6 +81,26 @@ def test_default_schedule_infeasible():
         StepSchedule.default(2, 3)
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: StepSchedule.unit(4, -1), "step count must be nonnegative"),
+        (lambda: StepSchedule.default(4, -2), "step count must be nonnegative"),
+        (lambda: richardson_debias(variance_poly(), 4, -1), "step count must be nonnegative"),
+        (lambda: StepSchedule(0, []), "sample size must be positive"),
+        (lambda: StepSchedule(-3, [Fraction(1)]), "sample size must be positive"),
+        (lambda: StepSchedule.unit(0, 0), "sample size must be positive"),
+        (lambda: StepSchedule.default(0, 0), "sample size must be positive"),
+        (lambda: StepSchedule.default(-1, 1), "sample size must be positive"),
+    ],
+    ids=["unit-k-negative", "default-k-negative", "richardson-k-negative", "n0-empty",
+         "n-negative", "unit-n0", "default-n0", "default-n-negative"],
+)
+def test_schedule_rejects_bad_sizes(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 # -- stationary iteration ------------------------------------------------------------
 
 def test_richardson_k0_identity():

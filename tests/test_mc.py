@@ -222,6 +222,23 @@ def test_chain_expectation_equals_exhaustive_walk(n):
         )
 
 
+def test_exhaustive_evaluates_each_multiset_once():
+    # N = 4 rows have C(7, 4) = 35 row multisets; nine chain levels reach each
+    # of them, yet F of a multiset does not depend on the level
+    data = Dataset([[Fraction(v)] for v in (3, -1, 2, 5)])
+    calls = []
+
+    def counted(ds):
+        calls.append(ds.rows)
+        return evaluate(variance_poly(), ds)
+
+    coeffs = expansion_coefficients(StepSchedule.unit(4, 8))
+    assert exhaustive_estimate(counted, data, coeffs) == exhaustive_estimate(
+        variance_poly(), data, coeffs
+    )
+    assert len(calls) == math.comb(7, 4) == len(set(calls))
+
+
 def test_exhaustive_unbiased_after_default_schedule():
     # two default steps at m=2: the chain estimator's exact expectation
     # equals the plug-in value on the source data
@@ -329,13 +346,15 @@ def test_replica_count_outside_uint32_keys_rejected(replicas):
 
 def test_cli_import_leaves_numpy_random_unloaded():
     # the generator pass imports numpy.random on first use: loading it with the
-    # package would raise every CLI run's peak memory
-    code = "import sys, mobiusboot.cli; print('numpy.random' in sys.modules)"
+    # package would raise every CLI run's peak memory; the result records are
+    # named tuples, so neither dataclasses nor the inspect it imports loads
+    names = ["numpy.random", "dataclasses", "inspect"]
+    code = f"import sys, mobiusboot.cli; print([n for n in {names!r} if n in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(mobiusboot.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_only_drawing_commands_load_numpy(tmp_path):
