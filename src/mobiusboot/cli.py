@@ -12,6 +12,11 @@ from a value -> text dict that lives for one write, so str runs once per
 distinct value, not once per cell.  A row whose cell texts neither CSV quoting
 nor JSON escaping would touch is joined once, and both files are written from
 that line.
+A matrix table holds its IncidenceMatrix, and each row is built along the
+matrix's support(): the zeros between support cells are slices of one
+precomputed zero run per file, and only the support cells are looked up.  A
+row that is not provably all zero off its support, or not plain, is rendered
+cell by cell like any other row.
 The JSON mirror is byte for byte what json.dump(payload, fh, indent=1)
 followed by a newline would write.
 
@@ -33,7 +38,8 @@ from . import __version__
 from .lattice import (
     CapExceededError,
     Partition,
-    cover_edges,
+    _coarsening_rows,
+    _pair_merges,
     enumerate_partitions,
     format_partition,
     mobius_matrix,
@@ -132,22 +138,87 @@ def _cells(row, texts):
 def _plain_line(cells):
     """The cells joined by commas, when csv.writer and JSON would write them as they are.
 
-    That holds when the line is printable ASCII without '"' or '\\' and holds
-    exactly len(cells) - 1 commas, so that no cell has one.  Otherwise None,
-    and None for an empty line: no cells, or one empty cell, which csv.writer
-    writes as '""'.
+    Otherwise None, and None for an empty line: no cells, or one empty cell,
+    which csv.writer writes as '""'.
     """
     line = ",".join(cells)
-    if (
+    return line if _is_plain(line, len(cells)) else None
+
+
+def _is_plain(line, count):
+    """Whether LINE, COUNT cell texts joined by commas, is written as it is to CSV and JSON.
+
+    That holds when the line is nonempty printable ASCII without '"' or '\\'
+    and holds exactly count - 1 commas, so that no cell has one.
+    """
+    return (
         line
         and line.isascii()
         and line.isprintable()
         and '"' not in line
         and "\\" not in line
-        and line.count(",") == len(cells) - 1
-    ):
-        return line
-    return None
+        and line.count(",") == count - 1
+    )
+
+
+def _render(row, texts):
+    """(line, text, cells) of one row: its CSV line, or None when csv.writer must
+    write CELLS, and the JSON text between the row's brackets ('' for no cells)."""
+    cells = _cells(row, texts)
+    line = _plain_line(cells)
+    if line is None:
+        return None, ",\n     ".join(map(_json_str, cells)), cells
+    return line, '"' + line.replace(",", '",\n     "') + '"', cells
+
+
+class _MatrixRows:
+    """The rows [label, *row] of a square IncidenceMatrix, rendered from its support.
+
+    Iterating gives the rows as cells, like any table's rows; Artifact.write
+    calls render instead.
+    """
+
+    __slots__ = ("labels", "matrix")
+
+    def __init__(self, labels, matrix):
+        self.labels = labels
+        self.matrix = matrix
+
+    def __iter__(self):
+        return ([label, *row] for label, row in zip(self.labels, self.matrix.entries))
+
+    def render(self, texts):
+        """_render's (line, text, cells) per row, built from the row's support cells.
+
+        The zeros between support cells are sliced from one ',0' run and from
+        its JSON counterpart, and each support cell's text comes from TEXTS.
+        That is exact for a row whose cells are int, Fraction and str (a bool
+        or float zero would print otherwise), whose nonzero cells all lie on
+        the support (the counts agree), and whose line is plain.  Any other
+        row goes through _render.
+        """
+        n = len(self.labels)
+        zeros_csv = ",0" * n
+        zeros_json = '",\n     "0' * n
+        for label, row, cols in zip(self.labels, self.matrix.entries, self.matrix.support()):
+            if type(label) in _PLAIN_CELLS and _PLAIN_CELLS.issuperset(map(type, row)):
+                head = texts[label]
+                csv_parts, json_parts = [head], ['"' + head]
+                nonzero = end = 0
+                for j in cols:
+                    v = row[j]
+                    nonzero += v != 0
+                    text = texts[v]
+                    csv_parts += zeros_csv[: 2 * (j - end)], ",", text
+                    json_parts += zeros_json[: 10 * (j - end)], '",\n     "', text
+                    end = j + 1
+                csv_parts.append(zeros_csv[: 2 * (n - end)])
+                line = "".join(csv_parts)
+                if nonzero == len(row) - row.count(0) and _is_plain(line, n + 1):
+                    json_parts += zeros_json[: 10 * (n - end)], '"'
+                    yield line, "".join(json_parts), None
+                    continue
+            yield _render([label, *row], texts)
 
 
 class Artifact:
@@ -215,17 +286,17 @@ class Artifact:
                 csv_fh.write(f"# table: {name}\n")
                 writer.writerow(columns)
                 json_fh.write(table_sep + table_head)
+                if isinstance(rows, _MatrixRows):
+                    rendered = rows.render(texts)
+                else:
+                    rendered = (_render(row, texts) for row in rows)
                 row_sep = ""
-                for row in rows:
-                    cells = _cells(row, texts)
-                    line = _plain_line(cells)
+                for line, text, cells in rendered:
                     if line is None:
                         writer.writerow(cells)
-                        text = ",\n     ".join(map(_json_str, cells))
                     else:
                         csv_fh.write(line + "\n")
-                        text = '"' + line.replace(",", '",\n     "') + '"'
-                    if cells:
+                    if text:
                         json_fh.write(f"{row_sep}\n    [\n     {text}\n    ]")
                     else:
                         json_fh.write(f"{row_sep}\n    []")
@@ -243,10 +314,8 @@ def _out_base(args, default):
     return path
 
 
-def _matrix_table(artifact, name, labels, entries):
-    artifact.add_table(
-        name, ["row"] + labels, ([label, *row] for label, row in zip(labels, entries))
-    )
+def _matrix_table(artifact, name, labels, matrix):
+    artifact.add_table(name, ["row"] + labels, _MatrixRows(labels, matrix))
 
 
 # -- subcommands ----------------------------------------------------------------------
@@ -263,10 +332,14 @@ def cmd_lattice(args, argv):
     art.add_table(
         "covers",
         ["finer", "coarser"],
-        [[labels[index.position(a)], labels[index.position(b)]] for a, b in cover_edges(index)],
+        (
+            [labels[col], labels[rows[g]]]
+            for col, (pi, rows) in enumerate(zip(index, _coarsening_rows(args.m)))
+            for g in _pair_merges(pi.block_count)
+        ),
     )
-    _matrix_table(art, "zeta", labels, zeta_matrix(args.m).entries)
-    _matrix_table(art, "mobius", labels, mobius_matrix(args.m).entries)
+    _matrix_table(art, "zeta", labels, zeta_matrix(args.m))
+    _matrix_table(art, "mobius", labels, mobius_matrix(args.m))
     art.write(_out_base(args, "lattice"))
     return 0
 
@@ -277,11 +350,11 @@ def cmd_smatrix(args, argv):
     art = Artifact("smatrix", argv)
     if args.reduced:
         R = reduced_matrix(args.m, args.n)
-        _matrix_table(art, "reduced", [str(i) for i in R.index], R.entries)
+        _matrix_table(art, "reduced", [str(i) for i in R.index], R)
     else:
         S = sampling_matrix(args.m, args.n)
         labels = [format_partition(pi) for pi in S.index]
-        _matrix_table(art, "S", labels, S.entries)
+        _matrix_table(art, "S", labels, S)
         Rd, Cd, check = factorization(args.m, args.n)
         art.add_table(
             "diagonals",

@@ -238,6 +238,20 @@ def _coarsening_rows(m):
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _support_rows(m):
+    """Per row pi of enumerate_partitions(m), the increasing column positions sigma <= pi.
+
+    The transpose of _coarsening_rows(m): the cells where an incidence matrix
+    of the refinement order may be nonzero.
+    """
+    rows = [[] for _ in range(bell(m))]
+    for col, coarser in enumerate(_coarsening_rows(m)):
+        for row in coarser:
+            rows[row].append(col)
+    return tuple(map(tuple, rows))
+
+
 class LatticeIndex:
     """Linear order on all of Pi(m): decreasing block count, then lex on RGS.
 
@@ -290,21 +304,31 @@ def coarsenings(pi):
     return [pi.merge(rgs) for rgs, _, _ in _groupings(pi.block_count)]
 
 
-def cover_edges(index):
-    """Hasse diagram edges (finer, coarser) of the refinement order.
+def cover_edges(partitions):
+    """Hasse diagram edges (finer, coarser) of the refinement order, per partition given.
 
     pi is covered by exactly the partitions obtained by merging two of its
-    blocks: blocks a < b merge along the grouping i -> i below b, b -> a and
-    i -> i - 1 above b.
+    blocks a < c, listed by (a, c); each is read from pi's column of the
+    coarsening table, so no merge is built per edge, and pi.m is held to the
+    dense cap.
     """
     edges = []
-    for pi in index:
-        k = pi.block_count
-        for a in range(k):
-            for b in range(a + 1, k):
-                grouping = [*range(b), a, *range(b, k - 1)]
-                edges.append((pi, pi.merge(grouping)))
+    for pi in partitions:
+        index = enumerate_partitions(pi.m)
+        rows = _coarsening_rows(pi.m)[index.position(pi)]
+        edges += [(pi, index[rows[g]]) for g in _pair_merges(pi.block_count)]
     return edges
+
+
+@lru_cache(maxsize=None)
+def _pair_merges(b):
+    """Row numbers in _groupings(b) of the merges of two blocks a < c, ordered by (a, c).
+
+    Blocks a < c merge along the grouping i -> i below c, c -> a and i -> i - 1
+    above c.
+    """
+    row = {rgs: g for g, (rgs, _, _) in enumerate(_groupings(b))}
+    return tuple(row[(*range(c), a, *range(c, b - 1))] for a in range(b) for c in range(a + 1, b))
 
 
 # -- incidence matrices -------------------------------------------------------
@@ -312,21 +336,39 @@ def cover_edges(index):
 class IncidenceMatrix:
     """Dense square matrix whose rows and columns follow index.
 
-    The index is either a LatticeIndex (a Bell(m) x Bell(m) matrix, zero off
-    the order) or the levels 1..m (the level-sum compression of S).
+    The index is either a LatticeIndex (a Bell(m) x Bell(m) matrix over the
+    refinement order) or the levels 1..m (the level-sum compression of S).
+    Every entry off support() is zero: zeta, Moebius and S are elements of
+    the order's incidence algebra (Stanley, EC1, 3.6), and the level matrix
+    is upper triangular.  matvec and resampling.one_norm_direct read only the
+    support; the CLI's artifact writer checks it row by row.
     """
 
     def __init__(self, index, entries):
         self.index = index
         self.entries = entries
 
+    def support(self):
+        """Per row, the increasing column positions of the cells that may be nonzero.
+
+        Over a LatticeIndex, row pi's columns sigma <= pi; over the levels,
+        row i's columns j >= i.
+        """
+        if isinstance(self.index, LatticeIndex):
+            return _support_rows(self.index.m)
+        n = len(self.index)
+        return tuple(tuple(range(i, n)) for i in range(n))
+
     def matvec(self, vec):
-        """entries . vec over exact or float scalars, skipping zero entries."""
+        """entries . vec over exact or float scalars, summing the nonzero support cells in order."""
         vec = list(vec)
         n = len(self.index)
         if len(vec) != n:
             raise DimensionError(f"vector of length {len(vec)} against {n} matrix columns")
-        return [sum(row[j] * vec[j] for j in range(n) if row[j]) for row in self.entries]
+        return [
+            sum(row[j] * vec[j] for j in cols if row[j])
+            for row, cols in zip(self.entries, self.support())
+        ]
 
 
 def _incidence_entries(index, weight):

@@ -66,6 +66,23 @@ def general_bound_at(gammas, n, k):
     return gammas[0] / 2 ** (k + 1) + 2 ** (k + 1) * gammas[cut]
 
 
+def cover_edges(partitions):
+    """(pi, merge) for every merge of two blocks a < c of each pi, by (a, c), built with merge."""
+    edges = []
+    for pi in partitions:
+        k = pi.block_count
+        for a in range(k):
+            for c in range(a + 1, k):
+                edges.append((pi, pi.merge([*range(c), a, *range(c, k - 1)])))
+    return edges
+
+
+def matvec(matrix, vec):
+    """entries . vec, every row's nonzero cells summed in column order over all n columns."""
+    n = len(matrix.entries)
+    return [sum(row[j] * vec[j] for j in range(n) if row[j]) for row in matrix.entries]
+
+
 # -- dense incidence matrices with one Partition per cell ----------------------------
 
 def incidence_entries(index, weight):
@@ -225,6 +242,14 @@ def empirical_moment(data, block):
 
 
 # -- the artifact writer that rendered every cell before writing anything ---------
+
+def matrix_table(artifact, name, labels, matrix):
+    """cli._matrix_table's table as plain rows, so that Artifact.write renders each
+    matrix row cell by cell, as it renders every other table."""
+    artifact.add_table(
+        name, ["row"] + labels, ([label, *row] for label, row in zip(labels, matrix.entries))
+    )
+
 
 def write_artifact(artifact, base, stamp):
     """BASE.csv and BASE.json of an Artifact, each file assembled whole.

@@ -747,3 +747,63 @@ def test_plain_line_only_for_cells_written_as_they_are():
             assert cli._plain_line(["1", text]) is None, text
     assert cli._plain_line([]) is None
     assert cli._plain_line([""]) is None
+
+
+def _oracle_route_argvs():
+    yield from (("lattice", "--m", str(m)) for m in range(1, 6))
+    for m in range(1, 6):
+        # N < m puts Fraction(0) cells on the support of S
+        for n in sorted({1, max(m - 1, 1), m, m + 2}):
+            yield ("smatrix", "--m", str(m), "--n", str(n))
+        yield ("smatrix", "--m", str(m), "--n", str(max(m - 2, 1)), "--reduced")
+        yield ("smatrix", "--m", str(m), "--n", str(m + 3), "--reduced")
+    yield ("lattice", "--m", "7")
+
+
+@pytest.mark.parametrize("argv", list(_oracle_route_argvs()), ids=" ".join)
+def test_matrix_tables_match_per_cell_route(tmp_path, monkeypatch, argv):
+    # the support route of _MatrixRows against every row rendered cell by cell
+    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    for route in ("new", "old"):
+        (tmp_path / route).mkdir()
+        monkeypatch.chdir(tmp_path / route)
+        if route == "old":
+            monkeypatch.setattr(cli, "_matrix_table", oracles.matrix_table)
+        assert main([*argv, "--out", "art"]) == 0
+    for suffix in (".csv", ".json"):
+        new = (tmp_path / "new" / f"art{suffix}").read_bytes()
+        assert new == (tmp_path / "old" / f"art{suffix}").read_bytes(), suffix
+
+
+def _hand_built(m):
+    """Mobius matrix of Pi(m) whose rows break the support contract one way each."""
+    M = lattice.mobius_matrix(m)
+    entries = [list(row) for row in M.entries]
+    n = len(entries)
+    entries[0][n - 1] = 5  # nonzero above the order
+    entries[1][n - 1] = 0.0  # equals 0, prints 0.0
+    entries[2][n - 1] = False  # equals 0, prints false
+    entries[3][0] = 1.0  # a float cell on the support
+    entries[4][n - 1] = Fraction(0)  # a Fraction zero off the order prints 0
+    entries[5][0] = "7"  # a str cell on the support
+    return lattice.IncidenceMatrix(M.index, entries)
+
+
+def test_matrix_rows_off_support_fall_back_to_per_cell_route(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    M = _hand_built(4)
+    labels = [lattice.format_partition(pi) for pi in M.index]
+    labels[6] = "1,2|34"  # a label CSV must quote
+    art = Artifact("hand", [])
+    cli._matrix_table(art, "m", labels, M)
+    cli._matrix_table(art, "z", labels, lattice.zeta_matrix(4))
+    art.write(tmp_path / "new")
+    oracles.write_artifact(art, tmp_path / "old", FIXED_STAMP.isoformat())
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"old{suffix}").read_bytes()
+    _, rows = _rows(tmp_path / "new.csv", "m")
+    assert [row[-1] for row in rows[:3]] == ["5", "0.0", "false"]
+    # the rows that break the contract, and only those, take the per-cell route
+    for (_, _, rows), broken in zip(art.tables, ([0, 1, 2, 3, 6], [6])):
+        rendered = rows.render(cli._Texts())
+        assert [i for i, (_, _, cells) in enumerate(rendered) if cells is not None] == broken

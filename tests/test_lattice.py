@@ -212,6 +212,38 @@ def test_cover_edges_are_covers():
     assert len(cover_edges(enumerate_partitions(3))) == 6
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_cover_edges_match_merge_oracle(m):
+    # read from the coarsening table, against one Partition.merge per edge
+    idx = enumerate_partitions(m)
+    assert cover_edges(idx) == oracles.cover_edges(idx)
+    assert cover_edges(reversed(idx)) == oracles.cover_edges(reversed(idx))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_support_is_the_refinement_order(m):
+    idx = enumerate_partitions(m)
+    support = zeta_matrix(m).support()
+    assert support is mobius_matrix(m).support()
+    for pi, cols in zip(idx, support):
+        assert cols == tuple(j for j, sigma in enumerate(idx) if refines(sigma, pi))
+    for matrix in (zeta_matrix(m), mobius_matrix(m)):
+        for row, cols in zip(matrix.entries, support):
+            assert all(type(v) is int and v == 0 for j, v in enumerate(row) if j not in cols)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_matvec_along_support_matches_full_scan(m):
+    rng = random.Random(m)
+    for matrix in (zeta_matrix(m), mobius_matrix(m)):
+        for vec in (
+            [rng.randint(-9, 9) for _ in matrix.index],
+            [rng.uniform(-1, 1) for _ in matrix.index],
+        ):
+            # the same nonzero terms in the same order: equal bits for floats too
+            assert list(map(repr, matrix.matvec(vec))) == list(map(repr, oracles.matvec(matrix, vec)))
+
+
 def test_zeta_and_mobius_match_frozen_m3():
     assert zeta_matrix(3).entries == ZETA_M3
     assert mobius_matrix(3).entries == MOBIUS_M3

@@ -330,6 +330,37 @@ def test_one_norm_direct_matches_full_scan_oracle(m):
             assert one_norm_direct(m, n, eta) == oracles.one_norm_direct(m, n, eta), (n, eta)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_one_norm_direct_float_steps_match_full_scan_oracle(m):
+    for n in (1, 3, 8):
+        for eta in (0.3, 1.0, 2.75, -0.6):
+            assert repr(one_norm_direct(m, n, eta)) == repr(oracles.one_norm_direct(m, n, eta))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_sampling_matrix_is_int_zero_off_support(m):
+    support = zeta_matrix(m).support()
+    for n in range(1, 7):
+        S = sampling_matrix(m, n)
+        assert S.support() is support
+        for row, cols in zip(S.entries, support):
+            off = set(range(len(row))) - set(cols)
+            assert all(type(row[j]) is int and row[j] == 0 for j in off), n
+        R = reduced_matrix(m, n)
+        for i, (row, cols) in enumerate(zip(R.entries, R.support())):
+            assert cols == tuple(range(i, m))
+            assert not any(row[:i])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_sampling_matvec_along_support_matches_full_scan(m):
+    rng = random.Random(m)
+    for n in (1, m, 7):
+        for matrix in (sampling_matrix(m, n), reduced_matrix(m, n)):
+            vec = [rng.uniform(-1, 1) for _ in matrix.index]
+            assert list(map(repr, matrix.matvec(vec))) == list(map(repr, oracles.matvec(matrix, vec)))
+
+
 def test_scaled_one_norm_beyond_dense_cap():
     # no matrix is built, so the order is not held to the lattice cap
     assert one_norm_id_minus_scaled(12, 5, Fraction(1)) == 2
