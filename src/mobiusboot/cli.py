@@ -38,8 +38,7 @@ from . import __version__
 from .lattice import (
     CapExceededError,
     Partition,
-    _coarsening_rows,
-    _pair_merges,
+    cover_edges,
     enumerate_partitions,
     format_partition,
     mobius_matrix,
@@ -332,11 +331,7 @@ def cmd_lattice(args, argv):
     art.add_table(
         "covers",
         ["finer", "coarser"],
-        (
-            [labels[col], labels[rows[g]]]
-            for col, (pi, rows) in enumerate(zip(index, _coarsening_rows(args.m)))
-            for g in _pair_merges(pi.block_count)
-        ),
+        [[labels[index.position(a)], labels[index.position(b)]] for a, b in cover_edges(index)],
     )
     _matrix_table(art, "zeta", labels, zeta_matrix(args.m))
     _matrix_table(art, "mobius", labels, mobius_matrix(args.m))

@@ -308,27 +308,36 @@ def cover_edges(partitions):
     """Hasse diagram edges (finer, coarser) of the refinement order, per partition given.
 
     pi is covered by exactly the partitions obtained by merging two of its
-    blocks a < c, listed by (a, c); each is read from pi's column of the
-    coarsening table, so no merge is built per edge, and pi.m is held to the
-    dense cap.
+    blocks a < c, listed by (a, c).  Over a whole LatticeIndex each cover is
+    read from the coarsening table; any other partitions, of any m, are merged.
     """
-    edges = []
-    for pi in partitions:
-        index = enumerate_partitions(pi.m)
-        rows = _coarsening_rows(pi.m)[index.position(pi)]
-        edges += [(pi, index[rows[g]]) for g in _pair_merges(pi.block_count)]
-    return edges
+    if isinstance(partitions, LatticeIndex):
+        return [
+            (pi, partitions[rows[g]])
+            for pi, rows in zip(partitions, _coarsening_rows(partitions.m))
+            for g in _pair_merges(pi.block_count)
+        ]
+    return [
+        (pi, pi.merge(grouping))
+        for pi in partitions
+        for grouping in _pair_groupings(pi.block_count)
+    ]
 
 
-@lru_cache(maxsize=None)
-def _pair_merges(b):
-    """Row numbers in _groupings(b) of the merges of two blocks a < c, ordered by (a, c).
+def _pair_groupings(b):
+    """The groupings of b blocks that merge two blocks a < c, ordered by (a, c).
 
     Blocks a < c merge along the grouping i -> i below c, c -> a and i -> i - 1
     above c.
     """
+    return [(*range(c), a, *range(c, b - 1)) for a in range(b) for c in range(a + 1, b)]
+
+
+@lru_cache(maxsize=None)
+def _pair_merges(b):
+    """Row numbers in _groupings(b) of _pair_groupings(b)."""
     row = {rgs: g for g, (rgs, _, _) in enumerate(_groupings(b))}
-    return tuple(row[(*range(c), a, *range(c, b - 1))] for a in range(b) for c in range(a + 1, b))
+    return tuple(row[grouping] for grouping in _pair_groupings(b))
 
 
 # -- incidence matrices -------------------------------------------------------
@@ -338,10 +347,12 @@ class IncidenceMatrix:
 
     The index is either a LatticeIndex (a Bell(m) x Bell(m) matrix over the
     refinement order) or the levels 1..m (the level-sum compression of S).
-    Every entry off support() is zero: zeta, Moebius and S are elements of
-    the order's incidence algebra (Stanley, EC1, 3.6), and the level matrix
-    is upper triangular.  matvec and resampling.one_norm_direct read only the
-    support; the CLI's artifact writer checks it row by row.
+    The builders' entries are zero off support(): zeta, Moebius and S are
+    elements of the order's incidence algebra (Stanley, EC1, 3.6), and the
+    level matrix is upper triangular.  The constructor takes any entries, so
+    matvec scans every cell, and the CLI's artifact writer, which builds rows
+    from the support, first checks each row's nonzero count against its
+    nonzero support cells and renders a row that fails cell by cell.
     """
 
     def __init__(self, index, entries):
@@ -360,15 +371,12 @@ class IncidenceMatrix:
         return tuple(tuple(range(i, n)) for i in range(n))
 
     def matvec(self, vec):
-        """entries . vec over exact or float scalars, summing the nonzero support cells in order."""
+        """entries . vec over exact or float scalars, skipping zero entries."""
         vec = list(vec)
         n = len(self.index)
         if len(vec) != n:
             raise DimensionError(f"vector of length {len(vec)} against {n} matrix columns")
-        return [
-            sum(row[j] * vec[j] for j in cols if row[j])
-            for row, cols in zip(self.entries, self.support())
-        ]
+        return [sum(row[j] * vec[j] for j in range(n) if row[j]) for row in self.entries]
 
 
 def _incidence_entries(index, weight):

@@ -183,17 +183,14 @@ def one_norm_direct(m, n, eta=1):
     """Max column 1-norm of Id - eta*S from the explicit matrix.
 
     A column's sum runs, in row order, over its diagonal cell and its nonzero
-    cells, all on S.support(): a zero off the diagonal adds exactly 0.  Rows
-    are walked in order, each adding to its support columns' running sums.
+    cells: a zero off the diagonal adds exactly 0.
     """
     S = sampling_matrix(m, n)
-    totals = [0] * len(S.index)
-    for i, (row, cols) in enumerate(zip(S.entries, S.support())):
-        for j in cols:
-            s = row[j]
-            if s or i == j:
-                totals[j] += abs((1 if i == j else 0) - eta * s)
-    return max(Fraction(0), *totals)
+    best = Fraction(0)
+    for j, col in enumerate(zip(*S.entries)):
+        total = sum(abs((1 if i == j else 0) - eta * s) for i, s in enumerate(col) if s or i == j)
+        best = max(best, total)
+    return best
 
 
 def one_norm_id_minus_scaled(m, n, eta):

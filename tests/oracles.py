@@ -66,23 +66,6 @@ def general_bound_at(gammas, n, k):
     return gammas[0] / 2 ** (k + 1) + 2 ** (k + 1) * gammas[cut]
 
 
-def cover_edges(partitions):
-    """(pi, merge) for every merge of two blocks a < c of each pi, by (a, c), built with merge."""
-    edges = []
-    for pi in partitions:
-        k = pi.block_count
-        for a in range(k):
-            for c in range(a + 1, k):
-                edges.append((pi, pi.merge([*range(c), a, *range(c, k - 1)])))
-    return edges
-
-
-def matvec(matrix, vec):
-    """entries . vec, every row's nonzero cells summed in column order over all n columns."""
-    n = len(matrix.entries)
-    return [sum(row[j] * vec[j] for j in range(n) if row[j]) for row in matrix.entries]
-
-
 # -- dense incidence matrices with one Partition per cell ----------------------------
 
 def incidence_entries(index, weight):

@@ -807,3 +807,12 @@ def test_matrix_rows_off_support_fall_back_to_per_cell_route(tmp_path, monkeypat
     for (_, _, rows), broken in zip(art.tables, ([0, 1, 2, 3, 6], [6])):
         rendered = rows.render(cli._Texts())
         assert [i for i, (_, _, cells) in enumerate(rendered) if cells is not None] == broken
+
+
+def test_identity_check_sees_a_zeta_cell_off_the_order():
+    # matvec reads every cell, so the selftest's check does not trust the support
+    Z = lattice.zeta_matrix(3)
+    entries = [list(row) for row in Z.entries]
+    entries[0][-1] = 1  # finest row, coarsest column
+    assert cli._is_identity(Z, lattice.mobius_matrix(3))
+    assert not cli._is_identity(lattice.IncidenceMatrix(Z.index, entries), lattice.mobius_matrix(3))

@@ -75,8 +75,9 @@ def test_merge_equals_relabel_route(case):
 
 
 @PROPERTY
-@given(rgs_strings().map(Partition))
+@given(rgs_strings(max_len=12).map(Partition))
 def test_cover_edges_merge_each_pair_of_blocks(pi):
+    # partitions beyond the dense cap (m > 8) too: a list of them is merged, not looked up
     blocks = pi.blocks
     want = [
         Partition.from_blocks(

@@ -352,13 +352,25 @@ def test_sampling_matrix_is_int_zero_off_support(m):
             assert not any(row[:i])
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_sampling_matvec_along_support_matches_full_scan(m):
-    rng = random.Random(m)
-    for n in (1, m, 7):
-        for matrix in (sampling_matrix(m, n), reduced_matrix(m, n)):
-            vec = [rng.uniform(-1, 1) for _ in matrix.index]
-            assert list(map(repr, matrix.matvec(vec))) == list(map(repr, oracles.matvec(matrix, vec)))
+@pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 5)])
+def test_one_norm_direct_reads_a_nonzero_off_the_order(monkeypatch, m, n):
+    # finest row, coarsest column: a cell off the order still counts in its column
+    real = resampling.sampling_matrix
+
+    def build(m, n):
+        S = real(m, n)
+        entries = [list(row) for row in S.entries]
+        entries[0][-1] = Fraction(5, 2)
+        return IncidenceMatrix(S.index, entries)
+
+    monkeypatch.setattr(resampling, "sampling_matrix", build)
+    entries = build(m, n).entries
+    size = len(entries)
+    want = max(
+        sum(abs((1 if i == j else 0) - 3 * entries[i][j]) for i in range(size))
+        for j in range(size)
+    )
+    assert one_norm_direct(m, n, 3) == want > oracles.one_norm_direct(m, n, 3)
 
 
 def test_scaled_one_norm_beyond_dense_cap():
