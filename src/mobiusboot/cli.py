@@ -60,6 +60,7 @@ from .moments import (
     scalar_from_json,
 )
 from .resampling import (
+    _one_norm,
     apply_S,
     apply_S_inverse,
     factorization,
@@ -634,10 +635,12 @@ def _check_factorization():
 
 
 def _check_one_norm():
+    # one dense S per (m, n) serves every eta
     for m in range(1, 5):
         for n in (1, 2, 3, 5, 8):
+            S = sampling_matrix(m, n)
             _ensure(
-                one_norm_id_minus_S(m, n) == one_norm_direct(m, n),
+                one_norm_id_minus_S(m, n) == _one_norm(S, 1),
                 f"one-norm closed form != direct at m={m}, n={n}",
             )
             etas = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2)]
@@ -645,7 +648,7 @@ def _check_one_norm():
                 etas += StepSchedule.default(n, m).etas
             for eta in etas:
                 _ensure(
-                    one_norm_id_minus_scaled(m, n, eta) == one_norm_direct(m, n, eta),
+                    one_norm_id_minus_scaled(m, n, eta) == _one_norm(S, eta),
                     f"scaled one-norm closed form != direct at m={m}, n={n}, eta={eta}",
                 )
 

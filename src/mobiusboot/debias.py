@@ -41,8 +41,11 @@ class StepSchedule:
         self.n = n
         self.etas = tuple(etas)
         _check_size(n, len(self.etas))
-        if any(eta <= 0 for eta in self.etas):
-            raise ValueError("step sizes must be positive")
+        for eta in self.etas:
+            if isinstance(eta, bool) or (isinstance(eta, float) and not math.isfinite(eta)):
+                raise ValueError(f"step sizes must be finite numbers, got {eta!r}")
+            if eta <= 0:
+                raise ValueError("step sizes must be positive")
 
     @classmethod
     def default(cls, n, k):

@@ -126,6 +126,20 @@ class MomentPolynomial:
             t: c if type(c) is scalar else scalar(c) for t, c in clean.items() if c != 0
         }
 
+    @classmethod
+    def _validated(cls, d, terms, exact):
+        """Wrap (term, coeff) pairs that need no checks, dropping zero coefficients.
+
+        For normal-form LabeledTerms with labels below d, taken from other
+        polynomials over d or merged from them, and coefficients that all have
+        the scalar type of exact; skips the per-term scan of __init__.
+        """
+        F = cls.__new__(cls)
+        F.d = d
+        F.exact = exact
+        F.terms = {t: c for t, c in terms if c}
+        return F
+
     def max_order(self):
         """Largest total block-content size over the stored terms."""
         return max((t.m for t in self.terms), default=0)
@@ -143,12 +157,18 @@ class MomentPolynomial:
         out = dict(self.terms)
         for t, c in other.terms.items():
             out[t] = out.get(t, 0) + c
+        if self.exact and other.exact:  # Fraction sums: only zeros to drop
+            return MomentPolynomial._validated(self.d, out.items(), True)
         return MomentPolynomial(self.d, out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
+        if self.exact and _is_exact(scalar):
+            return MomentPolynomial._validated(
+                self.d, ((t, scalar * c) for t, c in self.terms.items()), True
+            )
         return MomentPolynomial(self.d, {t: scalar * c for t, c in self.terms.items()})
 
     def __repr__(self):

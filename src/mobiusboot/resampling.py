@@ -14,7 +14,9 @@ whenever N is at least the largest block count.
 """
 
 import math
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 
 from .lattice import (
     IncidenceMatrix,
@@ -69,48 +71,85 @@ def factorization(m, n):
     return [Fraction(r) for r in R], [Fraction(c) for c in C], check
 
 
-def _merge_walk(F, n, weight):
-    """Spread each term's coefficient over the Bell(b) merges of its b blocks.
+def _inverse_weight(n):
+    """S^{-1}'s weight for b blocks merged along a grouping into k,
+    N^k mu(grouping)/falling(N,b), as (numerator, denominator)."""
+    return (lambda k, grouping: n**k * _mobius_weight(grouping)), (lambda b: falling_factorial(n, b))
 
-    With weight = (numerator, denominator), integer functions, the merge of b
-    blocks into k along a grouping gets coeff * numerator(k, grouping) /
-    denominator(b); zero weights are skipped and labels ride along.  Exact sums
-    run in integers over one common denominator D, the lcm over terms of coeff's
-    denominator times denominator(b), and each output coefficient is one
-    Fraction(sum, D).  Float coefficients take coeff * float(weight), the bits a
-    Fraction weight gives.  A merge reads its blocks from the term's unions by
-    the grouping's masks.  Weights are worked out once per block count and call,
-    and nothing per term outlives its term: cached merge lists would grow with
-    every polynomial seen, and benchmarks/bench.py's peak_rss_mb reports the
-    high-water mark of its parent, which runs this walk for its oracles.
+
+_WEIGHTS = {"S": _sampling_weight, "S_inv": _inverse_weight}
+
+
+@lru_cache(maxsize=4)
+def _merge_plan(terms, kind, n):
+    """Where each merge of each term lands, under the weight _WEIGHTS[kind](n).
+
+    Returns (merged, lands, levels).  merged holds the distinct merged terms in
+    first-reached order.  lands is one array('I') of positions in merged: per
+    term in turn, one per grouping of its b blocks with a nonzero weight, in
+    _groupings(b) order.  levels[b] = (numerators, denominator, floats) holds
+    those weights: numerator(k, grouping) as ints, denominator(b), and
+    float(Fraction(numerator, denominator)) for float coefficients.  A merge
+    reads its blocks from the term's unions by the grouping's masks.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n}")
-    numerator, denominator = weight
-    if F.exact:
-        common = math.lcm(*{c.denominator * denominator(t.block_count)
-                             for t, c in F.terms.items()})
-    levels, out = {}, {}
-    for term, coeff in F.terms.items():
-        b = term.block_count
+    numerator, denominator = _WEIGHTS[kind](n)
+    picks, levels, position, lands = {}, {}, {}, array("I")
+    for term in terms:
+        b = len(term)
         if b not in levels:
             den = denominator(b)
-            levels[b] = [
-                (masks, num if F.exact else float(Fraction(num, den)))
-                for rgs, k, masks in _groupings(b)
-                if (num := numerator(k, rgs))
-            ]
-        if F.exact:
-            coeff = coeff.numerator * (common // (coeff.denominator * denominator(b)))
+            rows = [(masks, num) for rgs, k, masks in _groupings(b) if (num := numerator(k, rgs))]
+            picks[b] = [masks for masks, _ in rows]
+            nums = tuple(num for _, num in rows)
+            levels[b] = nums, den, tuple(float(Fraction(num, den)) for num in nums)
         union = term.unions().__getitem__
-        for masks, w in levels[b]:
+        for masks in picks[b]:
             merged = sorted(map(union, masks))
             merged.sort(key=len)  # stable: blocks end in (size, labels) order
             merged = tuple.__new__(LabeledTerm, merged)
-            out[merged] = out.get(merged, 0) + coeff * w
+            lands.append(position.setdefault(merged, len(position)))
+    return tuple(position), lands, levels
+
+
+def _merge_walk(F, n, kind):
+    """Spread each term's coefficient over the Bell(b) merges of its b blocks.
+
+    The merge of b blocks into k along a grouping gets coeff * numerator(k,
+    grouping) / denominator(b), with (numerator, denominator) = _WEIGHTS[kind](n);
+    zero weights are skipped and labels ride along.  Exact sums run in integers
+    over one common denominator D, the lcm over terms of coeff's denominator
+    times denominator(b), and each output coefficient is one Fraction(sum, D).
+    Float coefficients take coeff * float(weight), the bits a Fraction weight
+    gives, summed term by term in walk order.
+
+    Where the merges land comes from _merge_plan, keyed by F's terms in order,
+    the kind and N.  exact_bias applies S twice to each iterate, and its later
+    iterates share one support, so most calls replay a plan as one arithmetic
+    pass.  A plan holds 4 bytes per merge and keeps its key's terms and its
+    merged terms alive; the memo keeps the last maxsize = 4 plans, so what
+    outlives a call is bounded by the four largest supports used last, about
+    0.25 MB for an order-7 iterate of 877 terms and 19302 merges.
+    """
+    if n < 1:
+        raise ValueError(f"sample size must be positive, got {n}")
+    merged, lands, levels = _merge_plan(tuple(F.terms), kind, n)
+    sums = [0] * len(merged)
+    lands = iter(lands)
     if F.exact:
-        out = {t: Fraction(s, common) for t, s in out.items()}
-    return MomentPolynomial(F.d, out)
+        common = math.lcm(*{c.denominator * levels[len(t)][1] for t, c in F.terms.items()})
+        for term, coeff in F.terms.items():
+            nums, den, _ = levels[len(term)]
+            c = coeff.numerator * (common // (coeff.denominator * den))
+            for w, i in zip(nums, lands):  # nums first: zip stops without taking a land
+                sums[i] += c * w
+        out = ((t, Fraction(s, common)) for t, s in zip(merged, sums))
+    else:
+        for term, c in F.terms.items():
+            for w, i in zip(levels[len(term)][2], lands):
+                sums[i] += c * w
+        out = zip(merged, sums)
+    # an empty walk has no float coefficient, so its result is exact
+    return MomentPolynomial._validated(F.d, out, F.exact or not merged)
 
 
 def apply_S(F, n):
@@ -119,7 +158,7 @@ def apply_S(F, n):
     Each term's coefficient spreads over the merges of its blocks with weight
     falling(N,#merged)/N^{#blocks}.
     """
-    return _merge_walk(F, n, _sampling_weight(n))
+    return _merge_walk(F, n, "S")
 
 
 def apply_S_inverse(F, n):
@@ -133,8 +172,7 @@ def apply_S_inverse(F, n):
     most = max((term.block_count for term in F.terms), default=0)
     if n < most:
         raise InfeasibleError(f"symmetric statistic needs N >= {most} distinct rows, got N={n}")
-    weight = (lambda k, g: n**k * _mobius_weight(g)), (lambda b: falling_factorial(n, b))
-    return _merge_walk(F, n, weight)
+    return _merge_walk(F, n, "S_inv")
 
 
 def unbiased_evaluate(F, data):
@@ -180,12 +218,16 @@ def one_norm_id_minus_S(m, n):
 
 
 def one_norm_direct(m, n, eta=1):
-    """Max column 1-norm of Id - eta*S from the explicit matrix.
+    """Max column 1-norm of Id - eta*S from the explicit matrix."""
+    return _one_norm(sampling_matrix(m, n), eta)
+
+
+def _one_norm(S, eta):
+    """Max column 1-norm of Id - eta*S for a built S, so one S serves every eta.
 
     A column's sum runs, in row order, over its diagonal cell and its nonzero
     cells: a zero off the diagonal adds exactly 0.
     """
-    S = sampling_matrix(m, n)
     best = Fraction(0)
     for j, col in enumerate(zip(*S.entries)):
         total = sum(abs((1 if i == j else 0) - eta * s) for i, s in enumerate(col) if s or i == j)

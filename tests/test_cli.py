@@ -816,3 +816,27 @@ def test_identity_check_sees_a_zeta_cell_off_the_order():
     entries[0][-1] = 1  # finest row, coarsest column
     assert cli._is_identity(Z, lattice.mobius_matrix(3))
     assert not cli._is_identity(lattice.IncidenceMatrix(Z.index, entries), lattice.mobius_matrix(3))
+
+
+def test_one_norm_check_builds_one_S_per_m_and_n(monkeypatch):
+    built = []
+    real = cli.sampling_matrix
+
+    def counting(m, n):
+        built.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(cli, "sampling_matrix", counting)
+    cli._check_one_norm()
+    assert len(built) == len(set(built)) == 4 * 5
+    # every eta is still checked against the dense matrix: one cell moved off
+    # its weight in the finest column breaks the check
+    def shifted(m, n):
+        S = real(m, n)
+        entries = [list(row) for row in S.entries]
+        entries[-1][0] += Fraction(1, n**m)
+        return lattice.IncidenceMatrix(S.index, entries)
+
+    monkeypatch.setattr(cli, "sampling_matrix", shifted)
+    with pytest.raises(cli.SelfTestFailure, match="one-norm"):
+        cli._check_one_norm()

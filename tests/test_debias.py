@@ -101,6 +101,18 @@ def test_schedule_rejects_bad_sizes(build, match):
         build()
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, True, False])
+def test_schedule_rejects_non_finite_and_bool_steps(eta):
+    # nan passed the eta <= 0 check and wrote nan rows into exact_bias
+    with pytest.raises(ValueError, match="finite numbers"):
+        StepSchedule(5, [Fraction(1), eta])
+
+
+def test_schedule_keeps_finite_steps_of_every_scalar_type():
+    etas = (Fraction(10**400), 2, 0.5)
+    assert StepSchedule(5, etas).etas == etas
+
+
 # -- stationary iteration ------------------------------------------------------------
 
 def test_richardson_k0_identity():

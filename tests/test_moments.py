@@ -33,6 +33,7 @@ from mobiusboot.moments import (
     reachable_blocks,
 )
 from mobiusboot.resampling import apply_S, unbiased_evaluate
+import oracles
 from oracles import merge, refines
 
 
@@ -329,6 +330,74 @@ def test_polynomial_exact_iff_every_coefficient_is_int_or_fraction():
     for H in (G + G, 3 * G, Fraction(1, 3) * G):
         assert not H.exact and all(type(c) is float for c in H.terms.values())
     assert (3 * G).terms == {x: 6.0, xx: 1.5}
+
+
+# Exact sums and exact scalar products skip __init__'s per-term scan; each
+# result must still be what __init__ builds from the same raw coefficients.
+
+def _rebuilt_sum(a, b):
+    out = dict(a.terms)
+    for t, c in b.terms.items():
+        out[t] = out.get(t, 0) + c
+    return MomentPolynomial(a.d, out)
+
+
+def _rebuilt_scale(s, a):
+    return MomentPolynomial(a.d, {t: s * c for t, c in a.terms.items()})
+
+
+def _same_polynomial(got, want):
+    assert got.d == want.d and got.exact == want.exact
+    assert list(got.terms) == list(want.terms)
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+    assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+
+
+def _operands():
+    x, xx, xy, y = (LabeledTerm(b) for b in ([[0]], [[0, 0]], [[0], [1]], [[1]]))
+    exact = MomentPolynomial(2, {x: Fraction(1, 3), xx: -2, xy: Fraction(5, 7)})
+    other = MomentPolynomial(2, {xy: Fraction(-5, 7), y: 4, x: Fraction(1, 6)})
+    approx = MomentPolynomial(2, {xx: 0.5, y: -1.25})
+    return {
+        "exact": exact,
+        "exact-other": other,
+        "float": approx,
+        "float-empty": approx - approx,
+        "exact-empty": MomentPolynomial(2, {}),
+    }
+
+
+@pytest.mark.parametrize("a", list(_operands()))
+@pytest.mark.parametrize("b", list(_operands()))
+def test_sums_and_differences_match_rebuild(a, b):
+    ops = _operands()
+    a, b = ops[a], ops[b]
+    _same_polynomial(a + b, _rebuilt_sum(a, b))
+    _same_polynomial(a - b, _rebuilt_sum(a, _rebuilt_scale(-1, b)))
+    _same_polynomial(a - a, _rebuilt_sum(a, _rebuilt_scale(-1, a)))
+
+
+@pytest.mark.parametrize("a", list(_operands()))
+@pytest.mark.parametrize("s", [3, Fraction(-2, 3), 0, 0.25, 0.0, True, False])
+def test_scalar_products_match_rebuild(a, s):
+    a = _operands()[a]
+    _same_polynomial(s * a, _rebuilt_scale(s, a))
+
+
+def test_cancellation_keeps_the_scalar_type():
+    ops = _operands()
+    exact, other = ops["exact"], ops["exact-other"]
+    xy = LabeledTerm([[0], [1]])
+    assert xy not in (exact + other).terms  # 5/7 - 5/7 is dropped
+    assert (exact - exact).exact and (exact - exact).terms == {}
+    assert not (ops["float"] - ops["float"]).exact
+
+
+@pytest.mark.parametrize("a", list(_operands()))
+def test_apply_S_matches_rebuild(a):
+    a = _operands()[a]
+    for n in (1, 2, 3):
+        _same_polynomial(apply_S(a, n), oracles.apply_S(a, n))
 
 
 # -- moment/cumulant conversion -------------------------------------------------

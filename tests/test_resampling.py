@@ -25,6 +25,7 @@ from mobiusboot.moments import (
 )
 from mobiusboot.resampling import (
     apply_S,
+    apply_S_inverse,
     factorization,
     gamma_ratio,
     log_gamma_ratio,
@@ -248,6 +249,87 @@ def test_apply_S_float_mode():
     G = apply_S(F, 2)
     assert not G.exact
     assert G.terms[LabeledTerm([[0, 0]])] == pytest.approx(0.5)
+
+
+# -- merge plans ------------------------------------------------------------------
+# apply_S and apply_S_inverse replay one memoised plan per (terms, kind, N); a
+# replay must give what the checked per-merge walk of tests/oracles.py gives:
+# the same terms in the same order, the same Fractions, the same float bits.
+
+def _same_walk(got, want):
+    assert got.d == want.d and got.exact == want.exact
+    assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+
+
+def _check_both(F, n):
+    _same_walk(apply_S(F, n), oracles.apply_S(F, n))
+    _same_walk(apply_S_inverse(F, n), oracles.apply_S_inverse(F, n))
+
+
+def _plan_case():
+    # d = 2, so merges of one term collide; five blocks at most, so N = 5
+    # keeps S^{-1} defined and N = 3 zeroes S's weights into 4 or 5 blocks
+    return _random_poly(random.Random(7), 2, 5, 12)
+
+
+def test_merge_plan_cold_and_warm_calls_match_oracle():
+    F = _plan_case()
+    resampling._merge_plan.cache_clear()
+    _check_both(F, 5)
+    hits = resampling._merge_plan.cache_info().hits
+    _check_both(F, 5)
+    assert resampling._merge_plan.cache_info().hits == hits + 2
+
+
+def test_merge_plan_same_terms_in_another_order():
+    F = _plan_case()
+    apply_S(F, 5)
+    G = MomentPolynomial(F.d, dict(reversed(F.terms.items())))
+    assert list(G.terms) != list(F.terms)
+    _check_both(G, 5)
+    assert list(apply_S(G, 5).terms) != list(apply_S(F, 5).terms)
+
+
+def test_merge_plan_same_support_at_another_n():
+    F = _plan_case()
+    for n in (5, 3, 5, 7):
+        _same_walk(apply_S(F, n), oracles.apply_S(F, n))
+    _check_both(F, 7)
+
+
+def test_merge_plan_float_coefficients_keep_their_bits():
+    F = _plan_case()
+    G = MomentPolynomial(F.d, {t: float(c) / 3 for t, c in F.terms.items()})
+    for n in (3, 5):
+        apply_S(F, n)  # the exact twin's plan serves the float polynomial too
+        _same_walk(apply_S(G, n), oracles.apply_S(G, n))
+        _same_walk(apply_S_inverse(G, 5), oracles.apply_S_inverse(G, 5))
+
+
+@pytest.mark.parametrize("scalar", [Fraction, float])
+def test_merge_plan_drops_a_coefficient_that_cancels(scalar):
+    # S moves 1/4 of x0 x1 onto E[x0 x1], which the second term takes away
+    x0x1, pair = LabeledTerm([[0], [1]]), LabeledTerm([[0, 1]])
+    F = MomentPolynomial(2, {x0x1: scalar(1), pair: scalar(-1) / 4})
+    for _ in range(2):
+        G = apply_S(F, 4)
+        assert G.terms == {x0x1: Fraction(3, 4)}
+        _same_walk(G, oracles.apply_S(F, 4))
+
+
+def test_merge_plan_memo_stays_bounded():
+    cache = resampling._merge_plan
+    for seed in range(cache.cache_parameters()["maxsize"] + 3):
+        F = _random_poly(random.Random(seed), 2, 4, 3)
+        _check_both(F, 4)
+        assert cache.cache_info().currsize <= cache.cache_parameters()["maxsize"]
+
+
+def test_merge_plan_of_empty_polynomial():
+    x = LabeledTerm([[0]])
+    G = MomentPolynomial(1, {x: 0.5})
+    for F in (MomentPolynomial(1, {}), G - G):
+        _check_both(F, 3)
 
 
 # -- reduced matrix ---------------------------------------------------------------
