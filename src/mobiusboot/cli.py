@@ -12,11 +12,11 @@ from a value -> text dict that lives for one write, so str runs once per
 distinct value, not once per cell.  A row whose cell texts neither CSV quoting
 nor JSON escaping would touch is joined once, and both files are written from
 that line.
-A matrix table holds its IncidenceMatrix, and each row is built along the
-matrix's support(): the zeros between support cells are slices of one
-precomputed zero run per file, and only the support cells are looked up.  A
-row that is not provably all zero off its support, or not plain, is rendered
-cell by cell like any other row.
+A matrix table holds its IncidenceMatrix, and each row is built from its
+stored cells: the zeros between them are slices of one precomputed zero run
+per file.  A row whose stored columns are not its support() row, whose stored
+values are not all int, Fraction or str, or whose line is not plain, is
+rendered cell by cell like any other row.
 The JSON mirror is byte for byte what json.dump(payload, fh, indent=1)
 followed by a newline would write.
 
@@ -43,6 +43,7 @@ from .lattice import (
     format_partition,
     mobius_matrix,
     zeta_matrix,
+    _dense_row,
 )
 from .moments import (
     Dataset,
@@ -172,7 +173,7 @@ def _render(row, texts):
 
 
 class _MatrixRows:
-    """The rows [label, *row] of a square IncidenceMatrix, rendered from its support.
+    """The rows [label, *row] of a square IncidenceMatrix, rendered from its stored cells.
 
     Iterating gives the rows as cells, like any table's rows; Artifact.write
     calls render instead.
@@ -185,40 +186,48 @@ class _MatrixRows:
         self.matrix = matrix
 
     def __iter__(self):
-        return ([label, *row] for label, row in zip(self.labels, self.matrix.entries))
+        n = len(self.labels)
+        return (
+            [label, *_dense_row(cols, vals, n)]
+            for label, cols, vals in zip(self.labels, self.matrix.columns, self.matrix.values)
+        )
 
     def render(self, texts):
-        """_render's (line, text, cells) per row, built from the row's support cells.
+        """_render's (line, text, cells) per row, built from the row's stored cells.
 
-        The zeros between support cells are sliced from one ',0' run and from
-        its JSON counterpart, and each support cell's text comes from TEXTS.
-        That is exact for a row whose cells are int, Fraction and str (a bool
-        or float zero would print otherwise), whose nonzero cells all lie on
-        the support (the counts agree), and whose line is plain.  Any other
-        row goes through _render.
+        The zeros between stored cells are sliced from one ',0' run and from
+        its JSON counterpart, and each stored cell's text comes from TEXTS.
+        Every cell that is not stored is the int 0, so that is exact for a row
+        whose stored columns are its support() row, whose stored values are
+        int, Fraction or str (a bool or float prints otherwise), and whose line
+        is plain.  Any other row goes through _render.
         """
         n = len(self.labels)
         zeros_csv = ",0" * n
         zeros_json = '",\n     "0' * n
-        for label, row, cols in zip(self.labels, self.matrix.entries, self.matrix.support()):
-            if type(label) in _PLAIN_CELLS and _PLAIN_CELLS.issuperset(map(type, row)):
+        matrix = self.matrix
+        rows = zip(self.labels, matrix.columns, matrix.values, matrix.support())
+        for label, cols, vals, support in rows:
+            if (
+                cols == support
+                and type(label) in _PLAIN_CELLS
+                and _PLAIN_CELLS.issuperset(map(type, vals))
+            ):
                 head = texts[label]
                 csv_parts, json_parts = [head], ['"' + head]
-                nonzero = end = 0
-                for j in cols:
-                    v = row[j]
-                    nonzero += v != 0
+                end = 0
+                for j, v in zip(cols, vals):
                     text = texts[v]
                     csv_parts += zeros_csv[: 2 * (j - end)], ",", text
                     json_parts += zeros_json[: 10 * (j - end)], '",\n     "', text
                     end = j + 1
                 csv_parts.append(zeros_csv[: 2 * (n - end)])
                 line = "".join(csv_parts)
-                if nonzero == len(row) - row.count(0) and _is_plain(line, n + 1):
+                if _is_plain(line, n + 1):
                     json_parts += zeros_json[: 10 * (n - end)], '"'
                     yield line, "".join(json_parts), None
                     continue
-            yield _render([label, *row], texts)
+            yield _render([label, *_dense_row(cols, vals, n)], texts)
 
 
 class Artifact:
@@ -458,71 +467,81 @@ def cmd_mc_run(args, argv):
     F = _load_functional(args.functional)
     art = Artifact("mc-run", argv, seed=args.seed)
     art.extra["functional"] = polynomial_to_dict(F)
-
-    if args.data is not None:
-        if args.n is not None:
-            raise UsageError("--n applies to --population runs only")
-        try:
-            data = dataset_from_csv(args.data)
-        except ValueError as exc:
-            raise UsageError(f"malformed dataset CSV: {exc}") from None
-        label = max((t.max_label() for t in F.terms), default=-1)
-        if label >= data.d:
-            raise UsageError(
-                f"dataset CSV has {data.d} column(s), but the functional reads label {label}"
-            )
-        n = data.n
-        coeffs = mc_mod.expansion_coefficients(_parse_schedule(args.schedule, n, args.k))
-        if args.exhaustive and n > 4:
-            raise InfeasibleError(
-                f"exhaustive enumeration needs C({2 * n - 1}, {n}) ="
-                f" {math.comb(2 * n - 1, n)} resamples per level; n <= 4 only"
-            )
-        target = mc_mod.chain_expectation(F, coeffs, data)
-        if args.exhaustive:
-            value = mc_mod.exhaustive_estimate(F, data, coeffs)
-            art.add_table("exhaustive", ["k", "value", "target"], [[args.k, value, target]])
-        else:
-            report = mc_mod.mc_estimate(F, data, coeffs, args.replicas, args.seed)
-            art.add_table(
-                "estimate",
-                ["k", "replicas", "estimate", "se", "target", "seed"],
-                [[args.k, report.replicas, report.estimate, report.se, target, args.seed]],
-            )
-    else:
-        if args.exhaustive:
-            raise UsageError("--exhaustive applies to --data runs only")
-        if args.n is None:
-            raise UsageError("--n is required with --population")
-        _at_least("--n", args.n, 1)
-        table, sampler = _load_population(args.population, F.max_order(), F.d)
-        if sampler is None:
-            raise InfeasibleError(
-                "population JSON without a sampling family cannot be simulated;"
-                " use the bias subcommand for exact trajectories"
-            )
-        schedule = _parse_schedule(args.schedule, args.n, args.k)
-        rows = mc_mod.bias_experiment(
-            F, table, schedule, args.replicas, seed=args.seed, sampler=sampler
-        )
-        art.add_table(
-            "bias_experiment",
-            ["k", "replicas", "empirical_bias", "se", "exact_bias", "bound", "seed"],
-            [
-                [
-                    r.k,
-                    r.report.replicas,
-                    r.report.estimate,
-                    r.report.se,
-                    r.exact_bias,
-                    r.bound,
-                    r.report.seed,
-                ]
-                for r in rows
-            ],
-        )
+    try:
+        table = (_mc_data_table if args.population is None else _mc_population_table)(args, F)
+    except OverflowError as exc:
+        # an exact chain coefficient, say a product of huge steps, times a float row
+        raise UsageError(f"the chain leaves double range: {exc}") from None
+    art.add_table(*table)
     art.write(_out_base(args, "mc_run"))
     return 0
+
+
+def _mc_data_table(args, F):
+    """(name, columns, rows) of an mc-run that resamples the rows of --data."""
+    if args.n is not None:
+        raise UsageError("--n applies to --population runs only")
+    try:
+        data = dataset_from_csv(args.data)
+    except ValueError as exc:
+        raise UsageError(f"malformed dataset CSV: {exc}") from None
+    label = max((t.max_label() for t in F.terms), default=-1)
+    if label >= data.d:
+        raise UsageError(
+            f"dataset CSV has {data.d} column(s), but the functional reads label {label}"
+        )
+    n = data.n
+    coeffs = mc_mod.expansion_coefficients(_parse_schedule(args.schedule, n, args.k))
+    if args.exhaustive and n > 4:
+        raise InfeasibleError(
+            f"exhaustive enumeration needs C({2 * n - 1}, {n}) ="
+            f" {math.comb(2 * n - 1, n)} resamples per level; n <= 4 only"
+        )
+    target = mc_mod.chain_expectation(F, coeffs, data)
+    if args.exhaustive:
+        value = mc_mod.exhaustive_estimate(F, data, coeffs)
+        return "exhaustive", ["k", "value", "target"], [[args.k, value, target]]
+    report = mc_mod.mc_estimate(F, data, coeffs, args.replicas, args.seed)
+    return (
+        "estimate",
+        ["k", "replicas", "estimate", "se", "target", "seed"],
+        [[args.k, report.replicas, report.estimate, report.se, target, args.seed]],
+    )
+
+
+def _mc_population_table(args, F):
+    """(name, columns, rows) of an mc-run that draws X^1 from --population."""
+    if args.exhaustive:
+        raise UsageError("--exhaustive applies to --data runs only")
+    if args.n is None:
+        raise UsageError("--n is required with --population")
+    _at_least("--n", args.n, 1)
+    table, sampler = _load_population(args.population, F.max_order(), F.d)
+    if sampler is None:
+        raise InfeasibleError(
+            "population JSON without a sampling family cannot be simulated;"
+            " use the bias subcommand for exact trajectories"
+        )
+    schedule = _parse_schedule(args.schedule, args.n, args.k)
+    rows = mc_mod.bias_experiment(
+        F, table, schedule, args.replicas, seed=args.seed, sampler=sampler
+    )
+    return (
+        "bias_experiment",
+        ["k", "replicas", "empirical_bias", "se", "exact_bias", "bound", "seed"],
+        [
+            [
+                r.k,
+                r.report.replicas,
+                r.report.estimate,
+                r.report.se,
+                r.exact_bias,
+                r.bound,
+                r.report.seed,
+            ]
+            for r in rows
+        ],
+    )
 
 
 def _bounds_table(args):
@@ -599,12 +618,22 @@ def _check_mobius_small():
     _ensure(_is_identity(Z, M), "zeta . mobius is not the identity at m=3")
 
 
+def _dense_columns(M):
+    """M's columns as lists, read from its stored cells."""
+    n = len(M.index)
+    columns = [[0] * n for _ in range(n)]
+    for i, (cols, vals) in enumerate(zip(M.columns, M.values)):
+        for j, v in zip(cols, vals):
+            columns[j][i] = v
+    return columns
+
+
 def _is_identity(Z, M):
     """Whether Z.M is the identity, column by column of M."""
-    n = len(M.entries)
+    n = len(M.index)
     return all(
         Z.matvec(col) == [int(i == j) for i in range(n)]
-        for j, col in enumerate(zip(*M.entries))
+        for j, col in enumerate(_dense_columns(M))
     )
 
 
@@ -617,12 +646,12 @@ def _check_column_sums():
     for m in range(1, 5):
         for n in range(1, 6):
             S = sampling_matrix(m, n)
-            for col in zip(*S.entries):
+            for col in _dense_columns(S):
                 _ensure(sum(col) == 1, f"column sum != 1 at m={m}, n={n}")
-            for row, pi in zip(S.entries, S.index):
+            for vals, pi in zip(S.values, S.index):
                 if pi.block_count > n:
                     _ensure(
-                        not any(row),
+                        not any(vals),
                         f"row with too many blocks is not zero at m={m}, n={n}",
                     )
 

@@ -153,7 +153,7 @@ def exact_bias(F, schedule, population):
     bound = mu_inf * f_one * norm(1)
     for j in range(len(etas) + 1):
         signed = evaluate(apply_S(g, n), population) - target
-        records.append(BiasRecord(j, g, signed, abs(signed), float(bound)))
+        records.append(BiasRecord(j, g, signed, abs(signed), _saturated(float, bound)))
         if j == len(etas):
             break
         eta = etas[j]
@@ -186,10 +186,10 @@ def _cut_index(n):
     return math.ceil(math.sqrt(n / 8))
 
 
-def _safe_exp(x):
+def _saturated(to_float, x):
     # a bound beyond double range carries no information; saturate instead of raising
     try:
-        return math.exp(x)
+        return to_float(x)
     except OverflowError:
         return math.inf
 
@@ -221,6 +221,8 @@ def bandlimited_bound(d, theta, n):
     All products are assembled from logs; (4 d theta)^(4 d theta) alone
     overflows doubles near d*theta ~ 40.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     if d < 1 or theta <= 0:
         raise ValueError("need d >= 1 and theta > 0")
     if n < 8 * (8 * d * theta + 1) ** 2:
@@ -234,7 +236,7 @@ def bandlimited_bound(d, theta, n):
     log_ratio = math.log(x) - math.log(root)
     k = math.floor(0.5 * (log_head - root * log_ratio))
     log_bound = math.log(4) + log_head + math.sqrt(n / 32) * log_ratio
-    return k, _safe_exp(log_bound)
+    return k, _saturated(math.exp, log_bound)
 
 
 def neumann_trace_bound(sigma, n):

@@ -10,12 +10,15 @@ All combinatorics (Bell, Stirling, falling factorials) are exact integers.
 """
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm, prod
 from operator import itemgetter
 
-# Bell(8) = 4140: one dense matrix holds Bell(8)^2 = 1.7e7 cells.  At m = 9 one
-# would hold 4.5e8 list slots, 3.6 GB of pointers alone.
+# Matrices store only their comparable cells (167 894 at m = 8), so the cap
+# guards the dense artifact, not memory: every row is written out in full, and
+# lattice --m 8 writes 69 MB of CSV and 345 MB of JSON.  At m = 9 the two
+# matrices would hold 2 x 4.5e8 written cells.
 DEFAULT_CAP = 8
 
 
@@ -201,7 +204,7 @@ def _groupings(b):
     """One row (rgs, k, masks) per grouping of b blocks, in _rgs_strings(b) order.
 
     rgs sends block i into merged block rgs[i], k counts the merged blocks, and
-    bit i of masks[g] is set iff block i merges into g.  _incidence_entries
+    bit i of masks[g] is set iff block i merges into g.  _incidence_matrix
     and resampling's merge walk work out each weight once per row.
     """
     rows = []
@@ -343,21 +346,44 @@ def _pair_merges(b):
 # -- incidence matrices -------------------------------------------------------
 
 class IncidenceMatrix:
-    """Dense square matrix whose rows and columns follow index.
+    """Square matrix whose rows and columns follow index, stored as its cells.
 
     The index is either a LatticeIndex (a Bell(m) x Bell(m) matrix over the
     refinement order) or the levels 1..m (the level-sum compression of S).
-    The builders' entries are zero off support(): zeta, Moebius and S are
-    elements of the order's incidence algebra (Stanley, EC1, 3.6), and the
-    level matrix is upper triangular.  The constructor takes any entries, so
-    matvec scans every cell, and the CLI's artifact writer, which builds rows
-    from the support, first checks each row's nonzero count against its
-    nonzero support cells and renders a row that fails cell by cell.
+    Row i stores columns[i], increasing column positions, and values[i]; every
+    other cell is the int 0.  The builders store exactly support(), zero
+    weights included: zeta, Moebius and S are elements of the order's incidence
+    algebra (Stanley, EC1, 3.6), and the level matrix is upper triangular.  The
+    constructor takes dense rows and stores every cell but an int or Fraction
+    0, so a bool or float zero, or a nonzero cell off the order, stays visible.
     """
+
+    __slots__ = ("index", "columns", "values", "_entries")
 
     def __init__(self, index, entries):
         self.index = index
-        self.entries = entries
+        self.columns, self.values, self._entries = [], [], None
+        for row in entries:
+            cols = tuple(j for j, v in enumerate(row) if v != 0 or type(v) not in (int, Fraction))
+            self.columns.append(cols)
+            self.values.append([row[j] for j in cols])
+
+    @classmethod
+    def _stored(cls, index, columns, values):
+        """A matrix from its stored cells, the rows' columns increasing."""
+        matrix = cls.__new__(cls)
+        matrix.index, matrix.columns, matrix.values, matrix._entries = index, columns, values, None
+        return matrix
+
+    @property
+    def entries(self):
+        """Dense rows, built on first access; Bell(8)^2 cells take 137 MB of list slots."""
+        if self._entries is None:
+            n = len(self.index)
+            self._entries = [
+                _dense_row(cols, vals, n) for cols, vals in zip(self.columns, self.values)
+            ]
+        return self._entries
 
     def support(self):
         """Per row, the increasing column positions of the cells that may be nonzero.
@@ -371,36 +397,48 @@ class IncidenceMatrix:
         return tuple(tuple(range(i, n)) for i in range(n))
 
     def matvec(self, vec):
-        """entries . vec over exact or float scalars, skipping zero entries."""
+        """matrix . vec over exact or float scalars, skipping zero cells."""
         vec = list(vec)
         n = len(self.index)
         if len(vec) != n:
             raise DimensionError(f"vector of length {len(vec)} against {n} matrix columns")
-        return [sum(row[j] * vec[j] for j in range(n) if row[j]) for row in self.entries]
+        return [
+            sum(v * vec[j] for j, v in zip(cols, vals) if v)
+            for cols, vals in zip(self.columns, self.values)
+        ]
 
 
-def _incidence_entries(index, weight):
-    """entries[position(pi)][col] = weight(b, k, grouping) for pi >= sigma, else 0.
+def _dense_row(cols, vals, n):
+    """One row of n cells: vals at cols, the int 0 elsewhere."""
+    row = [0] * n
+    for j, v in zip(cols, vals):
+        row[j] = v
+    return row
+
+
+def _incidence_matrix(index, weight):
+    """The matrix with weight(b, k, grouping) at (position(pi), col) for pi >= sigma.
 
     sigma (column col) has b blocks, grouping is the RGS over them that merges
-    them into pi, and k is pi's block count.  The weight is worked out once per
-    _groupings(b) row and shared by every column with b blocks; the index lists
-    those columns as one run of stirling2(m, b), finest level first.  Each
-    column's weights are placed along its _coarsening_rows entry, so no merged
-    RGS is built or looked up per cell.
+    them into pi, and k is pi's block count.  Every comparable cell is stored,
+    zero weights included, so each row's columns are its _support_rows(m)
+    tuple.  The weight is worked out once per _groupings(b) row and shared by
+    every column with b blocks, one run of stirling2(m, b) in the index.  The
+    columns are visited in order and each one's weights are appended to the
+    rows of its _coarsening_rows entry, so no merged RGS is looked up per cell.
     """
     m = index.m
-    n = len(index)
     table = _coarsening_rows(m)
-    entries = [[0] * n for _ in range(n)]
+    values = [[] for _ in range(len(index))]
+    appends = [vals.append for vals in values]
     col = 0
     for b in range(m, 0, -1):
         weights = [weight(b, k, grouping) for grouping, k, _ in _groupings(b)]
         for rows in table[col:col + stirling2(m, b)]:
             for row, w in zip(rows, weights):
-                entries[row][col] = w
-            col += 1
-    return entries
+                appends[row](w)
+        col += stirling2(m, b)
+    return IncidenceMatrix._stored(index, _support_rows(m), values)
 
 
 def zeta_matrix(m):
@@ -409,8 +447,7 @@ def zeta_matrix(m):
     Under the finest-first order this is lower triangular with unit diagonal;
     the coarsest partition's row is all ones.
     """
-    index = enumerate_partitions(m)
-    return IncidenceMatrix(index, _incidence_entries(index, lambda b, k, grouping: 1))
+    return _incidence_matrix(enumerate_partitions(m), lambda b, k, grouping: 1)
 
 
 def _mobius_weight(grouping):
@@ -424,6 +461,6 @@ def mobius_matrix(m):
     The interval [sigma, pi] is a product of partition lattices, one per block
     of pi, so mu(sigma, pi) factors over those blocks (Stanley, EC1, 3.10).
     """
-    index = enumerate_partitions(m)
-    entries = _incidence_entries(index, lambda b, k, grouping: _mobius_weight(grouping))
-    return IncidenceMatrix(index, entries)
+    return _incidence_matrix(
+        enumerate_partitions(m), lambda b, k, grouping: _mobius_weight(grouping)
+    )

@@ -21,7 +21,7 @@ from functools import lru_cache
 from .lattice import (
     IncidenceMatrix,
     _groupings,
-    _incidence_entries,
+    _incidence_matrix,
     _mobius_weight,
     enumerate_partitions,
     falling_factorial,
@@ -39,10 +39,10 @@ def sampling_matrix(m, n):
     """
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
-    index = enumerate_partitions(m)
     num, den = _sampling_weight(n)
-    entries = _incidence_entries(index, lambda b, k, grouping: Fraction(num(k, grouping), den(b)))
-    return IncidenceMatrix(index, entries)
+    return _incidence_matrix(
+        enumerate_partitions(m), lambda b, k, grouping: Fraction(num(k, grouping), den(b))
+    )
 
 
 def _sampling_weight(n):
@@ -58,17 +58,29 @@ def factorization(m, n):
     matters.  check is the exact entrywise comparison and must always be True:
     every cell s of S, zero or not, must have s * C[j] == R[i] * zeta[i][j],
     compared in integers as s.numerator * C[j] == R[i] * zeta[i][j] * s.denominator.
+    Every cell that S or zeta stores is compared; a cell that neither stores
+    is 0 on both sides.
     """
     S = sampling_matrix(m, n)
     zeta = zeta_matrix(m)
     R = [falling_factorial(n, pi.block_count) for pi in S.index]
     C = [n ** pi.block_count for pi in S.index]
     check = all(
-        s.numerator * c == r * z * s.denominator
-        for r, row, zeta_row in zip(R, S.entries, zeta.entries)
-        for s, z, c in zip(row, zeta_row, C)
+        s.numerator * C[j] == r * z * s.denominator
+        for r, s_cols, s_vals, z_cols, z_vals in zip(
+            R, S.columns, S.values, zeta.columns, zeta.values
+        )
+        for j, s, z in _cells_of_either(s_cols, s_vals, z_cols, z_vals)
     )
     return [Fraction(r) for r in R], [Fraction(c) for c in C], check
+
+
+def _cells_of_either(a_cols, a_vals, b_cols, b_vals):
+    """(j, a, b) for every column j that row a or row b stores, 0 where one does not."""
+    if a_cols == b_cols:
+        return zip(a_cols, a_vals, b_vals)
+    a, b = dict(zip(a_cols, a_vals)), dict(zip(b_cols, b_vals))
+    return ((j, a.get(j, 0), b.get(j, 0)) for j in a.keys() | b.keys())
 
 
 def _inverse_weight(n):
@@ -190,20 +202,19 @@ def unbiased_evaluate(F, data):
 def reduced_matrix(m, n):
     """m x m level-sum compression of S, indexed by block counts 1..m.
 
-    entries[i-1][j-1] = stirling2(j,i) * falling(N,i) / N^j for i <= j, else 0.
+    Cell (i, j) = stirling2(j,i) * falling(N,i) / N^j for i <= j, stored as its
+    upper triangle; the cells below are 0.
     A partition with j blocks has stirling2(j,i) coarsenings with i blocks,
     all receiving the same weight, which is why S acts on level sums.
     """
     if m < 1 or n < 1:
         raise ValueError("m and N must be positive")
-    entries = [
-        [
-            Fraction(stirling2(j, i) * falling_factorial(n, i), n**j) if i <= j else Fraction(0)
-            for j in range(1, m + 1)
-        ]
+    columns = tuple(tuple(range(i - 1, m)) for i in range(1, m + 1))
+    values = [
+        [Fraction(stirling2(j, i) * falling_factorial(n, i), n**j) for j in range(i, m + 1)]
         for i in range(1, m + 1)
     ]
-    return IncidenceMatrix(range(1, m + 1), entries)
+    return IncidenceMatrix._stored(range(1, m + 1), columns, values)
 
 
 # -- norms and convergence ratios ----------------------------------------------
@@ -226,13 +237,20 @@ def _one_norm(S, eta):
     """Max column 1-norm of Id - eta*S for a built S, so one S serves every eta.
 
     A column's sum runs, in row order, over its diagonal cell and its nonzero
-    cells: a zero off the diagonal adds exactly 0.
+    stored cells: any other cell adds exactly 0.  The rows are read in order
+    and each cell is added to its column's running sum, so a float eta gives
+    the bits of a sum down each dense column.
     """
-    best = Fraction(0)
-    for j, col in enumerate(zip(*S.entries)):
-        total = sum(abs((1 if i == j else 0) - eta * s) for i, s in enumerate(col) if s or i == j)
-        best = max(best, total)
-    return best
+    totals = [0] * len(S.index)
+    for i, (cols, vals) in enumerate(zip(S.columns, S.values)):
+        diagonal = 0
+        for j, s in zip(cols, vals):
+            if j == i:
+                diagonal = s
+            elif s:
+                totals[j] += abs(0 - eta * s)
+        totals[i] += abs(1 - eta * diagonal)
+    return max(Fraction(0), *totals)
 
 
 def one_norm_id_minus_scaled(m, n, eta):

@@ -98,6 +98,41 @@ def sampling_entries(m, n):
     )
 
 
+def reduced_entries(m, n):
+    """The level matrix as the level sums of one S column per level.
+
+    Cell (i, j) sums S's cells over the partitions with i blocks in the column
+    of the first partition with j blocks: a Fraction for i <= j, where some
+    partition is comparable, and the int 0 below.
+    """
+    index = enumerate_partitions(m)
+    entries = sampling_entries(m, n)
+    first = {}
+    for col, sigma in enumerate(index):
+        first.setdefault(sigma.block_count, col)
+    return [
+        [
+            sum(entries[row][first[j]] for row, pi in enumerate(index) if pi.block_count == i)
+            for j in range(1, m + 1)
+        ]
+        for i in range(1, m + 1)
+    ]
+
+
+def assert_stored_cells(matrix, want):
+    """The stored cells are want's cells on the support, types included, and
+    the dense view is want cell for cell and type for type."""
+    support = matrix.support()
+    assert len(matrix.columns) == len(matrix.values) == len(want)
+    for cols, vals, want_row, support_cols in zip(matrix.columns, matrix.values, want, support):
+        assert tuple(cols) == support_cols
+        assert [(v, type(v)) for v in vals] == [(want_row[j], type(want_row[j])) for j in cols]
+        off = set(range(len(want_row))) - set(cols)
+        assert all(type(want_row[j]) is int and want_row[j] == 0 for j in off)
+    assert matrix.entries == want
+    assert [list(map(type, row)) for row in matrix.entries] == [list(map(type, row)) for row in want]
+
+
 def factorization(m, n):
     """(R, C, check) with S = R.zeta.C^{-1}, every cell compared as a Fraction quotient.
 

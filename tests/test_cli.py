@@ -441,6 +441,48 @@ def test_nonpositive_schedule_exit_2(workdir, monkeypatch, capsys, argv):
     assert not (workdir / "x.csv").exists()
 
 
+def test_bias_with_a_huge_exact_step_saturates_its_bound(workdir, monkeypatch):
+    # the step 1e400 is exact, so the trajectory is; only its float bound leaves double range
+    from mobiusboot.debias import StepSchedule, exact_bias
+    from mobiusboot.moments import normal_moment_table
+
+    monkeypatch.chdir(workdir)
+    assert main(BIAS + ["--n", "4", "--k", "2", "--schedule", "1,1e400", "--out", "b"]) == 0
+    _, rows = _rows(workdir / "b.csv", "trajectory")
+    F = polynomial_from_dict(VARIANCE_JSON)
+    report = exact_bias(F, StepSchedule(4, [1, Fraction("1e400")]), normal_moment_table(1, 2))
+    assert [row[:3] for row in rows] == [
+        [str(r.k), str(r.signed_bias), str(r.abs_bias)] for r in report.records
+    ]
+    assert len(rows[2][1]) > 400
+    assert [row[3] for row in rows] == ["1.0", "0.5", "inf"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        MC_DATA + ["--k", "2"],
+        MC_POP + ["--n", "4", "--k", "2"],
+        MC_DATA + ["--k", "2", "--exhaustive"],
+    ],
+    ids=["mc-data", "mc-population", "mc-exhaustive"],
+)
+def test_mc_run_with_a_huge_exact_step_exit_2(workdir, monkeypatch, capsys, argv):
+    monkeypatch.chdir(workdir)
+    err = _assert_usage_error(main(argv + ["--schedule", "1,1e400", "--out", "x"]), capsys)
+    assert "double range" in err
+    assert not (workdir / "x.csv").exists() and not (workdir / "x.json").exists()
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_bandlimited_non_finite_theta_exit_2(workdir, monkeypatch, capsys, theta):
+    monkeypatch.chdir(workdir)
+    argv = ["bounds", "--kind", "bandlimited", "--d", "1", "--theta", theta, "--n", "100"]
+    err = _assert_usage_error(main(argv + ["--out", "x"]), capsys)
+    assert f"theta must be finite, got {theta}" in err
+    assert not (workdir / "x.csv").exists()
+
+
 def _artifact_tables(workdir, base):
     """An artifact's CSV without its flags and timestamp lines, and its JSON tables."""
     csv_lines = [

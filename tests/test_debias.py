@@ -428,6 +428,12 @@ def test_bandlimited_precondition():
         bandlimited_bound(1, 0.0, 100)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_bandlimited_rejects_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        bandlimited_bound(1, theta, 10**6)
+
+
 def test_bandlimited_survives_huge_dtheta():
     # (4*d*theta)^(4*d*theta) alone is ~1e1666 here; the log path must not raise.
     # Just past the precondition the bound is astronomically large: saturate to inf.

@@ -2,12 +2,14 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from mobiusboot.lattice import (
     CapExceededError,
     DimensionError,
+    IncidenceMatrix,
     Partition,
     bell,
     coarsenings,
@@ -21,6 +23,7 @@ from mobiusboot.lattice import (
     zeta_matrix,
     _coarsening_rows,
     _groupings,
+    _support_rows,
 )
 import oracles
 from oracles import refines
@@ -322,3 +325,68 @@ def test_counting_identity_functions_by_coincidence_pattern():
                 stirling2(m, k) * falling_factorial(N, k) for k in range(m + 1)
             )
             assert by_level == N**m
+
+
+# -- stored cells ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_zeta_and_mobius_stored_cells_match_per_cell_oracle(m):
+    for matrix, want in ((zeta_matrix(m), oracles.zeta_entries(m)),
+                         (mobius_matrix(m), oracles.mobius_entries(m))):
+        # the builders share the support's tuples as their column lists
+        assert matrix.columns is _support_rows(m)
+        oracles.assert_stored_cells(matrix, want)
+
+
+# one value of each kind the constructor may see, with whether it is stored
+ROUND_TRIP_CELLS = [
+    (0, False),
+    (Fraction(0), False),
+    (0.0, True),
+    (False, True),
+    (Fraction(3, 4), True),
+    ("7", True),
+    ("0", True),
+    (-2.5, True),
+]
+
+
+@pytest.mark.parametrize("value, stored", ROUND_TRIP_CELLS, ids=repr)
+@pytest.mark.parametrize("where", ["on-the-order", "off-the-order"])
+def test_constructor_round_trip(value, stored, where):
+    # finest row: only its diagonal is on the order; coarsest row: every column is
+    Z = zeta_matrix(3)
+    dense = [list(row) for row in Z.entries]
+    i, j = (4, 2) if where == "on-the-order" else (0, 4)
+    dense[i][j] = value
+    M = IncidenceMatrix(Z.index, dense)
+    assert (j in M.columns[i]) is stored
+    for row, cols in enumerate(M.columns):
+        assert list(cols) == sorted(cols)
+        if row != i:
+            assert cols == Z.columns[row]
+    back = M.entries
+    # every cell comes back as it went in, but an int or Fraction 0 comes back as the int 0
+    want = value if stored else 0
+    assert back[i][j] == want and type(back[i][j]) is type(want)
+    assert back == dense
+    assert M.entries is back  # built once
+
+
+def test_mobius_m8_from_stored_cells():
+    M = mobius_matrix(8)
+    idx = M.index
+    assert sum(map(len, M.values)) == 167894
+    # the product formula on sampled rows: mu(sigma, pi) is the product over pi's
+    # blocks of (-1)^(b-1) (b-1)!, b the number of sigma's blocks inside it
+    for row in list(range(0, len(idx), 577)) + [len(idx) - 1]:
+        pi = idx[row]
+        cols = [j for j, sigma in enumerate(idx) if refines(sigma, pi)]
+        assert list(M.columns[row]) == cols
+        for j, v in zip(M.columns[row], M.values[row]):
+            counts = {}
+            for block in idx[j].blocks:
+                counts[pi.rgs[block[0]]] = counts.get(pi.rgs[block[0]], 0) + 1
+            want = math.prod((-1) ** (b - 1) * math.factorial(b - 1) for b in counts.values())
+            assert type(v) is int and v == want
+    assert M._entries is None  # no dense row was built

@@ -168,6 +168,18 @@ def test_sampling_matrix_matches_per_cell_oracle(m):
         assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want], n
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_sampling_and_level_matrix_stored_cells_match_per_cell_oracle(m):
+    support = zeta_matrix(m).support()
+    for n in sorted({1, 2, max(m - 1, 1), m, m + 3}):
+        S = sampling_matrix(m, n)
+        assert S.columns is support
+        # a Fraction at every comparable cell, zero weights (n < #pi) included
+        oracles.assert_stored_cells(S, oracles.sampling_entries(m, n))
+    for n in (max(m - 2, 1), m + 3):
+        oracles.assert_stored_cells(reduced_matrix(m, n), oracles.reduced_entries(m, n))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_factorization_matches_fraction_oracle(m):
     for n in (1, 2, 3, 5, 8):
@@ -417,6 +429,19 @@ def test_one_norm_direct_float_steps_match_full_scan_oracle(m):
     for n in (1, 3, 8):
         for eta in (0.3, 1.0, 2.75, -0.6):
             assert repr(one_norm_direct(m, n, eta)) == repr(oracles.one_norm_direct(m, n, eta))
+
+
+def test_one_norm_sums_each_column_in_row_order():
+    # column 2 adds 1.0, 1.0 and then its diagonal's 1e16: in row order the sum
+    # is 1e16 + 2, in any order that takes the diagonal first 1e16 + 1 rounds
+    # to 1e16 before the second 1.0 comes in
+    entries = [[0.0, 0, -1.0], [0, 0.5, 1.0], [0.125, 0.25, -1e16]]
+    S = IncidenceMatrix(range(1, 4), entries)
+    want = max(
+        sum(abs((1 if i == j else 0) - 1.0 * entries[i][j]) for i in range(3)) for j in range(3)
+    )
+    assert want == 1e16 + 2
+    assert repr(resampling._one_norm(S, 1.0)) == repr(want)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
