@@ -824,11 +824,37 @@ def build_parser():
     return parser
 
 
+def _is_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_signed_values(argv):
+    """argv with each "--option -value" written "--option=-value" when the value is a number.
+
+    argparse takes a token that starts with "-" for an option unless it reads
+    as a plain negative number, so "--theta -inf", "--sigma -nan" and
+    "--theta -1e5" would stop at "expected one argument"; joined, the value
+    reaches its option's own check, as "--theta=-inf" does.
+    """
+    out = []
+    for token in argv:
+        last = out[-1] if out else ""
+        if token[:1] == "-" and last[:2] == "--" and "=" not in last and _is_float(token):
+            out[-1] = f"{last}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(argv))
         return args.fn(args, argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,12 +13,21 @@ SeedSequence object is built per replica.  Each replica draws one resample per
 chain link from its generator, and enlarging the replica count extends earlier
 runs instead of reshuffling them.  numpy loads on the first draw, so the exact
 routes and the CLI commands that never draw run without it.
-A replica step does only float work on float data: the coefficients a_j and
-those of a polynomial F are converted to float once per run (bit-identical,
-since Fraction times float is computed as float(a) * b), and picked rows skip
-Dataset validation.  Batching replicas into numpy blocks would change the
-seed-to-value mapping and waits for a benchmark change that re-pins the
-per-link evaluate/resample counts.
+
+A chain runs in index space.  All of its draws over one row count come from
+one integers(n, size=(count, n)) call (_Draws), which numpy fills with what
+count calls of integers(n, size=n) return, so every seed keeps its values.
+Each link is a pick, the row indices of the chain's root, and a pick of a
+pick is a pick of the root.  Where every replica picks from the same rows
+(mc_estimate's data, a Dataset population, exhaustive_estimate's data) the
+root is shared, and evaluate sums its columns of per-row products at the
+picks (moments.Dataset); a root drawn anew per replica (a sampler) keeps the
+row loops.  A replica step does only float work on float data: the
+coefficients a_j and those of a polynomial F are converted to float once per
+run (bit-identical, since Fraction times float is computed as float(a) * b).
+Batching replicas into numpy blocks would change the seed-to-value mapping
+and waits for a benchmark change that re-pins the per-link evaluate/resample
+counts.
 
 The exhaustive route pushes the exact law of the resampled row multiset one
 chain level at a time: C(2N-1, N) states per level with multinomial weights,
@@ -28,6 +37,7 @@ instead of the N^N ordered picks, so its cost is linear in the chain length.
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 
 from .debias import exact_bias
@@ -65,13 +75,20 @@ def expansion_coefficients(schedule):
 
 
 def _take(data, indices):
-    """The rows of data at the given indices, as a Dataset of the same exactness."""
-    rows = data.rows
-    return Dataset._validated(tuple([rows[i] for i in indices]), data.exact)
+    """The rows of data at the given indices, as a pick of data's root."""
+    picks = data.picks
+    if picks is None:
+        return Dataset._picked(data, indices)
+    return Dataset._picked(data.root, [picks[i] for i in indices])
 
 
 def _draw(data, n, rng):
-    """n rows drawn i.i.d. uniformly from data's rows."""
+    """n rows drawn i.i.d. uniformly from data's rows.
+
+    rng is a Generator, or a chain's _Draws, whose next row holds the n draws.
+    """
+    if type(rng) is _Draws:
+        return _take(data, next(rng.rows))
     return _take(data, rng.integers(data.n, size=n).tolist())
 
 
@@ -80,9 +97,23 @@ def resample(data, rng):
     return _draw(data, data.n, rng)
 
 
+class _Draws:
+    """count draws of rng.integers(n, size=n) for one chain, made by one call.
+
+    rng.integers(n, size=(count, n)) fills its rows with what count calls of
+    rng.integers(n, size=n) return, in order (test_mc.py holds numpy to it),
+    so a chain that takes its draws from here keeps its seed's values.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rng, n, count):
+        self.rows = iter(rng.integers(n, size=(count, n)).tolist())
+
+
 def _as_functional(F):
     if isinstance(F, MomentPolynomial):
-        return lambda ds: evaluate(F, ds)
+        return partial(evaluate, F)
     if callable(F):
         return F
     raise TypeError(f"functional must be a MomentPolynomial or callable, not {type(F).__name__}")
@@ -102,12 +133,12 @@ def _float_chain(F, coeffs):
     return _as_functional(F), tuple(coeffs)
 
 
-def _chain_value(fn, coeffs, first, rng):
+def _chain_value(fn, coeffs, first, draws):
     ds = first
     total = 0.0
     for j, a in enumerate(coeffs):
         if j > 0:
-            ds = resample(ds, rng)
+            ds = resample(ds, draws)
         try:
             total += a * fn(ds)
         except Exception as exc:
@@ -211,19 +242,48 @@ def _replica_generators(seed, replicas):
             yield Generator(PCG64(SpawnedState(words)))
 
 
-def _mc_values(F, first_draw, coeffs, replicas, seed):
+def _mc_values(F, start, coeffs, replicas, seed):
+    """The chain value of every replica 0..replicas-1, in order.
+
+    start(rng, links) returns X^1, drawn from the replica's generator, and
+    the _Draws of the chain's links (None without links).
+    """
     _check_run(seed, replicas)
     exact_chain = _as_functional(F), tuple(coeffs)
     float_chain = _float_chain(F, coeffs)
+    links = len(coeffs) - 1
     values = []
     for r, rng in enumerate(_replica_generators(seed, replicas)):
         try:
-            first = first_draw(rng)
+            first, draws = start(rng, links)
             fn, chain_coeffs = exact_chain if first.exact else float_chain
-            values.append(_chain_value(fn, chain_coeffs, first, rng))
+            values.append(_chain_value(fn, chain_coeffs, first, draws))
         except RuntimeError as exc:
             raise RuntimeError(f"replica {r}: {exc}") from exc
     return values
+
+
+def _root_start(data, n, first_draw):
+    """start for chains whose X^1 is first_draw(root, rng), n rows picked from data.
+
+    Every replica picks from one shared root with data's rows.  When data
+    has n rows, X^1 is drawn in the links' block.
+    """
+    root = data._shared()
+
+    def start(rng, links):
+        if root.n == n:
+            draws = _Draws(rng, n, links + 1)
+            return first_draw(root, draws), draws
+        first = first_draw(root, rng)
+        return first, _Draws(rng, n, links) if links else None
+
+    return start
+
+
+def _sampler_start(sampler, n):
+    """start for chains whose X^1 is sampler(rng, n), a new root per replica."""
+    return lambda rng, links: (sampler(rng, n), _Draws(rng, n, links) if links else None)
 
 
 def _report(values, seed):
@@ -243,7 +303,7 @@ def mc_estimate(F, data, coeffs, replicas, seed):
     The chain opens with a redraw of data as X^1, so the estimator is unbiased
     for evaluate(apply_S(G), data) where G carries the coefficients.
     """
-    values = _mc_values(F, lambda rng: resample(data, rng), coeffs, replicas, seed)
+    values = _mc_values(F, _root_start(data, data.n, resample), coeffs, replicas, seed)
     return _report(values, seed)
 
 
@@ -277,6 +337,7 @@ def exhaustive_estimate(F, data, coeffs):
     float.  Exact on exact data.
     """
     fn = _as_functional(F)
+    root = data._shared()
     n = data.n
     picks = _multiset_picks(n)
     law = {tuple(range(n)): 1}
@@ -299,7 +360,7 @@ def exhaustive_estimate(F, data, coeffs):
         level = 0
         for rows, p in law.items():
             if rows not in values:
-                values[rows] = fn(_take(data, rows))
+                values[rows] = fn(_take(root, rows))
             level += Fraction(p, den) * values[rows]
         total += a * level
     return total
@@ -351,10 +412,10 @@ def bias_experiment(F, population, schedule, replicas, seed=0, sampler=None):
         if sampler is None:
             raise ValueError("an analytic population needs a sampler to draw X^1")
         table = population
-        first_draw = lambda rng: sampler(rng, n)
+        start = _sampler_start(sampler, n)
     elif isinstance(population, Dataset):
         table = MomentTable.from_dataset(population, reachable_blocks(F))
-        first_draw = lambda rng: _draw(population, n, rng)
+        start = _root_start(population, n, lambda root, rng: _draw(root, n, rng))
     else:
         raise TypeError("population must be a Dataset or MomentTable")
 
@@ -365,7 +426,7 @@ def bias_experiment(F, population, schedule, replicas, seed=0, sampler=None):
     rows = []
     for k, record in enumerate(exact.records):
         coeffs = expansion_coefficients(schedule.etas[:k])
-        values = _mc_values(F, first_draw, coeffs, replicas, int(seeds[k]))
+        values = _mc_values(F, start, coeffs, replicas, int(seeds[k]))
         biased = [v - target for v in values]
         report = _report(biased, int(seeds[k]))
         rows.append(ExperimentRow(k, report, record.signed_bias, record.bound))

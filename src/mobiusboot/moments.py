@@ -176,7 +176,17 @@ class MomentPolynomial:
 
 
 class Dataset:
-    """N x d matrix of samples, one row per observation."""
+    """N x d matrix of samples, one row per observation.
+
+    A resampled Dataset is a pick: it keeps root, the Dataset whose rows it
+    picks, and picks, the root row index of each of its rows, and builds rows
+    when they are first read.  A pick of a pick is a pick of the same root.
+    A shared root (_shared) is picked by every replica of one run and keeps
+    columns, per block one list of per-row products; evaluate sums those at
+    a pick's indices instead of looping over the pick's rows.
+    """
+
+    __slots__ = ("rows", "exact", "root", "picks", "columns")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -187,26 +197,59 @@ class Dataset:
             raise ValueError("Dataset rows must all have the same positive width")
         self.rows = rows
         self.exact = all(_is_exact(v) for r in rows for v in r)
+        self.root = self.picks = self.columns = None
 
     @classmethod
     def _validated(cls, rows, exact):
         """Wrap rows that need no checks: a nonempty tuple of equal-width tuples.
 
-        For rows picked from another Dataset (exact carries over) or freshly
-        sampled floats; skips the per-cell scan of __init__.
+        For freshly sampled floats or the rows of another Dataset (exact
+        carries over); skips the per-cell scan of __init__.
         """
         ds = cls.__new__(cls)
         ds.rows = rows
         ds.exact = exact
+        ds.root = ds.picks = ds.columns = None
         return ds
+
+    @classmethod
+    def _picked(cls, root, picks):
+        """The rows of root (not itself a pick) at the indices picks.
+
+        A pick of a shared root leaves rows unset until they are read.  Any
+        other root's picks are read row by row, so their rows are built here.
+        """
+        ds = cls.__new__(cls)
+        if root.columns is None:
+            root_rows = root.rows
+            ds.rows = tuple([root_rows[i] for i in picks])
+        ds.exact = root.exact
+        ds.root = root
+        ds.picks = picks
+        ds.columns = None
+        return ds
+
+    def _shared(self):
+        """A root with this Dataset's rows that keeps its columns, for one run's replicas."""
+        ds = Dataset._validated(self.rows, self.exact)
+        ds.columns = {}
+        return ds
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the rows of a pick, on their first read
+        if name != "rows" or self.picks is None:
+            raise AttributeError(name)
+        root_rows = self.root.rows
+        rows = self.rows = tuple([root_rows[i] for i in self.picks])
+        return rows
 
     @property
     def n(self):
-        return len(self.rows)
+        return len(self.rows) if self.picks is None else len(self.picks)
 
     @property
     def d(self):
-        return len(self.rows[0])
+        return len((self.root or self).rows[0])
 
     def __repr__(self):
         return f"Dataset(n={self.n}, d={self.d})"
@@ -266,9 +309,60 @@ def empirical_moment(data, block):
     return Fraction(total, n) if data.exact else total / n
 
 
+def _product_column(data, block):
+    """Each row's product of the block's variables, as empirical_moment forms it."""
+    rows = data.rows
+    d = len(rows[0])
+    for lab in block:
+        if not 0 <= lab < d:
+            raise ValueError(f"label {lab} out of range for d={d}")
+    if len(block) == 1:
+        (a,) = block
+        return [row[a] for row in rows]
+    if len(block) == 2:
+        a, b = block
+        return [row[a] * row[b] for row in rows]
+    column = [1] * len(rows)
+    for lab in block:
+        column = [p * row[lab] for p, row in zip(column, rows)]
+    return column
+
+
+def _evaluate_picks(F, root, picks):
+    """evaluate against the rows of a shared root at picks.
+
+    A block's moment sums its root column at the picks, in pick order from 0:
+    the products and the order of empirical_moment on the picked rows, so the
+    same bits.  A column is built on its block's first read and kept.
+    """
+    columns = root.columns
+    n = len(picks)
+    exact = root.exact
+    cache = {}
+    total = 0
+    for term, coeff in F.terms.items():
+        v = coeff
+        for block in term:
+            m = cache.get(block)
+            if m is None:
+                column = columns.get(block)
+                if column is None:
+                    column = columns[block] = _product_column(root, block)
+                s = 0
+                for i in picks:
+                    s += column[i]
+                m = cache[block] = Fraction(s, n) if exact else s / n
+            v = v * m
+        total += v
+    return total
+
+
 def evaluate(F, population):
     """Value of the polynomial against a Dataset (plug-in) or a MomentTable."""
     if isinstance(population, Dataset):
+        root = population.root
+        if root is not None and root.columns is not None:
+            return _evaluate_picks(F, root, population.picks)
         plug_in = True
     elif isinstance(population, MomentTable):
         plug_in = False

@@ -28,7 +28,14 @@ from .lattice import (
     stirling2,
     zeta_matrix,
 )
-from .moments import Dataset, InfeasibleError, LabeledTerm, MomentPolynomial, evaluate
+from .moments import (
+    Dataset,
+    InfeasibleError,
+    LabeledTerm,
+    MomentPolynomial,
+    _is_exact,
+    evaluate,
+)
 
 
 def sampling_matrix(m, n):
@@ -236,11 +243,14 @@ def one_norm_direct(m, n, eta=1):
 def _one_norm(S, eta):
     """Max column 1-norm of Id - eta*S for a built S, so one S serves every eta.
 
-    A column's sum runs, in row order, over its diagonal cell and its nonzero
-    stored cells: any other cell adds exactly 0.  The rows are read in order
-    and each cell is added to its column's running sum, so a float eta gives
-    the bits of a sum down each dense column.
+    A column's sum runs over its diagonal cell and its nonzero stored cells:
+    any other cell adds exactly 0.  An exact eta on int and Fraction cells
+    sums integers over one common denominator.  Otherwise the rows are read in
+    order and each cell is added to its column's running sum, so a float eta
+    gives the bits of a sum down each dense column.
     """
+    if _is_exact(eta) and _exact_cells(S):
+        return _one_norm_exact(S, eta)
     totals = [0] * len(S.index)
     for i, (cols, vals) in enumerate(zip(S.columns, S.values)):
         diagonal = 0
@@ -251,6 +261,35 @@ def _one_norm(S, eta):
                 totals[j] += abs(0 - eta * s)
         totals[i] += abs(1 - eta * diagonal)
     return max(Fraction(0), *totals)
+
+
+def _exact_cells(S):
+    types = set()
+    for vals in S.values:
+        types.update(map(type, vals))
+    return types <= {int, Fraction}
+
+
+def _one_norm_exact(S, eta):
+    """_one_norm for an exact eta and exact cells, as one Fraction over q*den.
+
+    eta = p/q and every cell s = a/b is a*(den/b)/den, den the lcm of the b,
+    so |delta - eta*s| is |q*den*delta - p*a*(den/b)| / (q*den).
+    """
+    eta = Fraction(eta)
+    p, q = eta.numerator, eta.denominator
+    den = math.lcm(*{s.denominator for vals in S.values for s in vals})
+    totals = [0] * len(S.index)
+    for i, (cols, vals) in enumerate(zip(S.columns, S.values)):
+        diagonal = 0
+        for j, s in zip(cols, vals):
+            scaled = p * s.numerator * (den // s.denominator)
+            if j == i:
+                diagonal = scaled
+            else:
+                totals[j] += abs(scaled)
+        totals[i] += abs(q * den - diagonal)
+    return Fraction(max(0, *totals), q * den)
 
 
 def one_norm_id_minus_scaled(m, n, eta):

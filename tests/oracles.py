@@ -22,7 +22,7 @@ from mobiusboot.lattice import (
     falling_factorial,
     zeta_matrix,
 )
-from mobiusboot.moments import LabeledTerm, MomentPolynomial
+from mobiusboot.moments import Dataset, LabeledTerm, MomentPolynomial
 
 
 def refines(sigma, pi):
@@ -257,6 +257,53 @@ def empirical_moment(data, block):
             p = p * row[lab]
         total += p
     return Fraction(total, data.n) if data.exact else total / data.n
+
+
+def evaluate(F, data):
+    """The plug-in value of F, each block occurrence's moment by the per-row loop."""
+    total = 0
+    for term, coeff in F.terms.items():
+        v = coeff
+        for block in term:
+            v = v * empirical_moment(data, block)
+        total += v
+    return total
+
+
+# -- the Monte Carlo chain with one draw per link, over row tuples ------------------
+
+def take(data, indices):
+    """The rows of data at the given indices, as a Dataset that holds them."""
+    rows = data.rows
+    return Dataset._validated(tuple([rows[i] for i in indices]), data.exact)
+
+
+def draw(data, n, rng):
+    """n rows of data by one rng.integers(data.n, size=n) call."""
+    return take(data, rng.integers(data.n, size=n).tolist())
+
+
+def chain_values(F, first_draw, coeffs, replicas, seed):
+    """sum_j a_j F(X^{j+1}) per replica, X^1 = first_draw(rng) and one draw per link.
+
+    Replica i draws from default_rng(SeedSequence(seed).spawn(replicas)[i]).
+    A polynomial F is evaluated with its own coefficients, and the a_j stay
+    as given, so Fraction times float is rounded where the product is taken.
+    """
+    import numpy as np
+
+    fn = (lambda ds: evaluate(F, ds)) if isinstance(F, MomentPolynomial) else F
+    values = []
+    for child in np.random.SeedSequence(seed).spawn(replicas):
+        rng = np.random.default_rng(child)
+        ds = first_draw(rng)
+        total = 0.0
+        for j, a in enumerate(coeffs):
+            if j > 0:
+                ds = draw(ds, ds.n, rng)
+            total += a * fn(ds)
+        values.append(total)
+    return values
 
 
 # -- the artifact writer that rendered every cell before writing anything ---------

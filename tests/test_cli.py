@@ -483,6 +483,32 @@ def test_bandlimited_non_finite_theta_exit_2(workdir, monkeypatch, capsys, theta
     assert not (workdir / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [("--theta", "-inf", "theta must be finite, got -inf"),
+     ("--theta", "-nan", "theta must be finite, got nan"),
+     ("--sigma", "-nan", "sigma must lie in (0,1), got nan"),
+     ("--sigma", "-1e5", "sigma must lie in (0,1), got -100000.0")],
+)
+@pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+def test_bounds_signed_value_reaches_its_check(workdir, monkeypatch, capsys, option, value,
+                                               message, joined):
+    # "--theta -inf" is the value -inf, not an option -inf
+    monkeypatch.chdir(workdir)
+    kind = ["--kind", "bandlimited", "--d", "2"] if option == "--theta" else ["--kind", "trace"]
+    flag = [f"{option}={value}"] if joined else [option, value]
+    err = _assert_usage_error(main(["bounds"] + kind + flag + ["--out", "x"]), capsys)
+    assert message in err and "expected one argument" not in err
+    assert not (workdir / "x.csv").exists()
+
+
+def test_option_without_value_still_names_the_option(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["bounds", "--kind", "trace", "--sigma", "--n", "5"])
+    assert stop.value.code == 2
+    assert "argument --sigma: expected one argument" in capsys.readouterr().err
+
+
 def _artifact_tables(workdir, base):
     """An artifact's CSV without its flags and timestamp lines, and its JSON tables."""
     csv_lines = [

@@ -12,11 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mobiusboot
+import oracles
 
 from mobiusboot.debias import StepSchedule, nonstationary_debias, richardson_debias
 from mobiusboot.mc import (
+    _report,
+    _take,
     bias_experiment,
     chain_expectation,
     exhaustive_estimate,
@@ -28,6 +33,8 @@ from mobiusboot.mc import (
     _multiset_picks,
     _as_functional,
     _replica_generators,
+    _root_start,
+    _sampler_start,
     _spawn_states,
 )
 from mobiusboot.moments import (
@@ -37,7 +44,9 @@ from mobiusboot.moments import (
     MomentTable,
     evaluate,
     normal_moment_table,
+    reachable_blocks,
 )
+from mobiusboot.debias import exact_bias
 from mobiusboot.resampling import apply_S
 
 
@@ -276,9 +285,9 @@ def test_replica_substreams_are_prefix_stable():
     data = Dataset([[float(v)] for v in (0.0, 1.5, -2.0, 0.5)])
     fn = _as_functional(F)
     coeffs = expansion_coefficients([1])
-    draw = lambda rng: resample(data, rng)
-    short = _mc_values(fn, draw, coeffs, 100, 9)
-    long = _mc_values(fn, draw, coeffs, 400, 9)
+    start = _root_start(data, data.n, resample)
+    short = _mc_values(fn, start, coeffs, 100, 9)
+    long = _mc_values(fn, start, coeffs, 400, 9)
     assert long[:100] == short
 
 
@@ -319,9 +328,9 @@ def test_replica_generators_equal_default_rng_of_spawned_children():
 )
 def test_bad_seed_rejected_before_any_replica(seed, error):
     calls = []
-    draw = lambda rng: calls.append(rng) or DATA4
+    start = lambda rng, links: calls.append(rng) or (DATA4, None)
     with pytest.raises(error, match="seed must be a nonnegative int"):
-        _mc_values(variance_poly(), draw, (1,), 3, seed)
+        _mc_values(variance_poly(), start, (1,), 3, seed)
     with pytest.raises(error, match=repr(seed)):
         mc_estimate(variance_poly(), DATA4, (1,), 3, seed)
     sampler = lambda rng, n: calls.append(rng) or DATA4
@@ -399,9 +408,9 @@ def test_float_chain_bit_identical_to_fraction_coefficients():
     coeffs = expansion_coefficients(StepSchedule.default(12, 2))
     assert all(isinstance(a, Fraction) for a in coeffs)
     slow_fn = lambda ds: evaluate(COVARIANCE_PLUS, ds)
-    for draw in (lambda r: resample(data, r), lambda r: normal_sampler(2)(r, 7)):
-        fast = _mc_values(COVARIANCE_PLUS, draw, coeffs, 200, 17)
-        slow = _mc_values(slow_fn, draw, coeffs, 200, 17)
+    for start in (_root_start(data, data.n, resample), _sampler_start(normal_sampler(2), 7)):
+        fast = _mc_values(COVARIANCE_PLUS, start, coeffs, 200, 17)
+        slow = _mc_values(slow_fn, start, coeffs, 200, 17)
         assert fast == slow
 
 
@@ -417,7 +426,7 @@ def test_exact_data_keeps_fraction_coefficients():
         for a, ds in zip(coeffs, chain):
             total += a * evaluate(COVARIANCE_PLUS, ds)  # exact product, rounded once
         want.append(total)
-    assert _mc_values(COVARIANCE_PLUS, draw, coeffs, 50, 8) == want
+    assert _mc_values(COVARIANCE_PLUS, _root_start(data, data.n, resample), coeffs, 50, 8) == want
 
 
 def _replayed_chains(first_draw, length, replicas, seed):
@@ -500,3 +509,146 @@ def test_exact_column_independent_of_replicas():
     a = bias_experiment(F, pop, unit, 50, seed=1, sampler=normal_sampler(1))
     b = bias_experiment(F, pop, unit, 200, seed=9, sampler=normal_sampler(1))
     assert [r.exact_bias for r in a] == [r.exact_bias for r in b]
+
+
+# -- chains in index space against the per-link oracle ----------------------------------
+
+# reproducible examples, no example database written next to the tests
+PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+# mixed magnitudes, so that a sum in another order rounds to other bits
+FLOAT_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1 / 3, -3.0, 1e16, -7e15]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+EXACT_CELLS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def chain_inputs(draw, max_rows=8):
+    """Float or exact p/q rows, an exact polynomial over their labels and up to 3 steps."""
+    exact = draw(st.booleans())
+    d = draw(st.integers(1, 2))
+    rows = draw(st.lists(
+        st.lists(EXACT_CELLS if exact else FLOAT_CELLS, min_size=d, max_size=d),
+        min_size=1, max_size=max_rows,
+    ))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        blocks = draw(st.lists(
+            st.lists(st.integers(0, d - 1), min_size=1, max_size=3), min_size=1, max_size=3
+        ))
+        terms[LabeledTerm(blocks)] = draw(EXACT_CELLS.filter(bool))
+    steps = draw(st.lists(st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4),
+                          max_size=3))
+    return Dataset(rows), MomentPolynomial(d, terms), steps
+
+
+def row_spread(ds):
+    """A functional that reads the rows themselves, not their moments."""
+    return max(row[-1] for row in ds.rows) - ds.rows[0][0] * ds.n / ds.d
+
+
+def same(got, want):
+    # repr tells -0.0 from 0.0 and shows every bit of a float; Fractions compare exactly
+    return repr(got) == repr(want)
+
+
+@PROPERTY
+@given(chain_inputs(), st.integers(1, 6), st.integers(0, 2**40))
+def test_mc_estimate_matches_per_link_oracle(case, replicas, seed):
+    data, F, steps = case
+    coeffs = expansion_coefficients(steps)
+    first = lambda rng: oracles.draw(data, data.n, rng)
+    for fn in (F, row_spread):
+        want = oracles.chain_values(fn, first, coeffs, replicas, seed)
+        assert same(mc_estimate(fn, data, coeffs, replicas, seed), _report(want, seed))
+
+
+@PROPERTY
+@given(chain_inputs(), st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**40))
+def test_bias_experiment_dataset_population_matches_per_link_oracle(case, n, replicas, seed):
+    # the population has 1..8 rows and the chains N = 1..5, often another count
+    population, F, steps = case
+    schedule = StepSchedule(n, steps)
+    table = MomentTable.from_dataset(population, reachable_blocks(F))
+    target = float(exact_bias(F, schedule, table).target)
+    seeds = np.random.SeedSequence(seed).generate_state(len(schedule) + 1)
+    first = lambda rng: oracles.draw(population, n, rng)
+    rows = bias_experiment(F, population, schedule, replicas, seed)
+    for k, row in enumerate(rows):
+        coeffs = expansion_coefficients(steps[:k])
+        want = oracles.chain_values(F, first, coeffs, replicas, int(seeds[k]))
+        assert same(row.report, _report([v - target for v in want], int(seeds[k])))
+
+
+@PROPERTY
+@given(chain_inputs(), st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**40))
+def test_bias_experiment_normal_sampler_matches_per_link_oracle(case, n, replicas, seed):
+    _, F, steps = case
+    schedule = StepSchedule(n, steps)
+    table = normal_moment_table(F.d, F.max_order())
+    target = float(exact_bias(F, schedule, table).target)
+    seeds = np.random.SeedSequence(seed).generate_state(len(schedule) + 1)
+    sampler = normal_sampler(F.d)
+    rows = bias_experiment(F, table, schedule, replicas, seed, sampler=sampler)
+    for k, row in enumerate(rows):
+        coeffs = expansion_coefficients(steps[:k])
+        want = oracles.chain_values(F, lambda rng: sampler(rng, n), coeffs, replicas, int(seeds[k]))
+        assert same(row.report, _report([v - target for v in want], int(seeds[k])))
+
+
+@PROPERTY
+@given(chain_inputs(max_rows=3))
+def test_exhaustive_estimate_matches_row_loop_moments(case):
+    data, F, steps = case
+    coeffs = expansion_coefficients(steps)
+    row_loops = lambda ds: oracles.evaluate(F, Dataset(ds.rows))
+    got = exhaustive_estimate(F, data, coeffs)
+    assert same(got, exhaustive_estimate(row_loops, data, coeffs))
+    if data.exact:
+        assert got == chain_expectation(F, coeffs, data)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_out_of_range_label_raises_on_a_pick(shared):
+    F = MomentPolynomial(3, {LabeledTerm([[0], [2]]): 1})
+    data = Dataset([[1.0, 2.0], [3.0, 4.0]])
+    root = data._shared() if shared else data
+    pick = _take(_take(root, [1, 0]), [0, 0])
+    assert pick.root is root and pick.picks == [1, 1]
+    for _ in range(2):  # a failed block keeps no column
+        with pytest.raises(ValueError, match="label 2 out of range for d=2"):
+            evaluate(F, pick)
+    with pytest.raises(RuntimeError, match="replica 0") as err:
+        mc_estimate(F, data, (1,), 3, seed=0)
+    assert "label 2 out of range for d=2" in str(err.value.__cause__.__cause__)
+
+
+def test_pick_rows_are_built_on_first_read():
+    data = Dataset([[Fraction(1), 2], [3, Fraction(1, 2)], [0, 0]])
+    pick = _take(_take(data._shared(), [2, 0, 1]), [1, 1, 2])
+    assert pick.n == 3 and pick.d == 2 and pick.exact
+    assert pick.picks == [0, 0, 1]
+    assert pick.rows == (data.rows[0], data.rows[0], data.rows[1])
+    assert pick.rows is pick.rows
+    with pytest.raises(AttributeError):
+        pick.no_such_attribute
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 10, 20, 33])
+@pytest.mark.parametrize("before", ["nothing", "standard_normal", "odd_integers"])
+def test_one_block_draw_equals_one_draw_per_row(n, before):
+    # a chain draws its links by one integers(n, size=(L, n)) call: numpy must
+    # fill the block with what L calls of integers(n, size=n) return, in order,
+    # and leave the generator where they leave it
+    for count in (1, 2, 3, 5):
+        a, b = np.random.default_rng(1000 * n + count), np.random.default_rng(1000 * n + count)
+        for rng in (a, b):
+            if before == "standard_normal":
+                rng.standard_normal((3, 1))
+            elif before == "odd_integers":
+                rng.integers(5, size=3)
+        block = a.integers(n, size=(count, n)).tolist()
+        assert block == [b.integers(n, size=n).tolist() for _ in range(count)]
+        assert a.integers(2**62, size=4).tolist() == b.integers(2**62, size=4).tolist()

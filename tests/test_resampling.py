@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobiusboot import resampling
 from mobiusboot.debias import StepSchedule
@@ -417,7 +419,7 @@ def test_scaled_one_norm_closed_form_matches_dense(m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_one_norm_direct_matches_full_scan_oracle(m):
     for n in (1, 2, 3, 5, 8):
-        etas = [0, Fraction(1, 3), 1, Fraction(7, 2)]
+        etas = [0, Fraction(1, 3), 1, Fraction(7, 2), -1, Fraction(-5, 3)]
         if m <= n:
             etas += StepSchedule.default(n, m).etas
         for eta in etas:
@@ -442,6 +444,45 @@ def test_one_norm_sums_each_column_in_row_order():
     )
     assert want == 1e16 + 2
     assert repr(resampling._one_norm(S, 1.0)) == repr(want)
+
+
+def _dense_one_norm(entries, eta):
+    """Each dense column of Id - eta*entries summed in row order from int 0."""
+    size = len(entries)
+    best = Fraction(0)
+    for j in range(size):
+        total = 0
+        for i in range(size):
+            total += abs((1 if i == j else 0) - eta * entries[i][j])
+        best = max(best, total)
+    return best
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda size: st.lists(
+            st.lists(
+                st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=9)),
+                min_size=size, max_size=size,
+            ),
+            min_size=size, max_size=size,
+        )
+    ),
+    st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=8)),
+)
+def test_one_norm_exact_cells_match_dense_scan(entries, eta):
+    # any exact cells, zeros and cells off the order included, and any exact eta
+    S = IncidenceMatrix(range(1, len(entries) + 1), entries)
+    got = resampling._one_norm(S, eta)
+    assert type(got) is Fraction and got == _dense_one_norm(entries, eta)
+
+
+def test_one_norm_exact_eta_on_float_cells_keeps_row_order():
+    # an int eta on float cells is float work: the same sums as a float eta
+    entries = [[0.0, 0, -1.0], [0, 0.5, 1.0], [0.125, 0.25, -1e16]]
+    S = IncidenceMatrix(range(1, 4), entries)
+    assert repr(resampling._one_norm(S, 1)) == repr(_dense_one_norm(entries, 1)) == repr(1e16 + 2)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
