@@ -404,7 +404,10 @@ def _parse_population(obj, needed_order, d):
         block = entry["block"]
         if not (isinstance(block, list) and all(_is_int(b) and 0 <= b < d for b in block)):
             raise ValueError(f"block {block!r} is not a list of labels in 0..{d - 1}")
-        values[tuple(block)] = scalar_from_json(entry["value"])
+        key = tuple(sorted(block))
+        if key in values:
+            raise ValueError(f"block {list(key)} is listed twice")
+        values[key] = scalar_from_json(entry["value"])
     return MomentTable(d, values), None
 
 
@@ -824,26 +827,37 @@ def build_parser():
     return parser
 
 
-def _is_float(token):
+def _is_number(text):
+    """Whether text reads as a float (inf and nan included) or a p/q fraction."""
     try:
-        float(token)
+        float(text)
     except ValueError:
-        return False
+        try:
+            Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            return False
     return True
 
 
 def _join_signed_values(argv):
-    """argv with each "--option -value" written "--option=-value" when the value is a number.
+    """argv with each "--option -value" written "--option=-value" when the value is numeric.
 
     argparse takes a token that starts with "-" for an option unless it reads
-    as a plain negative number, so "--theta -inf", "--sigma -nan" and
-    "--theta -1e5" would stop at "expected one argument"; joined, the value
-    reaches its option's own check, as "--theta=-inf" does.
+    as a plain negative number, so "--theta -inf", "--sigma -nan",
+    "--theta -1e5" and "--schedule -1,2" would stop at "expected one
+    argument"; joined, the value reaches its option's own check, as
+    "--theta=-inf" does.  A value is numeric when each of its comma-separated
+    parts reads as a float or a p/q fraction.
     """
     out = []
     for token in argv:
         last = out[-1] if out else ""
-        if token[:1] == "-" and last[:2] == "--" and "=" not in last and _is_float(token):
+        if (
+            token[:1] == "-"
+            and last[:2] == "--"
+            and "=" not in last
+            and all(map(_is_number, token.split(",")))
+        ):
             out[-1] = f"{last}={token}"
         else:
             out.append(token)

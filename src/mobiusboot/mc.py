@@ -18,14 +18,14 @@ A chain runs in index space.  All of its draws over one row count come from
 one integers(n, size=(count, n)) call (_Draws), which numpy fills with what
 count calls of integers(n, size=n) return, so every seed keeps its values.
 Each link is a pick, the row indices of the chain's root, and a pick of a
-pick is a pick of the root.  Where every replica picks from the same rows
-(mc_estimate's data, a Dataset population, exhaustive_estimate's data) the
-root is shared, and evaluate sums its columns of per-row products at the
-picks (moments.Dataset); a root drawn anew per replica (a sampler) keeps the
-row loops.  A replica step does only float work on float data: the
-coefficients a_j and those of a polynomial F are converted to float once per
-run (bit-identical, since Fraction times float is computed as float(a) * b).
-Batching replicas into numpy blocks would change the seed-to-value mapping
+pick is a pick of the root; evaluate sums the root's columns of per-row
+products at the picks (moments.Dataset).  Every replica of a run picks from
+the caller's Dataset itself (mc_estimate's data, a Dataset population,
+exhaustive_estimate's data), which builds each block's column once; a
+sampler draws a new root per replica.  A replica step does only float work
+on float data: the coefficients a_j and those of a polynomial F are
+converted to float once per run (bit-identical, since Fraction times float
+is computed as float(a) * b).  Batching replicas into numpy blocks would change the seed-to-value mapping
 and waits for a benchmark change that re-pins the per-link evaluate/resample
 counts.
 
@@ -264,18 +264,16 @@ def _mc_values(F, start, coeffs, replicas, seed):
 
 
 def _root_start(data, n, first_draw):
-    """start for chains whose X^1 is first_draw(root, rng), n rows picked from data.
+    """start for chains whose X^1 is first_draw(data, rng), n rows picked from data.
 
-    Every replica picks from one shared root with data's rows.  When data
-    has n rows, X^1 is drawn in the links' block.
+    Every replica picks from data itself.  When data has n rows, X^1 is
+    drawn in the links' block.
     """
-    root = data._shared()
-
     def start(rng, links):
-        if root.n == n:
+        if data.n == n:
             draws = _Draws(rng, n, links + 1)
-            return first_draw(root, draws), draws
-        first = first_draw(root, rng)
+            return first_draw(data, draws), draws
+        first = first_draw(data, rng)
         return first, _Draws(rng, n, links) if links else None
 
     return start
@@ -337,7 +335,6 @@ def exhaustive_estimate(F, data, coeffs):
     float.  Exact on exact data.
     """
     fn = _as_functional(F)
-    root = data._shared()
     n = data.n
     picks = _multiset_picks(n)
     law = {tuple(range(n)): 1}
@@ -360,7 +357,7 @@ def exhaustive_estimate(F, data, coeffs):
         level = 0
         for rows, p in law.items():
             if rows not in values:
-                values[rows] = fn(_take(root, rows))
+                values[rows] = fn(_take(data, rows))
             level += Fraction(p, den) * values[rows]
         total += a * level
     return total
@@ -415,7 +412,7 @@ def bias_experiment(F, population, schedule, replicas, seed=0, sampler=None):
         start = _sampler_start(sampler, n)
     elif isinstance(population, Dataset):
         table = MomentTable.from_dataset(population, reachable_blocks(F))
-        start = _root_start(population, n, lambda root, rng: _draw(root, n, rng))
+        start = _root_start(population, n, lambda data, rng: _draw(data, n, rng))
     else:
         raise TypeError("population must be a Dataset or MomentTable")
 

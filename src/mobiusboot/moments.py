@@ -178,12 +178,13 @@ class MomentPolynomial:
 class Dataset:
     """N x d matrix of samples, one row per observation.
 
-    A resampled Dataset is a pick: it keeps root, the Dataset whose rows it
-    picks, and picks, the root row index of each of its rows, and builds rows
-    when they are first read.  A pick of a pick is a pick of the same root.
-    A shared root (_shared) is picked by every replica of one run and keeps
-    columns, per block one list of per-row products; evaluate sums those at
-    a pick's indices instead of looping over the pick's rows.
+    Every Dataset is a root or a pick of a root.  A root holds rows and
+    columns: per distinct block evaluated on it or on its picks, one list of
+    its N per-row products, built on the block's first read.  So a Dataset
+    the caller keeps holds the columns of the blocks evaluated on it.  A
+    resampled Dataset is a pick: it keeps root and picks, the root row index
+    of each of its rows, and builds rows only when they are first read.  A
+    pick of a pick is a pick of the same root.
     """
 
     __slots__ = ("rows", "exact", "root", "picks", "columns")
@@ -197,7 +198,8 @@ class Dataset:
             raise ValueError("Dataset rows must all have the same positive width")
         self.rows = rows
         self.exact = all(_is_exact(v) for r in rows for v in r)
-        self.root = self.picks = self.columns = None
+        self.root = self.picks = None
+        self.columns = {}
 
     @classmethod
     def _validated(cls, rows, exact):
@@ -209,30 +211,18 @@ class Dataset:
         ds = cls.__new__(cls)
         ds.rows = rows
         ds.exact = exact
-        ds.root = ds.picks = ds.columns = None
+        ds.root = ds.picks = None
+        ds.columns = {}
         return ds
 
     @classmethod
     def _picked(cls, root, picks):
-        """The rows of root (not itself a pick) at the indices picks.
-
-        A pick of a shared root leaves rows unset until they are read.  Any
-        other root's picks are read row by row, so their rows are built here.
-        """
+        """The rows of root (not itself a pick) at the indices picks, unbuilt until read."""
         ds = cls.__new__(cls)
-        if root.columns is None:
-            root_rows = root.rows
-            ds.rows = tuple([root_rows[i] for i in picks])
         ds.exact = root.exact
         ds.root = root
         ds.picks = picks
         ds.columns = None
-        return ds
-
-    def _shared(self):
-        """A root with this Dataset's rows that keeps its columns, for one run's replicas."""
-        ds = Dataset._validated(self.rows, self.exact)
-        ds.columns = {}
         return ds
 
     def __getattr__(self, name):
@@ -276,41 +266,12 @@ class MomentTable:
         return cls(data.d, {tuple(b): empirical_moment(data, b) for b in blocks})
 
 
-def empirical_moment(data, block):
-    """Plug-in moment: mean over rows of the product of the block's variables.
+def _product_column(data, block):
+    """Each row's product 1 * x_a * x_b * ... of the block's variables, in row order.
 
-    Each row's product is 1 * x_a * x_b * ... left to right, and the sum runs
-    in row order from 0 (not the built-in sum, which compensates float sums
-    from Python 3.12 on), so float data gives the same bits on every version.
     Since 1 * x is x, blocks of one and two labels, the blocks variances and
     covariances read, skip the leading 1 and the per-label loop.
     """
-    rows = data.rows
-    d = len(rows[0])
-    for lab in block:
-        if not 0 <= lab < d:
-            raise ValueError(f"label {lab} out of range for d={d}")
-    total = 0
-    if len(block) == 1:
-        (a,) = block
-        for row in rows:
-            total += row[a]
-    elif len(block) == 2:
-        a, b = block
-        for row in rows:
-            total += row[a] * row[b]
-    else:
-        for row in rows:
-            p = 1
-            for lab in block:
-                p = p * row[lab]
-            total += p
-    n = len(rows)
-    return Fraction(total, n) if data.exact else total / n
-
-
-def _product_column(data, block):
-    """Each row's product of the block's variables, as empirical_moment forms it."""
     rows = data.rows
     d = len(rows[0])
     for lab in block:
@@ -328,44 +289,37 @@ def _product_column(data, block):
     return column
 
 
-def _evaluate_picks(F, root, picks):
-    """evaluate against the rows of a shared root at picks.
+def empirical_moment(data, block):
+    """Plug-in moment: mean over rows of the product of the block's variables.
 
-    A block's moment sums its root column at the picks, in pick order from 0:
-    the products and the order of empirical_moment on the picked rows, so the
-    same bits.  A column is built on its block's first read and kept.
+    The sum runs in row order from 0 (not the built-in sum, which compensates
+    float sums from Python 3.12 on), so float data gives the same bits on
+    every version.
     """
-    columns = root.columns
-    n = len(picks)
-    exact = root.exact
-    cache = {}
     total = 0
-    for term, coeff in F.terms.items():
-        v = coeff
-        for block in term:
-            m = cache.get(block)
-            if m is None:
-                column = columns.get(block)
-                if column is None:
-                    column = columns[block] = _product_column(root, block)
-                s = 0
-                for i in picks:
-                    s += column[i]
-                m = cache[block] = Fraction(s, n) if exact else s / n
-            v = v * m
-        total += v
-    return total
+    for p in _product_column(data, block):
+        total += p
+    n = data.n
+    return Fraction(total, n) if data.exact else total / n
 
 
 def evaluate(F, population):
-    """Value of the polynomial against a Dataset (plug-in) or a MomentTable."""
+    """Value of the polynomial against a Dataset (plug-in) or a MomentTable.
+
+    On a Dataset each distinct block's moment sums the root's column of that
+    block at the picks (every row of a root), in order from 0: the products
+    and the order of empirical_moment on the Dataset's rows, so the same bits.
+    """
     if isinstance(population, Dataset):
-        root = population.root
-        if root is not None and root.columns is not None:
-            return _evaluate_picks(F, root, population.picks)
-        plug_in = True
+        root = population.root or population
+        columns = root.columns
+        picks = population.picks
+        if picks is None:
+            picks = range(len(root.rows))
+        n = len(picks)
+        exact = root.exact
     elif isinstance(population, MomentTable):
-        plug_in = False
+        columns = None
     else:
         raise TypeError(f"cannot evaluate against {type(population).__name__}")
     # each distinct block's moment once per call: the variance reads (0) twice
@@ -376,7 +330,16 @@ def evaluate(F, population):
         for block in term:
             m = cache.get(block)
             if m is None:
-                m = empirical_moment(population, block) if plug_in else population.moment(block)
+                if columns is None:
+                    m = population.moment(block)
+                else:
+                    column = columns.get(block)
+                    if column is None:
+                        column = columns[block] = _product_column(root, block)
+                    s = 0
+                    for i in picks:
+                        s += column[i]
+                    m = Fraction(s, n) if exact else s / n
                 cache[block] = m
             v = v * m
         total += v

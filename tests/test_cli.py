@@ -423,21 +423,27 @@ def test_mc_flag_of_the_other_input_exit_2(workdir, monkeypatch, capsys, argv, m
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        BIAS + ["--n", "4", "--k", "2", "--schedule", "0,1"],
-        BIAS + ["--n", "4", "--k", "2", "--schedule=-1,2"],
-        MC_DATA + ["--k", "2", "--schedule", "0,1"],
-        MC_POP + ["--n", "4", "--k", "2", "--schedule=-1,2"],
-        BIAS + ["--n", "4", "--k", "2", "--schedule", "1,,2"],
-        BIAS + ["--n", "4", "--k", "1", "--schedule", "2,"],
+        (BIAS + ["--n", "4", "--k", "2", "--schedule", "0,1"], "step sizes must be positive"),
+        (BIAS + ["--n", "4", "--k", "2", "--schedule=-1,2"], "step sizes must be positive"),
+        (BIAS + ["--n", "4", "--k", "2", "--schedule", "-1,2"], "step sizes must be positive"),
+        (MC_DATA + ["--k", "2", "--schedule", "0,1"], "step sizes must be positive"),
+        (MC_POP + ["--n", "4", "--k", "2", "--schedule=-1,2"], "step sizes must be positive"),
+        (MC_POP + ["--n", "4", "--k", "2", "--schedule", "-1,2"], "step sizes must be positive"),
+        (MC_DATA + ["--k", "2", "--schedule", "-1/2,3"], "step sizes must be positive"),
+        (BIAS + ["--n", "4", "--k", "2", "--schedule", "1,,2"], "cannot parse schedule"),
+        (BIAS + ["--n", "4", "--k", "1", "--schedule", "2,"], "cannot parse schedule"),
     ],
-    ids=["bias-zero-step", "bias-negative-step", "mc-data-zero-step",
-         "mc-population-negative-step", "bias-empty-entry", "bias-trailing-empty-entry"],
+    ids=["bias-zero-step", "bias-negative-step", "bias-negative-step-spaced",
+         "mc-data-zero-step", "mc-population-negative-step",
+         "mc-population-negative-step-spaced", "mc-data-negative-fraction-step-spaced",
+         "bias-empty-entry", "bias-trailing-empty-entry"],
 )
-def test_nonpositive_schedule_exit_2(workdir, monkeypatch, capsys, argv):
+def test_nonpositive_schedule_exit_2(workdir, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(workdir)
-    _assert_usage_error(main(argv + ["--out", "x"]), capsys)
+    err = _assert_usage_error(main(argv + ["--out", "x"]), capsys)
+    assert message in err and "expected one argument" not in err
     assert not (workdir / "x.csv").exists()
 
 
@@ -488,14 +494,17 @@ def test_bandlimited_non_finite_theta_exit_2(workdir, monkeypatch, capsys, theta
     [("--theta", "-inf", "theta must be finite, got -inf"),
      ("--theta", "-nan", "theta must be finite, got nan"),
      ("--sigma", "-nan", "sigma must lie in (0,1), got nan"),
-     ("--sigma", "-1e5", "sigma must lie in (0,1), got -100000.0")],
+     ("--sigma", "-1e5", "sigma must lie in (0,1), got -100000.0"),
+     ("--gammas", "-1,2", "gamma sequence must be nonnegative"),
+     ("--gammas", "-1/2,3", "gamma sequence must be nonnegative")],
 )
 @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
 def test_bounds_signed_value_reaches_its_check(workdir, monkeypatch, capsys, option, value,
                                                message, joined):
     # "--theta -inf" is the value -inf, not an option -inf
     monkeypatch.chdir(workdir)
-    kind = ["--kind", "bandlimited", "--d", "2"] if option == "--theta" else ["--kind", "trace"]
+    kind = {"--theta": ["--kind", "bandlimited", "--d", "2"], "--sigma": ["--kind", "trace"],
+            "--gammas": ["--kind", "general", "--n", "5"]}[option]
     flag = [f"{option}={value}"] if joined else [option, value]
     err = _assert_usage_error(main(["bounds"] + kind + flag + ["--out", "x"]), capsys)
     assert message in err and "expected one argument" not in err
@@ -594,17 +603,23 @@ def test_malformed_dataset_exit_2(workdir, monkeypatch, capsys, rows):
         json.dumps({"d": 1, "moments": [{"block": [0], "value": float("inf")}]}),
         json.dumps({"d": 1, "moments": [{"block": [0], "value": None}]}),
         json.dumps({"family": "normal", "d": "1"}),
+        json.dumps({"d": 2, "moments": [{"block": [0], "value": "0"},
+                                        {"block": [0, 0], "value": "1"},
+                                        {"block": [0, 1], "value": "1"},
+                                        {"block": [1, 0], "value": "2"}]}),
     ],
     ids=["unparsable", "not-object", "no-moments", "no-d", "d-zero", "no-block",
          "block-not-list", "label-out-of-range", "no-value", "nan-string", "zero-denominator",
-         "nan-number", "inf-number", "null-value", "normal-d-not-int"],
+         "nan-number", "inf-number", "null-value", "normal-d-not-int", "duplicate-block"],
 )
 def test_malformed_population_exit_2(workdir, monkeypatch, capsys, text):
     monkeypatch.chdir(workdir)
     (workdir / "bad.json").write_text(text)
     rc = main(["bias", "--functional", "var.json", "--population", "bad.json",
                "--n", "4", "--k", "1", "--out", "x"])
-    _assert_usage_error(rc, capsys)
+    err = _assert_usage_error(rc, capsys)
+    if "[1, 0]" in text:
+        assert "block [0, 1] is listed twice" in err
     assert not (workdir / "x.csv").exists()
 
 

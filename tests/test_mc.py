@@ -610,16 +610,16 @@ def test_exhaustive_estimate_matches_row_loop_moments(case):
         assert got == chain_expectation(F, coeffs, data)
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_out_of_range_label_raises_on_a_pick(shared):
+@pytest.mark.parametrize("nested", [True, False])
+def test_out_of_range_label_raises_on_a_pick(nested):
     F = MomentPolynomial(3, {LabeledTerm([[0], [2]]): 1})
     data = Dataset([[1.0, 2.0], [3.0, 4.0]])
-    root = data._shared() if shared else data
-    pick = _take(_take(root, [1, 0]), [0, 0])
-    assert pick.root is root and pick.picks == [1, 1]
+    pick = _take(_take(data, [1, 0]), [0, 0]) if nested else _take(data, [1, 1])
+    assert pick.root is data and pick.picks == [1, 1]
     for _ in range(2):  # a failed block keeps no column
         with pytest.raises(ValueError, match="label 2 out of range for d=2"):
             evaluate(F, pick)
+        assert list(data.columns) == [(0,)]
     with pytest.raises(RuntimeError, match="replica 0") as err:
         mc_estimate(F, data, (1,), 3, seed=0)
     assert "label 2 out of range for d=2" in str(err.value.__cause__.__cause__)
@@ -627,13 +627,35 @@ def test_out_of_range_label_raises_on_a_pick(shared):
 
 def test_pick_rows_are_built_on_first_read():
     data = Dataset([[Fraction(1), 2], [3, Fraction(1, 2)], [0, 0]])
-    pick = _take(_take(data._shared(), [2, 0, 1]), [1, 1, 2])
+    pick = _take(_take(data, [2, 0, 1]), [1, 1, 2])
+    assert pick.root is data
     assert pick.n == 3 and pick.d == 2 and pick.exact
     assert pick.picks == [0, 0, 1]
     assert pick.rows == (data.rows[0], data.rows[0], data.rows[1])
     assert pick.rows is pick.rows
     with pytest.raises(AttributeError):
         pick.no_such_attribute
+
+
+def test_sampler_root_links_build_no_rows(monkeypatch):
+    from mobiusboot import mc
+
+    seen = []
+
+    def recorded(F, ds):
+        seen.append(ds)
+        return evaluate(F, ds)
+
+    monkeypatch.setattr(mc, "evaluate", recorded)
+    table = normal_moment_table(1, 2)
+    bias_experiment(variance_poly(), table, StepSchedule.unit(5, 2), 4, seed=3,
+                    sampler=normal_sampler(1))
+    links = [ds for ds in seen if ds.picks is not None]
+    assert len(links) == 4 * (0 + 1 + 2) and len(seen) == len(links) + 4 * 3
+    for ds in links:
+        with pytest.raises(AttributeError):
+            Dataset.rows.__get__(ds)  # the slot, read without building it
+        assert ds.root.picks is None and sorted(ds.root.columns) == [(0,), (0, 0)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 10, 20, 33])

@@ -511,13 +511,19 @@ def test_conversion_rejects_mismatched_sizes():
 def test_evaluate_reads_each_distinct_block_once_per_call(monkeypatch):
     from mobiusboot import moments
 
-    calls = []
+    built, calls = [], []
+    kernel = moments._product_column
 
     def counted(data, block):
-        calls.append(block)
-        return empirical_moment(data, block)
+        built.append(block)
+        return kernel(data, block)
 
-    monkeypatch.setattr(moments, "empirical_moment", counted)
+    class ReadColumns(dict):
+        def get(self, block):
+            calls.append(block)
+            return dict.get(self, block)
+
+    monkeypatch.setattr(moments, "_product_column", counted)
     F = MomentPolynomial(
         2,
         {
@@ -528,10 +534,12 @@ def test_evaluate_reads_each_distinct_block_once_per_call(monkeypatch):
         },
     )
     data = Dataset([[1.5, 2.0], [3.0, -1.0], [0.25, 4.0]])
+    data.columns = ReadColumns()
     blocks = {block for term in F.terms for block in term}
     got = evaluate(F, data)
-    assert sorted(calls) == sorted(blocks)
-    assert evaluate(F, data) == got and len(calls) == 2 * len(blocks)  # no memo across calls
+    assert sorted(calls) == sorted(blocks) == sorted(built)
+    assert evaluate(F, data) == got and len(calls) == 2 * len(blocks)  # no moment memo across calls
+    assert len(built) == len(blocks)  # the columns stay with the root
     want = 0
     for term, coeff in F.terms.items():
         v = coeff

@@ -20,13 +20,14 @@ from mobiusboot.lattice import (
     format_partition,
     parse_partition,
 )
-from mobiusboot.mc import chain_expectation, exhaustive_estimate, expansion_coefficients
+from mobiusboot.mc import _take, chain_expectation, exhaustive_estimate, expansion_coefficients
 from mobiusboot.moments import (
     CONSTANT_TERM,
     Dataset,
     LabeledTerm,
     MomentPolynomial,
     empirical_moment,
+    evaluate,
     reachable_blocks,
 )
 from mobiusboot.resampling import apply_S, apply_S_inverse, sampling_matrix
@@ -247,6 +248,34 @@ def test_empirical_moment_label_error_unchanged(case, bad):
     with pytest.raises(ValueError) as want:
         oracles.empirical_moment(data, block)
     assert str(got.value) == str(want.value)
+
+
+@st.composite
+def dataset_polynomial_picks(draw):
+    """A dataset as dataset_and_block draws it, a polynomial over its labels, two picks."""
+    data, _ = draw(dataset_and_block())
+    block = st.lists(st.integers(0, data.d - 1), min_size=1, max_size=4)
+    terms = draw(st.lists(st.lists(block, min_size=1, max_size=3), min_size=1, max_size=4))
+    coeff = st.one_of(st.integers(-9, 9), CELLS["fraction"], EDGE_FLOATS)
+    F = MomentPolynomial(data.d, {LabeledTerm(term): draw(coeff) for term in terms})
+    first = draw(st.lists(st.integers(0, data.n - 1), min_size=1, max_size=6))
+    second = draw(st.lists(st.integers(0, len(first) - 1), min_size=1, max_size=6))
+    return data, F, first, second
+
+
+@settings(PROPERTY, max_examples=200)
+@given(dataset_polynomial_picks())
+def test_evaluate_on_roots_and_picks_matches_row_loop(case):
+    # block moments from the root's columns, against the per-row loop on the picked rows
+    data, F, first, second = case
+    pick = _take(data, first)
+    pick_of_pick = _take(pick, second)
+    assert pick_of_pick.root is data
+    got = [evaluate(F, ds) for ds in (data, pick, pick_of_pick)]
+    for value, ds in zip(got, (data, pick, pick_of_pick)):
+        want = oracles.evaluate(F, Dataset(ds.rows))
+        assert type(value) is type(want)
+        assert repr(value) == repr(want)  # -0.0, inf, nan and every last bit count
 
 
 # -- the streaming artifact writer against the one that rendered everything first --
