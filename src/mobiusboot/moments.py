@@ -32,6 +32,11 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_dimension(d):
+    if not (_is_int(d) and d >= 1):
+        raise ValueError(f"d must be a positive integer, got {d!r}")
+
+
 def _canon_blocks(blocks):
     canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: (len(b), b)))
     for block in canon:
@@ -249,8 +254,21 @@ class MomentTable:
     """Analytic population: canonical label multiset -> block moment."""
 
     def __init__(self, d, values):
+        """VALUES maps blocks to moments, as a mapping or as (block, moment) pairs.
+
+        Each block is a sequence of int labels in 0..d-1, in any order, and
+        no two blocks may sort to the same multiset.
+        """
+        _check_dimension(d)
         self.d = d
-        self.values = {tuple(sorted(k)): v for k, v in dict(values).items()}
+        self.values = {}
+        for block, v in values.items() if hasattr(values, "items") else values:
+            if not all(_is_int(lab) and 0 <= lab < d for lab in block):
+                raise ValueError(f"block {list(block)!r} is not a list of labels in 0..{d - 1}")
+            key = tuple(sorted(block))
+            if key in self.values:
+                raise ValueError(f"block {list(key)} is listed twice")
+            self.values[key] = v
         self.exact = all(_is_exact(v) for v in self.values.values())
 
     def moment(self, block):
@@ -374,6 +392,7 @@ def normal_moment_table(d, max_order):
     A block's moment factors over distinct labels; each label with
     multiplicity c contributes (c-1)!! for even c and 0 for odd c.
     """
+    _check_dimension(d)
     values = {}
     for size in range(max_order + 1):
         for block in combinations_with_replacement(range(d), size):
@@ -417,8 +436,7 @@ def scalar_from_json(val):
 
 def polynomial_from_dict(obj):
     d = obj["d"]
-    if not (_is_int(d) and d >= 1):
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    _check_dimension(d)
     terms = {}
     for entry in obj["terms"]:
         term = LabeledTerm(entry["blocks"])

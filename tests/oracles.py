@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from mobiusboot import resampling
-from mobiusboot.cli import _scalar
+from mobiusboot.artifact import _scalar
 from mobiusboot.lattice import (
     DimensionError,
     _mobius_weight,
@@ -309,7 +309,7 @@ def chain_values(F, first_draw, coeffs, replicas, seed):
 # -- the artifact writer that rendered every cell before writing anything ---------
 
 def matrix_table(artifact, name, labels, matrix):
-    """cli._matrix_table's table as plain rows, so that Artifact.write renders each
+    """Artifact.add_matrix's table as plain rows, so that Artifact.write renders each
     matrix row cell by cell, as it renders every other table."""
     artifact.add_table(
         name, ["row"] + labels, ([label, *row] for label, row in zip(labels, matrix.entries))

@@ -1,17 +1,20 @@
 """End-to-end checks of the command-line interface."""
 
+import ast
 import hashlib
 import json
 import subprocess
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mobiusboot import cli, lattice, polynomial_from_dict
-from mobiusboot.cli import Artifact, _scalar, main
+from mobiusboot import artifact, cli, lattice, polynomial_from_dict, selftest
+from mobiusboot.artifact import _scalar
+from mobiusboot.cli import Artifact, main
 from mobiusboot.moments import dataset_from_csv
 import oracles
 
@@ -434,11 +437,14 @@ def test_mc_flag_of_the_other_input_exit_2(workdir, monkeypatch, capsys, argv, m
         (MC_DATA + ["--k", "2", "--schedule", "-1/2,3"], "step sizes must be positive"),
         (BIAS + ["--n", "4", "--k", "2", "--schedule", "1,,2"], "cannot parse schedule"),
         (BIAS + ["--n", "4", "--k", "1", "--schedule", "2,"], "cannot parse schedule"),
+        (BIAS + ["--n", "4", "--k", "1", "--schedule", "-1/0"], "cannot parse schedule '-1/0'"),
+        (MC_POP + ["--n", "4", "--k", "1", "--schedule", "-1/0"], "cannot parse schedule '-1/0'"),
     ],
     ids=["bias-zero-step", "bias-negative-step", "bias-negative-step-spaced",
          "mc-data-zero-step", "mc-population-negative-step",
          "mc-population-negative-step-spaced", "mc-data-negative-fraction-step-spaced",
-         "bias-empty-entry", "bias-trailing-empty-entry"],
+         "bias-empty-entry", "bias-trailing-empty-entry", "bias-zero-denominator-spaced",
+         "mc-population-zero-denominator-spaced"],
 )
 def test_nonpositive_schedule_exit_2(workdir, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(workdir)
@@ -496,7 +502,8 @@ def test_bandlimited_non_finite_theta_exit_2(workdir, monkeypatch, capsys, theta
      ("--sigma", "-nan", "sigma must lie in (0,1), got nan"),
      ("--sigma", "-1e5", "sigma must lie in (0,1), got -100000.0"),
      ("--gammas", "-1,2", "gamma sequence must be nonnegative"),
-     ("--gammas", "-1/2,3", "gamma sequence must be nonnegative")],
+     ("--gammas", "-1/2,3", "gamma sequence must be nonnegative"),
+     ("--gammas", "-1/0", "cannot parse gamma sequence '-1/0'")],
 )
 @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
 def test_bounds_signed_value_reaches_its_check(workdir, monkeypatch, capsys, option, value,
@@ -654,14 +661,12 @@ def test_selftest_passes(capsys):
 
 
 def test_selftest_names_first_failure(monkeypatch, capsys):
-    from mobiusboot import cli
-
     def broken():
-        raise cli.SelfTestFailure("deliberately broken")
+        raise selftest.SelfTestFailure("deliberately broken")
 
-    patched = [("mobius_small_table", cli.SELFTEST_CHECKS[0][1]), ("injected_invariant", broken)]
-    patched += cli.SELFTEST_CHECKS[2:]
-    monkeypatch.setattr(cli, "SELFTEST_CHECKS", patched)
+    patched = [("mobius_small_table", selftest.SELFTEST_CHECKS[0][1]), ("injected_invariant", broken)]
+    patched += selftest.SELFTEST_CHECKS[2:]
+    monkeypatch.setattr(selftest, "SELFTEST_CHECKS", patched)
     assert main(["selftest"]) == 4
     out = capsys.readouterr().out
     assert "FAIL injected_invariant: deliberately broken" in out
@@ -677,6 +682,23 @@ def test_console_script_installed(workdir):
     assert proc.returncode == 0
     assert (workdir / "sub.csv").exists()
     assert (workdir / "sub.json").exists()
+
+
+def test_cli_imports_no_private_name():
+    # the front end reaches the library through public names only, so a
+    # library caller needs nothing that only cli.py can reach; a dunder such
+    # as __version__ is public
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        for name in (alias.name.rpartition(".")[2], alias.asname or "")
+    ]
+    private = [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+    assert private == []
+    assert "__version__" in names  # the walk sees the imports
 
 
 def test_unknown_subcommand_exits_2():
@@ -790,7 +812,7 @@ ODD_TEXTS = [",", '"', "\\", "\n", "\r", " ", "grüße", "a,b", 'say "hi"', "tab
     ],
 )
 def test_plain_row_join_matches_whole_file_writer(tmp_path, monkeypatch, row):
-    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    monkeypatch.setattr(artifact, "datetime", _FixedClock)
     art = Artifact("rows", ["--m", "2"])
     art.add_table("t", ["row", "a", "b", "c"], [row, ["13|2", 1, 0, 0], row])
     art.add_table("u", ["x"], [row])
@@ -804,7 +826,7 @@ def test_equal_cells_of_other_types_keep_their_own_text(tmp_path, monkeypatch):
     # 1, Fraction(1) and "1" share the write's text dict in plain rows; True,
     # 1.0 and np.int64(1) equal 1 but print through _scalar, in mixed rows
     # written both before and after the plain ones
-    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    monkeypatch.setattr(artifact, "datetime", _FixedClock)
     mixed = [1, Fraction(1), "1", True, 1.0, np.int64(1), Fraction(2, 4)]
     plain = [1, Fraction(1), "1", Fraction(2, 4), Fraction(1, 2), 2, Fraction(2)]
     art = Artifact("mixed", [])
@@ -823,13 +845,13 @@ def test_equal_cells_of_other_types_keep_their_own_text(tmp_path, monkeypatch):
 
 
 def test_plain_line_only_for_cells_written_as_they_are():
-    assert cli._plain_line(["13|2", "0", "-3/4", "a b"]) == "13|2,0,-3/4,a b"
-    assert cli._plain_line(["", ""]) == ","
+    assert artifact._plain_line(["13|2", "0", "-3/4", "a b"]) == "13|2,0,-3/4,a b"
+    assert artifact._plain_line(["", ""]) == ","
     for text in ODD_TEXTS:
         if text not in (" ", ""):
-            assert cli._plain_line(["1", text]) is None, text
-    assert cli._plain_line([]) is None
-    assert cli._plain_line([""]) is None
+            assert artifact._plain_line(["1", text]) is None, text
+    assert artifact._plain_line([]) is None
+    assert artifact._plain_line([""]) is None
 
 
 def _oracle_route_argvs():
@@ -846,12 +868,12 @@ def _oracle_route_argvs():
 @pytest.mark.parametrize("argv", list(_oracle_route_argvs()), ids=" ".join)
 def test_matrix_tables_match_per_cell_route(tmp_path, monkeypatch, argv):
     # the support route of _MatrixRows against every row rendered cell by cell
-    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    monkeypatch.setattr(artifact, "datetime", _FixedClock)
     for route in ("new", "old"):
         (tmp_path / route).mkdir()
         monkeypatch.chdir(tmp_path / route)
         if route == "old":
-            monkeypatch.setattr(cli, "_matrix_table", oracles.matrix_table)
+            monkeypatch.setattr(Artifact, "add_matrix", oracles.matrix_table)
         assert main([*argv, "--out", "art"]) == 0
     for suffix in (".csv", ".json"):
         new = (tmp_path / "new" / f"art{suffix}").read_bytes()
@@ -873,13 +895,13 @@ def _hand_built(m):
 
 
 def test_matrix_rows_off_support_fall_back_to_per_cell_route(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    monkeypatch.setattr(artifact, "datetime", _FixedClock)
     M = _hand_built(4)
     labels = [lattice.format_partition(pi) for pi in M.index]
     labels[6] = "1,2|34"  # a label CSV must quote
     art = Artifact("hand", [])
-    cli._matrix_table(art, "m", labels, M)
-    cli._matrix_table(art, "z", labels, lattice.zeta_matrix(4))
+    art.add_matrix("m", labels, M)
+    art.add_matrix("z", labels, lattice.zeta_matrix(4))
     art.write(tmp_path / "new")
     oracles.write_artifact(art, tmp_path / "old", FIXED_STAMP.isoformat())
     for suffix in (".csv", ".json"):
@@ -888,7 +910,7 @@ def test_matrix_rows_off_support_fall_back_to_per_cell_route(tmp_path, monkeypat
     assert [row[-1] for row in rows[:3]] == ["5", "0.0", "false"]
     # the rows that break the contract, and only those, take the per-cell route
     for (_, _, rows), broken in zip(art.tables, ([0, 1, 2, 3, 6], [6])):
-        rendered = rows.render(cli._Texts())
+        rendered = rows.render(artifact._Texts())
         assert [i for i, (_, _, cells) in enumerate(rendered) if cells is not None] == broken
 
 
@@ -897,20 +919,20 @@ def test_identity_check_sees_a_zeta_cell_off_the_order():
     Z = lattice.zeta_matrix(3)
     entries = [list(row) for row in Z.entries]
     entries[0][-1] = 1  # finest row, coarsest column
-    assert cli._is_identity(Z, lattice.mobius_matrix(3))
-    assert not cli._is_identity(lattice.IncidenceMatrix(Z.index, entries), lattice.mobius_matrix(3))
+    assert selftest._is_identity(Z, lattice.mobius_matrix(3))
+    assert not selftest._is_identity(lattice.IncidenceMatrix(Z.index, entries), lattice.mobius_matrix(3))
 
 
 def test_one_norm_check_builds_one_S_per_m_and_n(monkeypatch):
     built = []
-    real = cli.sampling_matrix
+    real = selftest.sampling_matrix
 
     def counting(m, n):
         built.append((m, n))
         return real(m, n)
 
-    monkeypatch.setattr(cli, "sampling_matrix", counting)
-    cli._check_one_norm()
+    monkeypatch.setattr(selftest, "sampling_matrix", counting)
+    selftest._check_one_norm()
     assert len(built) == len(set(built)) == 4 * 5
     # every eta is still checked against the dense matrix: one cell moved off
     # its weight in the finest column breaks the check
@@ -920,6 +942,6 @@ def test_one_norm_check_builds_one_S_per_m_and_n(monkeypatch):
         entries[-1][0] += Fraction(1, n**m)
         return lattice.IncidenceMatrix(S.index, entries)
 
-    monkeypatch.setattr(cli, "sampling_matrix", shifted)
-    with pytest.raises(cli.SelfTestFailure, match="one-norm"):
-        cli._check_one_norm()
+    monkeypatch.setattr(selftest, "sampling_matrix", shifted)
+    with pytest.raises(selftest.SelfTestFailure, match="one-norm"):
+        selftest._check_one_norm()

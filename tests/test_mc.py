@@ -356,14 +356,21 @@ def test_replica_count_outside_uint32_keys_rejected(replicas):
 def test_cli_import_leaves_numpy_random_unloaded():
     # the generator pass imports numpy.random on first use: loading it with the
     # package would raise every CLI run's peak memory; the result records are
-    # named tuples, so neither dataclasses nor the inspect it imports loads
-    names = ["numpy.random", "dataclasses", "inspect"]
-    code = f"import sys, mobiusboot.cli; print([n for n in {names!r} if n in sys.modules])"
+    # named tuples, so neither dataclasses nor the inspect it imports loads.
+    # The same holds for the writer and the selftest imported on their own,
+    # and `import mobiusboot` loads neither, so its cost does not grow by them
     env = dict(os.environ, PYTHONPATH=str(Path(mobiusboot.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    cases = [
+        (module, ["numpy.random", "dataclasses", "inspect"])
+        for module in ("mobiusboot.cli", "mobiusboot.artifact", "mobiusboot.selftest")
+    ]
+    cases.append(("mobiusboot", ["mobiusboot.artifact", "mobiusboot.selftest"]))
+    for module, names in cases:
+        code = f"import sys, {module}; print([n for n in {names!r} if n in sys.modules])"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]", module
 
 
 def test_only_drawing_commands_load_numpy(tmp_path):

@@ -288,6 +288,33 @@ def test_missing_moment_raises():
         evaluate(variance_poly(), table)
 
 
+@pytest.mark.parametrize(
+    "d, values, message",
+    [
+        (0, {(0,): 1}, "d must be a positive integer, got 0"),
+        (True, {(0,): 1}, "d must be a positive integer, got True"),
+        ("1", {(0,): 1}, "d must be a positive integer, got '1'"),
+        (1, {(1,): 1}, "block [1] is not a list of labels in 0..0"),
+        (2, {(0, -1): 1}, "block [0, -1] is not a list of labels in 0..1"),
+        (2, {(0, True): 1}, "block [0, True] is not a list of labels in 0..1"),
+        (2, {(0, 1): 1, (1, 0): 2}, "block [0, 1] is listed twice"),
+        (2, [([1, 0], 1), ([1, 0], 2)], "block [0, 1] is listed twice"),
+    ],
+    ids=["d-zero", "d-bool", "d-str", "label-out-of-range", "label-negative", "label-bool",
+         "duplicate-block", "duplicate-pair"],
+)
+def test_moment_table_rejects_malformed_tables(d, values, message):
+    with pytest.raises(ValueError) as exc:
+        MomentTable(d, values)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("d", [0, "1", 1.0])
+def test_normal_moment_table_rejects_a_d_that_is_not_a_positive_int(d):
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        normal_moment_table(d, 2)
+
+
 def test_normal_moment_table():
     table = normal_moment_table(2, 6)
     assert table.moment(()) == 1

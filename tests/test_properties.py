@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobiusboot import cli
+from mobiusboot import artifact
 from mobiusboot.lattice import (
     Partition,
     bell,
@@ -314,7 +314,7 @@ JSON_VALUES = st.recursive(
 @st.composite
 def artifacts(draw):
     """An Artifact with 0-3 tables of plain or mixed cells and a nested extra payload."""
-    art = cli.Artifact(draw(TEXT), draw(st.lists(TEXT, max_size=3)), draw(st.none() | st.integers()))
+    art = artifact.Artifact(draw(TEXT), draw(st.lists(TEXT, max_size=3)), draw(st.none() | st.integers()))
     for name in draw(st.lists(TEXT, unique=True, max_size=3)):
         headers = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none())
         columns = draw(st.lists(headers, max_size=4))
@@ -329,7 +329,7 @@ def artifacts(draw):
 @given(artifacts())
 def test_streamed_artifact_matches_whole_file_writer(art):
     with tempfile.TemporaryDirectory() as tmp:
-        with mock.patch.object(cli, "datetime", _FixedClock):
+        with mock.patch.object(artifact, "datetime", _FixedClock):
             art.write(Path(tmp, "new"))
         oracles.write_artifact(art, Path(tmp, "old"), FIXED_STAMP.isoformat())
         for suffix in (".csv", ".json"):
