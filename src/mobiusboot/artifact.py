@@ -6,16 +6,13 @@ tables by name and any extra keys.  Exact quantities print as p/q strings.
 
 Table rows are rendered at write time, one row at a time: each row's cells
 become text once and go to both files before the next row is read, so no
-table is held as text.  A row of int, Fraction and str cells takes each text
-from a value -> text dict that lives for one write, so str runs once per
-distinct value, not once per cell.  A row whose cell texts neither CSV quoting
-nor JSON escaping would touch is joined once, and both files are written from
-that line.
-A matrix table holds its IncidenceMatrix, and each row is built from its
-stored cells: the zeros between them are slices of one precomputed zero run
-per file.  A row whose stored columns are not its support() row, whose stored
-values are not all int, Fraction or str, or whose line is not plain, is
-rendered cell by cell like any other row.
+table is held as text.  A row's cells print through _scalar; csv.writer
+writes them to the CSV, and the JSON string encoder to the mirror.
+A matrix table holds its IncidenceMatrix.  A row whose label is plain text
+and whose stored values are all int or Fraction is built from its stored
+cells: the zeros between them, which the matrix guarantees are the int 0,
+are slices of one precomputed zero run per file.  Any other matrix row
+goes the way every other row does.
 The JSON mirror is byte for byte what json.dump(payload, fh, indent=1)
 followed by a newline would write.
 """
@@ -25,6 +22,7 @@ import json
 import numbers
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -36,7 +34,7 @@ def _scalar(v):
     """Cell text: p/q for exact values, shortest round-trip repr for floats."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, (int, Fraction, str)):
         return str(v)
     if isinstance(v, numbers.Integral):  # numpy integer scalars
         return str(int(v))
@@ -45,69 +43,17 @@ def _scalar(v):
     return str(v)
 
 
-_PLAIN_CELLS = frozenset((int, Fraction, str))
+# values whose text is digits, '-' and '/' only: written as they are to CSV and JSON
+_EXACT_TYPES = frozenset((int, Fraction))
 
 # top-level keys of the JSON mirror that Artifact.extra may not replace
 _RESERVED_KEYS = frozenset(("provenance", "timestamp", "tables"))
 
 
-class _Texts(dict):
-    """value -> str(value) for int, Fraction and str cells, filled on a miss.
-
-    Exact within those three types: equal values print the same text (2 and
-    Fraction(2) both print 2, and a str never equals a number).  A bool, float
-    or numpy cell may equal an int yet print otherwise, so none is ever a key.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, value):
-        text = self[value] = str(value)
-        return text
-
-
-def _cells(row, texts):
-    """Cell texts of one row: from TEXTS, a _Texts, when every cell is an int,
-    Fraction or str, through _scalar otherwise."""
-    if _PLAIN_CELLS.issuperset(map(type, row)):
-        return list(map(texts.__getitem__, row))
-    return [_scalar(v) for v in row]
-
-
-def _plain_line(cells):
-    """The cells joined by commas, when csv.writer and JSON would write them as they are.
-
-    Otherwise None, and None for an empty line: no cells, or one empty cell,
-    which csv.writer writes as '""'.
-    """
-    line = ",".join(cells)
-    return line if _is_plain(line, len(cells)) else None
-
-
-def _is_plain(line, count):
-    """Whether LINE, COUNT cell texts joined by commas, is written as it is to CSV and JSON.
-
-    That holds when the line is nonempty printable ASCII without '"' or '\\'
-    and holds exactly count - 1 commas, so that no cell has one.
-    """
-    return (
-        line
-        and line.isascii()
-        and line.isprintable()
-        and '"' not in line
-        and "\\" not in line
-        and line.count(",") == count - 1
-    )
-
-
-def _render(row, texts):
-    """(line, text, cells) of one row: its CSV line, or None when csv.writer must
-    write CELLS, and the JSON text between the row's brackets ('' for no cells)."""
-    cells = _cells(row, texts)
-    line = _plain_line(cells)
-    if line is None:
-        return None, ",\n     ".join(map(_json_str, cells)), cells
-    return line, '"' + line.replace(",", '",\n     "') + '"', cells
+def _is_plain(text):
+    """Whether csv.writer and JSON write TEXT, a cell of a row of two or more,
+    as it is: printable ASCII without ',', '"' or '\\'."""
+    return text.isascii() and text.isprintable() and not any(c in text for c in ',"\\')
 
 
 class _MatrixRows:
@@ -130,42 +76,34 @@ class _MatrixRows:
             for label, cols, vals in zip(self.labels, self.matrix.columns, self.matrix.values)
         )
 
-    def render(self, texts):
-        """_render's (line, text, cells) per row, built from the row's stored cells.
+    def render(self):
+        """Per row (line, text), its CSV line and its JSON text; or (None, cells).
 
-        The zeros between stored cells are sliced from one ',0' run and from
-        its JSON counterpart, and each stored cell's text comes from TEXTS.
-        Every cell that is not stored is the int 0, so that is exact for a row
-        whose stored columns are its support() row, whose stored values are
-        int, Fraction or str (a bool or float prints otherwise), and whose line
-        is plain.  Any other row goes through _render.
+        A row whose label is a plain str and whose stored values are all int
+        or Fraction is built from its stored cells, each printed by str, and
+        the zeros between them, sliced from one ',0' run and from its JSON
+        counterpart.  That is exact for any stored columns: every cell the
+        matrix does not store is the int 0, and int and Fraction texts are
+        plain.  Any other row comes as its cells, [label, *dense row], for
+        Artifact.write to print like every other table's rows.
         """
         n = len(self.labels)
         zeros_csv = ",0" * n
         zeros_json = '",\n     "0' * n
-        matrix = self.matrix
-        rows = zip(self.labels, matrix.columns, matrix.values, matrix.support())
-        for label, cols, vals, support in rows:
-            if (
-                cols == support
-                and type(label) in _PLAIN_CELLS
-                and _PLAIN_CELLS.issuperset(map(type, vals))
-            ):
-                head = texts[label]
-                csv_parts, json_parts = [head], ['"' + head]
+        for label, cols, vals in zip(self.labels, self.matrix.columns, self.matrix.values):
+            if type(label) is str and _is_plain(label) and _EXACT_TYPES.issuperset(map(type, vals)):
+                csv_parts, json_parts = [label], ['"' + label]
                 end = 0
                 for j, v in zip(cols, vals):
-                    text = texts[v]
+                    text = str(v)
                     csv_parts += zeros_csv[: 2 * (j - end)], ",", text
                     json_parts += zeros_json[: 10 * (j - end)], '",\n     "', text
                     end = j + 1
-                csv_parts.append(zeros_csv[: 2 * (n - end)])
-                line = "".join(csv_parts)
-                if _is_plain(line, n + 1):
-                    json_parts += zeros_json[: 10 * (n - end)], '"'
-                    yield line, "".join(json_parts), None
-                    continue
-            yield _render([label, *_dense_row(cols, vals, n)], texts)
+                csv_parts += zeros_csv[: 2 * (n - end)], "\n"
+                json_parts += zeros_json[: 10 * (n - end)], '"'
+                yield "".join(csv_parts), "".join(json_parts)
+            else:
+                yield None, [label, *_dense_row(cols, vals, n)]
 
 
 class Artifact:
@@ -195,6 +133,8 @@ class Artifact:
     def add_matrix(self, name, labels, matrix):
         """Add a square IncidenceMatrix as a table: columns "row" and LABELS, one
         row [label, *cells] per matrix row, written from the matrix's stored cells."""
+        if len(labels) != len(matrix.index):
+            raise ValueError(f"{len(labels)} labels for a matrix of {len(matrix.index)} rows")
         self.add_table(name, ["row"] + labels, _MatrixRows(labels, matrix))
 
     def write(self, base):
@@ -233,21 +173,20 @@ class Artifact:
             writer = csv.writer(csv_fh, lineterminator="\n")
             json_fh.write(head[:-2] + ',\n "tables": {')
             table_sep = "\n"
-            texts = _Texts()
             for (name, columns, rows), table_head in zip(self.tables, table_heads):
                 csv_fh.write(f"# table: {name}\n")
                 writer.writerow(columns)
                 json_fh.write(table_sep + table_head)
-                if isinstance(rows, _MatrixRows):
-                    rendered = rows.render(texts)
-                else:
-                    rendered = (_render(row, texts) for row in rows)
+                rendered = rows.render() if isinstance(rows, _MatrixRows) else zip(repeat(None), rows)
                 row_sep = ""
-                for line, text, cells in rendered:
+                for line, row in rendered:
                     if line is None:
+                        cells = [_scalar(v) for v in row]
                         writer.writerow(cells)
+                        text = ",\n     ".join(map(_json_str, cells))
                     else:
-                        csv_fh.write(line + "\n")
+                        csv_fh.write(line)
+                        text = row
                     if text:
                         json_fh.write(f"{row_sep}\n    [\n     {text}\n    ]")
                     else:

@@ -110,8 +110,7 @@ class MomentPolynomial:
     """Sparse scalar combination of moment products over d variables."""
 
     def __init__(self, d, terms):
-        if d < 1:
-            raise ValueError(f"d must be positive, got {d}")
+        _check_dimension(d)
         self.d = d
         terms = dict(terms)
         self.exact = all(_is_exact(c) for c in terms.values())

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mobiusboot import artifact, cli, lattice, polynomial_from_dict, selftest
 from mobiusboot.artifact import _scalar
@@ -844,16 +846,6 @@ def test_equal_cells_of_other_types_keep_their_own_text(tmp_path, monkeypatch):
     assert rows[0] == ["1", "1", "1", "true", "1.0", "1", "1/2"]
 
 
-def test_plain_line_only_for_cells_written_as_they_are():
-    assert artifact._plain_line(["13|2", "0", "-3/4", "a b"]) == "13|2,0,-3/4,a b"
-    assert artifact._plain_line(["", ""]) == ","
-    for text in ODD_TEXTS:
-        if text not in (" ", ""):
-            assert artifact._plain_line(["1", text]) is None, text
-    assert artifact._plain_line([]) is None
-    assert artifact._plain_line([""]) is None
-
-
 def _oracle_route_argvs():
     yield from (("lattice", "--m", str(m)) for m in range(1, 6))
     for m in range(1, 6):
@@ -908,10 +900,62 @@ def test_matrix_rows_off_support_fall_back_to_per_cell_route(tmp_path, monkeypat
         assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"old{suffix}").read_bytes()
     _, rows = _rows(tmp_path / "new.csv", "m")
     assert [row[-1] for row in rows[:3]] == ["5", "0.0", "false"]
-    # the rows that break the contract, and only those, take the per-cell route
-    for (_, _, rows), broken in zip(art.tables, ([0, 1, 2, 3, 6], [6])):
-        rendered = rows.render(artifact._Texts())
-        assert [i for i, (_, _, cells) in enumerate(rendered) if cells is not None] == broken
+    # the rows with a cell other than int or Fraction, or an odd label, and
+    # only those, take the per-cell route
+    for (_, _, rows), broken in zip(art.tables, ([1, 2, 3, 5, 6], [6])):
+        assert [i for i, (line, _) in enumerate(rows.render()) if line is None] == broken
+
+
+_CELLS = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-(2**70), 2**70),
+    st.fractions(max_denominator=10**6),
+    st.just(0.0),
+    st.just(False),
+    st.sampled_from(ODD_TEXTS),
+)
+_LABELS = st.one_of(
+    st.sampled_from(["1|2", "13|2", "a b", "S = R.zeta.C^-1", "0"]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
+    st.sampled_from(ODD_TEXTS),
+    st.sampled_from([7, -1, 1.5, False]),
+)
+
+
+@st.composite
+def _square_matrices(draw):
+    s = draw(st.integers(0, 5))
+    entries = draw(st.lists(st.lists(_CELLS, min_size=s, max_size=s), min_size=s, max_size=s))
+    labels = draw(st.lists(_LABELS, min_size=s, max_size=s))
+    return labels, lattice.IncidenceMatrix(range(1, s + 1), entries)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_square_matrices())
+def test_matrix_rows_match_whole_file_writer(tmp_path, monkeypatch, labeled):
+    # every row, on the stored-cell route or not, has the oracle's bytes
+    monkeypatch.setattr(artifact, "datetime", _FixedClock)
+    labels, M = labeled
+    art = Artifact("square", [])
+    art.add_matrix("m", labels, M)
+    art.write(tmp_path / "new")
+    oracles.write_artifact(art, tmp_path / "old", FIXED_STAMP.isoformat())
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"old{suffix}").read_bytes()
+
+
+def test_add_matrix_rejects_labels_that_do_not_match_the_matrix():
+    art = Artifact("z", [])
+    with pytest.raises(ValueError, match="2 labels for a matrix of 5 rows"):
+        art.add_matrix("z", ["a", "b"], lattice.zeta_matrix(3))
+    assert art.tables == []
 
 
 def test_identity_check_sees_a_zeta_cell_off_the_order():

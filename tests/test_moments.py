@@ -315,6 +315,12 @@ def test_normal_moment_table_rejects_a_d_that_is_not_a_positive_int(d):
         normal_moment_table(d, 2)
 
 
+@pytest.mark.parametrize("d", [0, 1.5, True, 2.0])
+def test_moment_polynomial_rejects_a_d_that_is_not_a_positive_int(d):
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        MomentPolynomial(d, {})
+
+
 def test_normal_moment_table():
     table = normal_moment_table(2, 6)
     assert table.moment(()) == 1
