@@ -21,6 +21,7 @@ from .lattice import falling_factorial
 from .moments import (
     InfeasibleError,
     MomentTable,
+    _is_int,
     evaluate,
     reachable_blocks,
 )
@@ -28,6 +29,8 @@ from .resampling import apply_S, one_norm_id_minus_S, one_norm_id_minus_scaled
 
 
 def _check_size(n, k):
+    if not _is_int(n):
+        raise ValueError(f"sample size must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     if k < 0:
@@ -201,6 +204,8 @@ def general_bound(gammas, n):
     sqrt(16 * gamma_0 * gamma_cut), where cut = ceil(sqrt(N/8)).
     """
     gammas = _check_gammas(gammas)
+    if n < 1:
+        raise ValueError("N must be positive")
     cut = _cut_index(n)
     if cut >= len(gammas):
         raise ValueError(

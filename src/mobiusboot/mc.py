@@ -17,17 +17,18 @@ routes and the CLI commands that never draw run without it.
 A chain runs in index space.  All of its draws over one row count come from
 one integers(n, size=(count, n)) call (_Draws), which numpy fills with what
 count calls of integers(n, size=n) return, so every seed keeps its values.
-Each link is a pick, the row indices of the chain's root, and a pick of a
-pick is a pick of the root; evaluate sums the root's columns of per-row
-products at the picks (moments.Dataset).  Every replica of a run picks from
-the caller's Dataset itself (mc_estimate's data, a Dataset population,
-exhaustive_estimate's data), which builds each block's column once; a
-sampler draws a new root per replica.  A replica step does only float work
-on float data: the coefficients a_j and those of a polynomial F are
-converted to float once per run (bit-identical, since Fraction times float
-is computed as float(a) * b).  Batching replicas into numpy blocks would change the seed-to-value mapping
-and waits for a benchmark change that re-pins the per-link evaluate/resample
-counts.
+Each link is a pick, the row indices of the chain's root, and
+Dataset._picked composes a pick of a pick into a pick of the root; evaluate
+sums the root's columns of per-row products at the picks (moments.Dataset).
+Every chain opens through _start: a sampler draws a new root per replica,
+and a Dataset source (mc_estimate's data, a Dataset population) is picked
+from by every replica itself, so it builds each block's column once; when it
+has N rows, X^1 is drawn in the links' block.  A replica step does only
+float work on float data: the coefficients a_j and those of a polynomial F
+are converted to float once per run (bit-identical, since Fraction times
+float is computed as float(a) * b).  Batching replicas into numpy blocks
+would change the seed-to-value mapping and waits for a benchmark change that
+re-pins the per-link evaluate/resample counts.
 
 The exhaustive route pushes the exact law of the resampled row multiset one
 chain level at a time: C(2N-1, N) states per level with multinomial weights,
@@ -74,22 +75,14 @@ def expansion_coefficients(schedule):
     return tuple(coeffs)
 
 
-def _take(data, indices):
-    """The rows of data at the given indices, as a pick of data's root."""
-    picks = data.picks
-    if picks is None:
-        return Dataset._picked(data, indices)
-    return Dataset._picked(data.root, [picks[i] for i in indices])
-
-
 def _draw(data, n, rng):
     """n rows drawn i.i.d. uniformly from data's rows.
 
     rng is a Generator, or a chain's _Draws, whose next row holds the n draws.
     """
     if type(rng) is _Draws:
-        return _take(data, next(rng.rows))
-    return _take(data, rng.integers(data.n, size=n).tolist())
+        return Dataset._picked(data, next(rng.rows))
+    return Dataset._picked(data, rng.integers(data.n, size=n).tolist())
 
 
 def resample(data, rng):
@@ -242,46 +235,43 @@ def _replica_generators(seed, replicas):
             yield Generator(PCG64(SpawnedState(words)))
 
 
-def _mc_values(F, start, coeffs, replicas, seed):
-    """The chain value of every replica 0..replicas-1, in order.
+def _chain_coefficients(coeffs):
+    """coeffs as a tuple; a chain estimator needs a_0 at least."""
+    coeffs = tuple(coeffs)
+    if not coeffs:
+        raise ValueError("chain coefficients are empty: need at least a_0")
+    return coeffs
 
-    start(rng, links) returns X^1, drawn from the replica's generator, and
-    the _Draws of the chain's links (None without links).
+
+def _start(source, n, rng, links):
+    """X^1 of a chain of n rows and its links' _Draws (None without links).
+
+    A sampler source draws a new root.  A Dataset source is picked from by
+    rng, X^1 in the links' block when the Dataset has n rows.
     """
+    if isinstance(source, Dataset) and source.n == n:
+        draws = _Draws(rng, n, links + 1)
+        return _draw(source, n, draws), draws
+    first = _draw(source, n, rng) if isinstance(source, Dataset) else source(rng, n)
+    return first, _Draws(rng, n, links) if links else None
+
+
+def _mc_values(F, source, n, coeffs, replicas, seed):
+    """The chain value of every replica 0..replicas-1, in order, each opened by _start."""
     _check_run(seed, replicas)
-    exact_chain = _as_functional(F), tuple(coeffs)
+    coeffs = _chain_coefficients(coeffs)
+    exact_chain = _as_functional(F), coeffs
     float_chain = _float_chain(F, coeffs)
     links = len(coeffs) - 1
     values = []
     for r, rng in enumerate(_replica_generators(seed, replicas)):
         try:
-            first, draws = start(rng, links)
+            first, draws = _start(source, n, rng, links)
             fn, chain_coeffs = exact_chain if first.exact else float_chain
             values.append(_chain_value(fn, chain_coeffs, first, draws))
         except RuntimeError as exc:
             raise RuntimeError(f"replica {r}: {exc}") from exc
     return values
-
-
-def _root_start(data, n, first_draw):
-    """start for chains whose X^1 is first_draw(data, rng), n rows picked from data.
-
-    Every replica picks from data itself.  When data has n rows, X^1 is
-    drawn in the links' block.
-    """
-    def start(rng, links):
-        if data.n == n:
-            draws = _Draws(rng, n, links + 1)
-            return first_draw(data, draws), draws
-        first = first_draw(data, rng)
-        return first, _Draws(rng, n, links) if links else None
-
-    return start
-
-
-def _sampler_start(sampler, n):
-    """start for chains whose X^1 is sampler(rng, n), a new root per replica."""
-    return lambda rng, links: (sampler(rng, n), _Draws(rng, n, links) if links else None)
 
 
 def _report(values, seed):
@@ -301,7 +291,7 @@ def mc_estimate(F, data, coeffs, replicas, seed):
     The chain opens with a redraw of data as X^1, so the estimator is unbiased
     for evaluate(apply_S(G), data) where G carries the coefficients.
     """
-    values = _mc_values(F, _root_start(data, data.n, resample), coeffs, replicas, seed)
+    values = _mc_values(F, data, data.n, coeffs, replicas, seed)
     return _report(values, seed)
 
 
@@ -334,6 +324,7 @@ def exhaustive_estimate(F, data, coeffs):
     when its level is summed, and Fraction times float is float(Fraction) *
     float.  Exact on exact data.
     """
+    coeffs = _chain_coefficients(coeffs)
     fn = _as_functional(F)
     n = data.n
     picks = _multiset_picks(n)
@@ -357,7 +348,7 @@ def exhaustive_estimate(F, data, coeffs):
         level = 0
         for rows, p in law.items():
             if rows not in values:
-                values[rows] = fn(_take(data, rows))
+                values[rows] = fn(Dataset._picked(data, rows))
             level += Fraction(p, den) * values[rows]
         total += a * level
     return total
@@ -371,6 +362,7 @@ def chain_expectation(F, coeffs, data):
     G = sum_j a_j S^j F.  This is the value that mc_estimate and
     exhaustive_estimate estimate.
     """
+    coeffs = _chain_coefficients(coeffs)
     n = data.n
     total = MomentPolynomial(F.d, {})
     g = F
@@ -408,11 +400,10 @@ def bias_experiment(F, population, schedule, replicas, seed=0, sampler=None):
     if isinstance(population, MomentTable):
         if sampler is None:
             raise ValueError("an analytic population needs a sampler to draw X^1")
-        table = population
-        start = _sampler_start(sampler, n)
+        table, source = population, sampler
     elif isinstance(population, Dataset):
         table = MomentTable.from_dataset(population, reachable_blocks(F))
-        start = _root_start(population, n, lambda data, rng: _draw(data, n, rng))
+        source = population
     else:
         raise TypeError("population must be a Dataset or MomentTable")
 
@@ -423,7 +414,7 @@ def bias_experiment(F, population, schedule, replicas, seed=0, sampler=None):
     rows = []
     for k, record in enumerate(exact.records):
         coeffs = expansion_coefficients(schedule.etas[:k])
-        values = _mc_values(F, start, coeffs, replicas, int(seeds[k]))
+        values = _mc_values(F, source, n, coeffs, replicas, int(seeds[k]))
         biased = [v - target for v in values]
         report = _report(biased, int(seeds[k]))
         rows.append(ExperimentRow(k, report, record.signed_bias, record.bound))

@@ -186,9 +186,10 @@ class Dataset:
     columns: per distinct block evaluated on it or on its picks, one list of
     its N per-row products, built on the block's first read.  So a Dataset
     the caller keeps holds the columns of the blocks evaluated on it.  A
-    resampled Dataset is a pick: it keeps root and picks, the root row index
-    of each of its rows, and builds rows only when they are first read.  A
-    pick of a pick is a pick of the same root.
+    resampled Dataset is a pick (_picked): it keeps root and picks, the root
+    row index of each of its rows, and builds rows only when they are first
+    read.  A pick of a pick is a pick of the same root: _picked composes the
+    indices, so no other module of the package reads root, picks or columns.
     """
 
     __slots__ = ("rows", "exact", "root", "picks", "columns")
@@ -220,12 +221,13 @@ class Dataset:
         return ds
 
     @classmethod
-    def _picked(cls, root, picks):
-        """The rows of root (not itself a pick) at the indices picks, unbuilt until read."""
+    def _picked(cls, data, picks):
+        """The rows of data (a root or a pick) at the indices picks, unbuilt until read."""
         ds = cls.__new__(cls)
-        ds.exact = root.exact
-        ds.root = root
-        ds.picks = picks
+        ds.exact = data.exact
+        ds.root = data.root or data
+        outer = data.picks
+        ds.picks = picks if outer is None else [outer[i] for i in picks]
         ds.columns = None
         return ds
 

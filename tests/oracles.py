@@ -273,7 +273,11 @@ def evaluate(F, data):
 # -- the Monte Carlo chain with one draw per link, over row tuples ------------------
 
 def take(data, indices):
-    """The rows of data at the given indices, as a Dataset that holds them."""
+    """The rows of data at the given indices, as a Dataset that holds them.
+
+    The row-tuple reference for Dataset._picked, which keeps the indices
+    into data's root instead; data may be a root or a pick.
+    """
     rows = data.rows
     return Dataset._validated(tuple([rows[i] for i in indices]), data.exact)
 
@@ -283,10 +287,13 @@ def draw(data, n, rng):
     return take(data, rng.integers(data.n, size=n).tolist())
 
 
-def chain_values(F, first_draw, coeffs, replicas, seed):
-    """sum_j a_j F(X^{j+1}) per replica, X^1 = first_draw(rng) and one draw per link.
+def chain_values(F, source, n, coeffs, replicas, seed):
+    """sum_j a_j F(X^{j+1}) per replica of n-row chains, one draw per link.
 
-    Replica i draws from default_rng(SeedSequence(seed).spawn(replicas)[i]).
+    X^1 is source(rng, n) for a sampler and draw(source, n, rng) for a
+    Dataset, whatever its row count: the per-link route that mc._start's
+    block draw must reproduce.  Replica i draws from
+    default_rng(SeedSequence(seed).spawn(replicas)[i]).
     A polynomial F is evaluated with its own coefficients, and the a_j stay
     as given, so Fraction times float is rounded where the product is taken.
     """
@@ -296,7 +303,7 @@ def chain_values(F, first_draw, coeffs, replicas, seed):
     values = []
     for child in np.random.SeedSequence(seed).spawn(replicas):
         rng = np.random.default_rng(child)
-        ds = first_draw(rng)
+        ds = draw(source, n, rng) if isinstance(source, Dataset) else source(rng, n)
         total = 0.0
         for j, a in enumerate(coeffs):
             if j > 0:

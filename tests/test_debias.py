@@ -101,6 +101,19 @@ def test_schedule_rejects_bad_sizes(build, match):
         build()
 
 
+@pytest.mark.parametrize("n", [True, False, 2.5, 2.0, "4", None])
+def test_schedule_rejects_a_sample_size_that_is_not_an_int(n):
+    # True used to build a schedule whose n is True, and 2.5 one that failed
+    # later inside math.perm
+    for build in (
+        lambda: StepSchedule(n, [Fraction(1)]),
+        lambda: StepSchedule.unit(n, 1),
+        lambda: StepSchedule.default(n, 1),
+    ):
+        with pytest.raises(ValueError, match="sample size must be an int"):
+            build()
+
+
 @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, True, False])
 def test_schedule_rejects_non_finite_and_bool_steps(eta):
     # nan passed the eta <= 0 check and wrote nan rows into exact_bias
@@ -380,6 +393,13 @@ def test_general_bound_two_term_tradeoff():
         k_star, bound = general_bound(seq, n)
         assert general_bound_at(seq, n, k_star) <= bound + 1e-12
         assert bound == pytest.approx(4 * math.sqrt(seq[0] * seq[cut]), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, -1, -72, 0.5])
+def test_general_bound_rejects_n_below_one(n):
+    # at N = 0 the cut index is 0 and the bound read (0, 4.0); below 0 sqrt failed
+    with pytest.raises(ValueError, match="N must be positive"):
+        general_bound([1.0, 0.5, 0.25], n)
 
 
 def test_general_bound_validation():

@@ -1,5 +1,6 @@
 """Chain simulation: coefficients, exhaustive oracle, seeded replicas."""
 
+import ast
 import json
 import math
 import os
@@ -21,7 +22,6 @@ import oracles
 from mobiusboot.debias import StepSchedule, nonstationary_debias, richardson_debias
 from mobiusboot.mc import (
     _report,
-    _take,
     bias_experiment,
     chain_expectation,
     exhaustive_estimate,
@@ -33,9 +33,8 @@ from mobiusboot.mc import (
     _multiset_picks,
     _as_functional,
     _replica_generators,
-    _root_start,
-    _sampler_start,
     _spawn_states,
+    _start,
 )
 from mobiusboot.moments import (
     Dataset,
@@ -285,9 +284,8 @@ def test_replica_substreams_are_prefix_stable():
     data = Dataset([[float(v)] for v in (0.0, 1.5, -2.0, 0.5)])
     fn = _as_functional(F)
     coeffs = expansion_coefficients([1])
-    start = _root_start(data, data.n, resample)
-    short = _mc_values(fn, start, coeffs, 100, 9)
-    long = _mc_values(fn, start, coeffs, 400, 9)
+    short = _mc_values(fn, data, data.n, coeffs, 100, 9)
+    long = _mc_values(fn, data, data.n, coeffs, 400, 9)
     assert long[:100] == short
 
 
@@ -328,12 +326,11 @@ def test_replica_generators_equal_default_rng_of_spawned_children():
 )
 def test_bad_seed_rejected_before_any_replica(seed, error):
     calls = []
-    start = lambda rng, links: calls.append(rng) or (DATA4, None)
+    sampler = lambda rng, n: calls.append(rng) or DATA4
     with pytest.raises(error, match="seed must be a nonnegative int"):
-        _mc_values(variance_poly(), start, (1,), 3, seed)
+        _mc_values(variance_poly(), sampler, 4, (1,), 3, seed)
     with pytest.raises(error, match=repr(seed)):
         mc_estimate(variance_poly(), DATA4, (1,), 3, seed)
-    sampler = lambda rng, n: calls.append(rng) or DATA4
     with pytest.raises(error, match="seed must be a nonnegative int"):
         bias_experiment(
             variance_poly(), normal_moment_table(1, 4), StepSchedule.unit(4, 1), 3,
@@ -415,9 +412,9 @@ def test_float_chain_bit_identical_to_fraction_coefficients():
     coeffs = expansion_coefficients(StepSchedule.default(12, 2))
     assert all(isinstance(a, Fraction) for a in coeffs)
     slow_fn = lambda ds: evaluate(COVARIANCE_PLUS, ds)
-    for start in (_root_start(data, data.n, resample), _sampler_start(normal_sampler(2), 7)):
-        fast = _mc_values(COVARIANCE_PLUS, start, coeffs, 200, 17)
-        slow = _mc_values(slow_fn, start, coeffs, 200, 17)
+    for source, n in ((data, data.n), (normal_sampler(2), 7)):
+        fast = _mc_values(COVARIANCE_PLUS, source, n, coeffs, 200, 17)
+        slow = _mc_values(slow_fn, source, n, coeffs, 200, 17)
         assert fast == slow
 
 
@@ -433,7 +430,7 @@ def test_exact_data_keeps_fraction_coefficients():
         for a, ds in zip(coeffs, chain):
             total += a * evaluate(COVARIANCE_PLUS, ds)  # exact product, rounded once
         want.append(total)
-    assert _mc_values(COVARIANCE_PLUS, _root_start(data, data.n, resample), coeffs, 50, 8) == want
+    assert _mc_values(COVARIANCE_PLUS, data, data.n, coeffs, 50, 8) == want
 
 
 def _replayed_chains(first_draw, length, replicas, seed):
@@ -443,6 +440,74 @@ def _replayed_chains(first_draw, length, replicas, seed):
         while len(chain) < length:
             chain.append(resample(chain[-1], rng))
         yield chain
+
+
+class RecordedDraws:
+    """A generator that records the size of each draw it makes."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def integers(self, high, size):
+        self.sizes.append(size)
+        return self.rng.integers(high, size=size)
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self.rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("links", [0, 1, 3])
+def test_start_draws_x1_in_the_links_block_only_from_n_rows(links):
+    # a Dataset of n rows has X^1 in the first row of the links' block, one
+    # numpy call; a Dataset of another row count and a sampler draw X^1 first,
+    # then the links' block (none without links).  A Dataset source is picked
+    # from itself, a sampler draws a new root
+    data = Dataset([[float(v), -float(v)] for v in range(5)])
+    sampler = normal_sampler(2)
+    for source, n in ((data, 5), (data, 3), (data, 7), (sampler, 4)):
+        rng, replay = RecordedDraws(40 + n), np.random.default_rng(40 + n)
+        first, draws = _start(source, n, rng, links)
+        if source is data and n == data.n:
+            assert rng.sizes == [(links + 1, n)]
+            block = replay.integers(n, size=(links + 1, n)).tolist()
+            want, block = oracles.take(data, block[0]), block[1:]
+        else:
+            first_size = (n, 2) if source is sampler else n
+            assert rng.sizes == [first_size] + ([(links, n)] if links else [])
+            want = sampler(replay, n) if source is sampler else oracles.draw(data, n, replay)
+            block = replay.integers(n, size=(links, n)).tolist() if links else None
+        assert first.n == n and first.rows == want.rows
+        assert (first.root is data) if source is data else (first.picks is None)
+        assert (None if draws is None else list(draws.rows)) == block
+        assert rng.rng.integers(2**62, size=4).tolist() == replay.integers(2**62, size=4).tolist()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda coeffs: mc_estimate(variance_poly(), DATA4, coeffs, 3, 0),
+        lambda coeffs: exhaustive_estimate(variance_poly(), DATA4, coeffs),
+        lambda coeffs: chain_expectation(variance_poly(), coeffs, DATA4),
+    ],
+    ids=["mc_estimate", "exhaustive_estimate", "chain_expectation"],
+)
+@pytest.mark.parametrize("empty", [(), [], iter(())], ids=["tuple", "list", "iterator"])
+def test_empty_coefficients_rejected_by_every_chain_route(run, empty):
+    # a chain estimator has a_0 at least; no route returns 0 or leaks StopIteration
+    with pytest.raises(ValueError, match="chain coefficients are empty"):
+        run(empty)
+
+
+def test_mc_reads_no_pick_layout():
+    # the pick layout (root, picks, columns) stays behind Dataset: mc composes
+    # picks through Dataset._picked alone, so the layout can change in one module
+    from mobiusboot import mc
+
+    tree = ast.parse(Path(mc.__file__).read_text())
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert attrs & {"root", "picks", "columns"} == set()
+    assert "_picked" in attrs  # the walk sees attribute reads
 
 
 def test_normal_sampler_rows_are_python_floats():
@@ -566,9 +631,8 @@ def same(got, want):
 def test_mc_estimate_matches_per_link_oracle(case, replicas, seed):
     data, F, steps = case
     coeffs = expansion_coefficients(steps)
-    first = lambda rng: oracles.draw(data, data.n, rng)
     for fn in (F, row_spread):
-        want = oracles.chain_values(fn, first, coeffs, replicas, seed)
+        want = oracles.chain_values(fn, data, data.n, coeffs, replicas, seed)
         assert same(mc_estimate(fn, data, coeffs, replicas, seed), _report(want, seed))
 
 
@@ -581,11 +645,10 @@ def test_bias_experiment_dataset_population_matches_per_link_oracle(case, n, rep
     table = MomentTable.from_dataset(population, reachable_blocks(F))
     target = float(exact_bias(F, schedule, table).target)
     seeds = np.random.SeedSequence(seed).generate_state(len(schedule) + 1)
-    first = lambda rng: oracles.draw(population, n, rng)
     rows = bias_experiment(F, population, schedule, replicas, seed)
     for k, row in enumerate(rows):
         coeffs = expansion_coefficients(steps[:k])
-        want = oracles.chain_values(F, first, coeffs, replicas, int(seeds[k]))
+        want = oracles.chain_values(F, population, n, coeffs, replicas, int(seeds[k]))
         assert same(row.report, _report([v - target for v in want], int(seeds[k])))
 
 
@@ -601,7 +664,7 @@ def test_bias_experiment_normal_sampler_matches_per_link_oracle(case, n, replica
     rows = bias_experiment(F, table, schedule, replicas, seed, sampler=sampler)
     for k, row in enumerate(rows):
         coeffs = expansion_coefficients(steps[:k])
-        want = oracles.chain_values(F, lambda rng: sampler(rng, n), coeffs, replicas, int(seeds[k]))
+        want = oracles.chain_values(F, sampler, n, coeffs, replicas, int(seeds[k]))
         assert same(row.report, _report([v - target for v in want], int(seeds[k])))
 
 
@@ -621,7 +684,8 @@ def test_exhaustive_estimate_matches_row_loop_moments(case):
 def test_out_of_range_label_raises_on_a_pick(nested):
     F = MomentPolynomial(3, {LabeledTerm([[0], [2]]): 1})
     data = Dataset([[1.0, 2.0], [3.0, 4.0]])
-    pick = _take(_take(data, [1, 0]), [0, 0]) if nested else _take(data, [1, 1])
+    picked = Dataset._picked
+    pick = picked(picked(data, [1, 0]), [0, 0]) if nested else picked(data, [1, 1])
     assert pick.root is data and pick.picks == [1, 1]
     for _ in range(2):  # a failed block keeps no column
         with pytest.raises(ValueError, match="label 2 out of range for d=2"):
@@ -634,7 +698,7 @@ def test_out_of_range_label_raises_on_a_pick(nested):
 
 def test_pick_rows_are_built_on_first_read():
     data = Dataset([[Fraction(1), 2], [3, Fraction(1, 2)], [0, 0]])
-    pick = _take(_take(data, [2, 0, 1]), [1, 1, 2])
+    pick = Dataset._picked(Dataset._picked(data, [2, 0, 1]), [1, 1, 2])
     assert pick.root is data
     assert pick.n == 3 and pick.d == 2 and pick.exact
     assert pick.picks == [0, 0, 1]

@@ -20,7 +20,7 @@ from mobiusboot.lattice import (
     format_partition,
     parse_partition,
 )
-from mobiusboot.mc import _take, chain_expectation, exhaustive_estimate, expansion_coefficients
+from mobiusboot.mc import chain_expectation, exhaustive_estimate, expansion_coefficients
 from mobiusboot.moments import (
     CONSTANT_TERM,
     Dataset,
@@ -268,8 +268,8 @@ def dataset_polynomial_picks(draw):
 def test_evaluate_on_roots_and_picks_matches_row_loop(case):
     # block moments from the root's columns, against the per-row loop on the picked rows
     data, F, first, second = case
-    pick = _take(data, first)
-    pick_of_pick = _take(pick, second)
+    pick = Dataset._picked(data, first)
+    pick_of_pick = Dataset._picked(pick, second)
     assert pick_of_pick.root is data
     got = [evaluate(F, ds) for ds in (data, pick, pick_of_pick)]
     for value, ds in zip(got, (data, pick, pick_of_pick)):
