@@ -28,9 +28,13 @@ from .moments import (
 from .resampling import apply_S, one_norm_id_minus_S, one_norm_id_minus_scaled
 
 
-def _check_size(n, k):
+def _check_int_size(n):
     if not _is_int(n):
         raise ValueError(f"sample size must be an int, got {n!r}")
+
+
+def _check_size(n, k):
+    _check_int_size(n)
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     if k < 0:
@@ -206,6 +210,7 @@ def general_bound(gammas, n):
     gammas = _check_gammas(gammas)
     if n < 1:
         raise ValueError("N must be positive")
+    _check_int_size(n)
     cut = _cut_index(n)
     if cut >= len(gammas):
         raise ValueError(
@@ -230,6 +235,7 @@ def bandlimited_bound(d, theta, n):
         raise ValueError(f"theta must be finite, got {theta}")
     if d < 1 or theta <= 0:
         raise ValueError("need d >= 1 and theta > 0")
+    _check_int_size(n)
     if n < 8 * (8 * d * theta + 1) ** 2:
         raise ValueError(
             f"N={n} below the required 8*(8*d*theta+1)^2 = {8 * (8 * d * theta + 1) ** 2:.6g}"
@@ -253,6 +259,7 @@ def neumann_trace_bound(sigma, n):
         raise ValueError(f"sigma must lie in (0,1), got {sigma}")
     if n < 1:
         raise ValueError("N must be positive")
+    _check_int_size(n)
     k = math.floor(-math.sqrt(n / 8) * math.log(sigma))
     # sigma^sqrt(N/32) <= 1 and 4/(1-sigma) stays within double range, so the
     # direct product is safe and exact at round powers where exp(log .) is not

@@ -26,9 +26,16 @@ from by every replica itself, so it builds each block's column once; when it
 has N rows, X^1 is drawn in the links' block.  A replica step does only
 float work on float data: the coefficients a_j and those of a polynomial F
 are converted to float once per run (bit-identical, since Fraction times
-float is computed as float(a) * b).  Batching replicas into numpy blocks
-would change the seed-to-value mapping and waits for a benchmark change that
-re-pins the per-link evaluate/resample counts.
+float is computed as float(a) * b).
+
+A polynomial chain over a Dataset of float cells runs a block of replicas at
+once (_block_values) and keeps the seed's values.  Each replica reads the raw
+words of its draws from its PCG64, Generator.integers' rule (Lemire's bounded
+integers on 32-bit halves, low half first) turns them into picks, and
+moments._pick_evaluator evaluates a block of picks with numpy, in the order
+and with the IEEE operations of evaluate.  A replica whose draw numpy would
+reject and redraw runs alone.  Callables, exact data and samplers run one
+replica at a time.
 
 The exhaustive route pushes the exact law of the resampled row multiset one
 chain level at a time: C(2N-1, N) states per level with multinomial weights,
@@ -39,7 +46,7 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 from .debias import exact_bias
 from .moments import (
@@ -47,6 +54,7 @@ from .moments import (
     MomentPolynomial,
     MomentTable,
     _is_int,
+    _pick_evaluator,
     evaluate,
     reachable_blocks,
 )
@@ -113,7 +121,7 @@ def _as_functional(F):
 
 
 def _float_chain(F, coeffs):
-    """Functional and coefficients for chains over float data.
+    """F and coefficients for chains over float data, as floats where that keeps the bits.
 
     A polynomial with a non-constant term evaluates to a float on float data,
     and Fraction times float is float(a) * b, so float coefficients give the
@@ -122,8 +130,8 @@ def _float_chain(F, coeffs):
     """
     if isinstance(F, MomentPolynomial) and F.max_order() > 0:
         F_float = MomentPolynomial(F.d, {t: float(c) for t, c in F.terms.items()})
-        return _as_functional(F_float), tuple(float(a) for a in coeffs)
-    return _as_functional(F), tuple(coeffs)
+        return F_float, tuple(float(a) for a in coeffs)
+    return F, tuple(coeffs)
 
 
 def _chain_value(fn, coeffs, first, draws):
@@ -147,6 +155,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # replicas whose seed words are derived, and generators built, at a time
 _SPAWN_BLOCK = 4096
+# cells per array of a replica block (_block_values): draws, picks, products
+_BLOCK_CELLS = 2**13
 
 
 def _check_run(seed, replicas):
@@ -211,16 +221,16 @@ def _spawn_states(seed, start, stop):
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _replica_generators(seed, replicas):
-    """The generator of every replica 0..replicas-1, in order, built block by block.
+def _pcg64_seeder():
+    """The function from a replica's row of _spawn_states to its PCG64.
 
-    Replica i's generator is Generator(PCG64(s)) for s the i-th child of
+    Replica i's bit generator is PCG64(s) for s the i-th child of
     SeedSequence(seed), which is what default_rng(child) builds; the child's
     generate_state is replaced by its row of _spawn_states.
     """
     # numpy loads here, on the first draw, not when the package is imported
     import numpy as np
-    from numpy.random import PCG64, Generator
+    from numpy.random import PCG64
     from numpy.random.bit_generator import ISeedSequence
 
     class SpawnedState(ISeedSequence):
@@ -230,9 +240,85 @@ def _replica_generators(seed, replicas):
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
+    return lambda words: PCG64(SpawnedState(words))
+
+
+def _replica_states(seed, replicas):
+    """The _spawn_states row of every replica 0..replicas-1, in order, derived block by block."""
     for start in range(0, replicas, _SPAWN_BLOCK):
-        for words in _spawn_states(seed, start, min(start + _SPAWN_BLOCK, replicas)):
-            yield Generator(PCG64(SpawnedState(words)))
+        yield from _spawn_states(seed, start, min(start + _SPAWN_BLOCK, replicas))
+
+
+def _replica_generators(seed, replicas):
+    """The generator of every replica 0..replicas-1, in order."""
+    from numpy.random import Generator
+
+    pcg64 = _pcg64_seeder()
+    return (Generator(pcg64(words)) for words in _replica_states(seed, replicas))
+
+
+def _bounded(halves, bound):
+    """What Generator.integers(bound) draws from 32-bit halves, and where it draws again.
+
+    For 2 <= bound < 2**32 numpy takes each half u of PCG64's raw words, low
+    half first, to (u * bound) >> 32 (Lemire, ACM TOMACS 2019), but rejects
+    u, and reads the next half instead, when the low 32 bits of u * bound lie
+    below 2**32 % bound.  Returns the picks of all halves as intp and the mask
+    of rejected halves; from the first rejected half on, the picks are not
+    numpy's.
+    """
+    import numpy as np
+    product = halves.astype(np.uint64) * np.uint64(bound)
+    rejected = product & np.uint64(_MASK32) < np.uint64(2**32 % bound)
+    return (product >> np.uint64(32)).astype(np.intp), rejected
+
+
+def _block_values(evaluate_picks, coeffs, rows, n, states, replica_value):
+    """The chain values of the replicas whose _spawn_states rows are states, in blocks.
+
+    A replica's draws are X^1's n picks of the source's rows, then its links'
+    picks of n rows, in numpy's order; a bound of 1 takes no half.  So each
+    replica reads from its PCG64 the raw words of those picks (_bounded), a
+    block of replicas at a time, and its links are picks of picks
+    (take_along_axis).  evaluate_picks is a moments._pick_evaluator, so
+    every value has the bits of the replica's own chain.  A replica with a
+    rejected half is run by replica_value(r, generator) instead.
+    """
+    import numpy as np
+    from numpy.random import Generator
+
+    def draw(halves, bound, shape):
+        if bound == 1:
+            return np.zeros(shape, dtype=np.intp), np.zeros(len(halves), dtype=bool)
+        picks, rejected = _bounded(halves, bound)
+        return picks.reshape(shape), rejected.any(axis=1)
+
+    links = len(coeffs) - 1
+    first = n if rows > 1 else 0
+    halves = first + (links * n if n > 1 else 0)
+    size = max(1, _BLOCK_CELLS // ((links + 1) * n))
+    raw = np.empty((size, (halves + 1) // 2), dtype=np.uint64)
+    pcg64 = _pcg64_seeder()
+    states = iter(states)
+    values = []
+    while block := list(islice(states, size)):
+        count = len(block)
+        for i, words in enumerate(block):
+            raw[i] = pcg64(words).random_raw(raw.shape[1])
+        u = raw[:count].astype("<u8").view("<u4")[:, :halves]
+        picks, rejected = draw(u[:, :first], rows, (count, n))
+        steps, rejected_steps = draw(u[:, first:], n, (count, links, n))
+        total = np.zeros(count)
+        with np.errstate(all="ignore"):
+            for j, a in enumerate(coeffs):
+                if j > 0:
+                    picks = np.take_along_axis(picks, steps[:, j - 1], axis=1)
+                total += a * evaluate_picks(picks)
+        chain = total.tolist()
+        for i in np.flatnonzero(rejected | rejected_steps).tolist():
+            chain[i] = replica_value(len(values) + i, Generator(pcg64(block[i])))
+        values += chain
+    return values
 
 
 def _chain_coefficients(coeffs):
@@ -257,21 +343,36 @@ def _start(source, n, rng, links):
 
 
 def _mc_values(F, source, n, coeffs, replicas, seed):
-    """The chain value of every replica 0..replicas-1, in order, each opened by _start."""
+    """The chain value of every replica 0..replicas-1, in order.
+
+    A polynomial over a Dataset that moments._pick_evaluator takes runs its
+    replicas in blocks (_block_values); every other replica is opened by
+    _start and run by _chain_value, one at a time.  Both give the same bits.
+    """
     _check_run(seed, replicas)
     coeffs = _chain_coefficients(coeffs)
     exact_chain = _as_functional(F), coeffs
-    float_chain = _float_chain(F, coeffs)
+    float_F, float_coeffs = _float_chain(F, coeffs)
+    float_chain = _as_functional(float_F), float_coeffs
     links = len(coeffs) - 1
-    values = []
-    for r, rng in enumerate(_replica_generators(seed, replicas)):
+
+    def replica_value(r, rng):
         try:
             first, draws = _start(source, n, rng, links)
             fn, chain_coeffs = exact_chain if first.exact else float_chain
-            values.append(_chain_value(fn, chain_coeffs, first, draws))
+            return _chain_value(fn, chain_coeffs, first, draws)
         except RuntimeError as exc:
             raise RuntimeError(f"replica {r}: {exc}") from exc
-    return values
+
+    evaluate_picks = None
+    # float_F is F with float coefficients when F is a non-constant polynomial;
+    # bounds below 2**32 take numpy's 32-bit route, the one _bounded follows
+    if float_F is not F and isinstance(source, Dataset) and n <= _MASK32:
+        evaluate_picks = _pick_evaluator(float_F, source)
+    if evaluate_picks is None:
+        return [replica_value(r, rng) for r, rng in enumerate(_replica_generators(seed, replicas))]
+    states = _replica_states(seed, replicas)
+    return _block_values(evaluate_picks, float_coeffs, source.n, n, states, replica_value)
 
 
 def _report(values, seed):

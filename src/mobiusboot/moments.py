@@ -183,9 +183,9 @@ class Dataset:
     """N x d matrix of samples, one row per observation.
 
     Every Dataset is a root or a pick of a root.  A root holds rows and
-    columns: per distinct block evaluated on it or on its picks, one list of
-    its N per-row products, built on the block's first read.  So a Dataset
-    the caller keeps holds the columns of the blocks evaluated on it.  A
+    columns: per distinct block evaluated on it or on its picks, its N
+    per-row products, built on the block's first read (_column).  So a
+    Dataset the caller keeps holds the columns of the blocks evaluated on it.  A
     resampled Dataset is a pick (_picked): it keeps root and picks, the root
     row index of each of its rows, and builds rows only when they are first
     read.  A pick of a pick is a pick of the same root: _picked composes the
@@ -308,6 +308,21 @@ def _product_column(data, block):
     return column
 
 
+def _column(root, block):
+    """The column evaluate keeps on root for block: _product_column's list, or on exact rows,
+    the products as (integer numerators, their common denominator).
+
+    Over one denominator a block's moment is one integer sum and one Fraction,
+    not one Fraction add per row; Fractions are normalised, so it is the same
+    Fraction.
+    """
+    column = _product_column(root, block)
+    if not root.exact:
+        return column
+    den = math.lcm(*[p.denominator for p in column])
+    return [p.numerator * (den // p.denominator) for p in column], den
+
+
 def empirical_moment(data, block):
     """Plug-in moment: mean over rows of the product of the block's variables.
 
@@ -328,6 +343,7 @@ def evaluate(F, population):
     On a Dataset each distinct block's moment sums the root's column of that
     block at the picks (every row of a root), in order from 0: the products
     and the order of empirical_moment on the Dataset's rows, so the same bits.
+    An exact root's column sums as integers over its common denominator.
     """
     if isinstance(population, Dataset):
         root = population.root or population
@@ -354,15 +370,72 @@ def evaluate(F, population):
                 else:
                     column = columns.get(block)
                     if column is None:
-                        column = columns[block] = _product_column(root, block)
-                    s = 0
-                    for i in picks:
-                        s += column[i]
-                    m = Fraction(s, n) if exact else s / n
+                        column = columns[block] = _column(root, block)
+                    if exact:
+                        numerators, den = column
+                        m = Fraction(sum(map(numerators.__getitem__, picks)), den * n)
+                    else:
+                        s = 0
+                        for i in picks:
+                            s += column[i]
+                        m = s / n
                 cache[block] = m
             v = v * m
         total += v
     return total
+
+
+def _pick_evaluator(F, data):
+    """evaluate(F, .) over a block of picks of data at once; None where bits could move.
+
+    The function returned takes an (R, N) integer array, R picks of N of
+    data's rows, and returns their R values as a float64 array, each with
+    the bits of evaluate(F, Dataset._picked(data, row)).  It needs float
+    coefficients, a Python float in every cell of data's root (an int, a
+    Fraction or a numpy scalar cell would change a product's type or bits)
+    and no label of F beyond d; otherwise the answer is None.  It reads the
+    root's columns (_column), gathers them at the picks, and sums each
+    block's row with np.add.accumulate, which adds in order as evaluate's
+    loop does.  That loop starts from 0, so the sum gets + 0.0, which turns
+    only a -0.0 sum into 0.0.  IEEE products and sums are the same in numpy
+    as in Python.
+    """
+    root = data.root or data
+    if F.exact or any(term.max_label() >= data.d for term in F.terms):
+        return None
+    if not all(type(v) is float for row in root.rows for v in row):
+        return None
+    import numpy as np
+
+    columns = {}
+    for term in F.terms:
+        for block in term:
+            if block not in columns:
+                column = root.columns.get(block)
+                if column is None:
+                    column = root.columns[block] = _column(root, block)
+                columns[block] = np.array(column)
+    outer = None if data.picks is None else np.array(data.picks)
+
+    def values(picks):
+        if outer is not None:
+            picks = outer[picks]
+        n = picks.shape[1]
+        cache = {}
+        total = np.zeros(len(picks))
+        with np.errstate(all="ignore"):
+            for term, coeff in F.terms.items():
+                v = coeff
+                for block in term:
+                    m = cache.get(block)
+                    if m is None:
+                        sums = np.add.accumulate(columns[block][picks], axis=1)[:, -1]
+                        m = cache[block] = (sums + 0.0) / n
+                    v = v * m
+                total += v
+        return total
+
+    return values
 
 
 def reachable_blocks(F):

@@ -402,6 +402,23 @@ def test_general_bound_rejects_n_below_one(n):
         general_bound([1.0, 0.5, 0.25], n)
 
 
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda n: general_bound([1.0, 0.5, 0.2], n),
+        lambda n: neumann_trace_bound(0.5, n),
+        lambda n: bandlimited_bound(1, 0.05, n),
+    ],
+    ids=["general", "neumann_trace", "bandlimited"],
+)
+@pytest.mark.parametrize("n", [2.5, True, 1e6], ids=["2.5", "True", "1e6"])
+def test_bounds_reject_a_sample_size_that_is_not_an_int(bound, n):
+    # general_bound(..., 2.5) and (..., True) returned (0, 2.83), and
+    # neumann_trace_bound(0.5, True) returned (0, 7.08)
+    with pytest.raises(ValueError, match="sample size must be an int"):
+        bound(n)
+
+
 def test_general_bound_validation():
     with pytest.raises(ValueError):
         general_bound([1.0, 2.0, 3.0], 8)

@@ -32,6 +32,7 @@ from mobiusboot.mc import (
     _mc_values,
     _multiset_picks,
     _as_functional,
+    _bounded,
     _replica_generators,
     _spawn_states,
     _start,
@@ -41,6 +42,7 @@ from mobiusboot.moments import (
     LabeledTerm,
     MomentPolynomial,
     MomentTable,
+    _pick_evaluator,
     evaluate,
     normal_moment_table,
     reachable_blocks,
@@ -745,3 +747,196 @@ def test_one_block_draw_equals_one_draw_per_row(n, before):
         block = a.integers(n, size=(count, n)).tolist()
         assert block == [b.integers(n, size=n).tolist() for _ in range(count)]
         assert a.integers(2**62, size=4).tolist() == b.integers(2**62, size=4).tolist()
+
+
+# -- replica blocks -------------------------------------------------------------------
+
+def cubic_poly(d):
+    # every block shape up to order 3 that d labels allow, with float steps' coefficients
+    last = d - 1
+    return MomentPolynomial(d, {
+        LabeledTerm([[0, last, 0]]): Fraction(3, 7),
+        LabeledTerm([[0], [last]]): -2,
+        LabeledTerm([[last], [0, 0]]): Fraction(-5, 3),
+        LabeledTerm([[0], [0], [last]]): 1,
+        LabeledTerm([]): Fraction(1, 9),
+    })
+
+
+def counted_evaluate(monkeypatch):
+    from mobiusboot import mc
+
+    calls = []
+
+    def counted(F, ds):
+        calls.append(ds)
+        return evaluate(F, ds)
+
+    monkeypatch.setattr(mc, "evaluate", counted)
+    return calls
+
+
+def assert_same_values(got, want):
+    assert len(got) == len(want)
+    for r, (a, b) in enumerate(zip(got, want)):
+        assert repr(a) == repr(b), f"replica {r}"
+
+
+BLOCK_CASES = {
+    # (rows, N): N equal to and other than the row count, one row, N = 1
+    "n-rows": ([[0.5, -1.25], [3.0, 1e16], [-7e15, 0.1], [1 / 3, 5e-324], [2.0, -0.0]], 5),
+    "fewer": ([[0.5, -1.25], [3.0, 1e16], [-7e15, 0.1], [1 / 3, 5e-324], [2.0, -0.0]], 3),
+    "more": ([[0.5, -1.25], [3.0, 1e16], [-7e15, 0.1]], 8),
+    "one-row": ([[1.5, -2.0]], 4),
+    "one-row-n-1": ([[1.5, -2.0]], 1),
+    "n-1": ([[0.5, -1.25], [3.0, 1e16], [-7e15, 0.1]], 1),
+    "zero-products": ([[-0.0, 1.0], [-0.0, -2.0], [-0.0, 3.5]], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+@pytest.mark.parametrize("steps", [[], [1], StepSchedule.default(3, 3).etas])
+def test_block_route_matches_per_link_oracle(monkeypatch, case, steps):
+    # a float polynomial over a float Dataset runs in replica blocks and keeps
+    # every replica's value, bit for bit; no replica calls evaluate
+    rows, n = BLOCK_CASES[case]
+    data = Dataset(rows)
+    F = cubic_poly(2)
+    coeffs = expansion_coefficients(steps)
+    calls = counted_evaluate(monkeypatch)
+    got = _mc_values(F, data, n, coeffs, 300, 2**40 + 3)
+    assert calls == []
+    assert_same_values(got, oracles.chain_values(F, data, n, coeffs, 300, 2**40 + 3))
+
+
+def test_block_route_of_a_column_of_negative_zero_products():
+    # every product of column (0, 1) and every cell of column 0 is -0.0: the
+    # block route gives evaluate's 0.0, replica by replica
+    data = Dataset([[-0.0, 1.0], [-0.0, -2.0]])
+    F = MomentPolynomial(2, {LabeledTerm([[0, 1]]): -1, LabeledTerm([[0]]): 2})
+    picks = np.array([[0, 1], [1, 1], [0, 0]])
+    got = _pick_evaluator(MomentPolynomial(2, {t: float(c) for t, c in F.terms.items()}), data)(picks)
+    want = [evaluate(F, Dataset._picked(data, row)) for row in picks.tolist()]
+    assert [repr(v) for v in got.tolist()] == [repr(v) for v in want] == ["0.0"] * 3
+    coeffs = expansion_coefficients([1, 1])
+    assert_same_values(_mc_values(F, data, 2, coeffs, 50, 4),
+                       oracles.chain_values(F, data, 2, coeffs, 50, 4))
+
+
+def test_block_route_on_a_pick_and_across_blocks(monkeypatch):
+    # a source that is itself a pick composes its picks; blocks of a few
+    # replicas, the last one short, give the same values as one block
+    from mobiusboot import mc
+
+    root = Dataset([[float(v), 1 / (v + 0.5)] for v in range(7)])
+    source = Dataset._picked(root, [6, 2, 2, 0, 5])
+    F = cubic_poly(2)
+    coeffs = expansion_coefficients([1, Fraction(1, 2)])
+    want = oracles.chain_values(F, source, 4, coeffs, 103, 77)
+    assert_same_values(_mc_values(F, source, 4, coeffs, 103, 77), want)
+    monkeypatch.setattr(mc, "_BLOCK_CELLS", 3 * 4 * 5)
+    assert_same_values(_mc_values(F, source, 4, coeffs, 103, 77), want)
+
+
+def test_block_route_is_prefix_stable():
+    data = Dataset([[0.5, -1.25], [3.0, 2.0], [-7.0, 0.1], [1 / 3, 4.0]])
+    F = cubic_poly(2)
+    coeffs = expansion_coefficients([1, 1])
+    short = _mc_values(F, data, data.n, coeffs, 100, 9)
+    long = _mc_values(F, data, data.n, coeffs, 400, 9)
+    assert_same_values(long[:100], short)
+
+
+def test_rejected_replicas_are_run_one_at_a_time(monkeypatch):
+    # a replica with a rejected half is recomputed through _start and
+    # _chain_value: rows marked rejected, with their picks spoilt, keep
+    # every value as it is
+    from mobiusboot import mc
+
+    bounded, marked = mc._bounded, []
+
+    def more_rejections(halves, bound):
+        picks, rejected = bounded(halves, bound)
+        extra = halves[:, 0] % 3 == 0
+        marked.append(int(extra.sum()))
+        picks[extra] = (picks[extra] + 1) % bound
+        return picks, rejected | extra[:, None]
+
+    data = Dataset([[0.5, -1.25], [3.0, 2.0], [-7.0, 0.1]])
+    F = cubic_poly(2)
+    for n in (3, 5):
+        coeffs = expansion_coefficients([1, 2])
+        want = oracles.chain_values(F, data, n, coeffs, 60, 31)
+        monkeypatch.setattr(mc, "_bounded", more_rejections)
+        assert_same_values(_mc_values(F, data, n, coeffs, 60, 31), want)
+        monkeypatch.undo()
+    assert sum(marked) > 0
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        Dataset([[1.0, 2.0], [3, 4.0]]),  # an int cell
+        Dataset([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]),
+        Dataset(np.array([[1.0, 2.0], [3.0, 4.0]])),  # numpy float64 cells
+    ],
+    ids=["int-cell", "exact", "float64-cells"],
+)
+def test_block_route_needs_python_float_cells(monkeypatch, source):
+    F = cubic_poly(2)
+    assert _pick_evaluator(MomentPolynomial(2, {t: float(c) for t, c in F.terms.items()}),
+                           source) is None
+    calls = counted_evaluate(monkeypatch)
+    coeffs = expansion_coefficients([1])
+    got = _mc_values(F, source, 2, coeffs, 20, 5)
+    assert len(calls) == 20 * 2
+    # float64 cells give float64 values on this route; their bits are the oracle's
+    assert_same_values([float(v) for v in got], oracles.chain_values(F, source, 2, coeffs, 20, 5))
+
+
+def test_pick_evaluator_refuses_exact_polynomials_and_labels_beyond_d():
+    data = Dataset([[1.0, 2.0], [3.0, 4.0]])
+    assert _pick_evaluator(cubic_poly(2), data) is None
+    wide = MomentPolynomial(3, {LabeledTerm([[0], [2]]): 1.0})
+    assert _pick_evaluator(wide, data) is None
+    assert data.columns == {}
+
+
+# numpy rejects about half of all halves at 2**31 + 1 and a quarter at 3 * 2**30
+HEAVY_BOUNDS = [2**31 + 1, 3 * 2**30]
+BOUNDS = HEAVY_BOUNDS + [5, 20, 2**32 - 1]
+
+
+@pytest.mark.parametrize("first_bound", BOUNDS + [1])
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_bounded_halves_match_generator_integers(first_bound, bound):
+    # X^1's draw of an odd count leaves a buffered half that the links' block
+    # reads first; a bound of 1 reads none.  Rows without a rejected half are
+    # numpy's picks; every other row is flagged, and its picks differ from
+    # numpy's only from the first rejected half on
+    from numpy.random import PCG64, Generator
+
+    clean = flagged = 0
+    for seed in range(500):
+        rng = Generator(PCG64(seed))
+        want = rng.integers(first_bound, size=3).tolist()
+        want += rng.integers(bound, size=(1, 3)).ravel().tolist()
+        skip = 0 if first_bound == 1 else 3
+        halves = PCG64(seed).random_raw(3).astype("<u8").view("<u4")[None, : skip + 3]
+        got = [0] * (3 - skip)
+        rejected = []
+        if skip:
+            picks, out = _bounded(halves[:, :skip], first_bound)
+            got, rejected = picks[0].tolist(), out[0].tolist()
+        picks, out = _bounded(halves[:, skip:], bound)
+        got += picks[0].tolist()
+        rejected += [False] * (3 - skip) + out[0].tolist()
+        if not any(rejected):
+            clean += 1
+            assert got == want
+        else:
+            flagged += 1
+            wrong = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+            assert not wrong or wrong[0] >= rejected.index(True)
+    assert clean > 0
+    assert (flagged > 0) == (first_bound in HEAVY_BOUNDS or bound in HEAVY_BOUNDS)

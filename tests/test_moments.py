@@ -1,5 +1,6 @@
 """Moment polynomial evaluation, unbiased evaluation, conversions."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -580,3 +581,30 @@ def test_evaluate_reads_each_distinct_block_once_per_call(monkeypatch):
             v = v * empirical_moment(data, block)
         want += v
     assert repr(got) == repr(want)
+
+
+def test_exact_columns_sum_numerators_over_one_denominator():
+    # an exact root keeps each block's products as integers over their common
+    # denominator; every moment is still the Fraction the row loop gives
+    rng = random.Random(51)
+    F = MomentPolynomial(2, {
+        LabeledTerm([[0, 1, 1]]): Fraction(2, 3),
+        LabeledTerm([[0], [1]]): -1,
+        LabeledTerm([[1, 1], [0]]): Fraction(5, 4),
+    })
+    for _ in range(40):
+        rows = [
+            [rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
+             for _ in range(2)]
+            for _ in range(rng.randint(1, 6))
+        ]
+        data = Dataset(rows)
+        pick = Dataset._picked(data, [rng.randrange(data.n) for _ in range(rng.randint(1, 7))])
+        for ds in (data, pick, Dataset._picked(pick, [0] * pick.n)):
+            got = evaluate(F, ds)
+            assert type(got) is Fraction and got == oracles.evaluate(F, Dataset(ds.rows))
+        numerators, den = data.columns[(0, 1, 1)]
+        assert all(type(p) is int for p in numerators)
+        products = [Fraction(x) * y * y for x, y in data.rows]
+        assert [Fraction(p, den) for p in numerators] == products
+        assert den == math.lcm(*[p.denominator for p in products])
