@@ -14,28 +14,27 @@ chain link from its generator, and enlarging the replica count extends earlier
 runs instead of reshuffling them.  numpy loads on the first draw, so the exact
 routes and the CLI commands that never draw run without it.
 
-A chain runs in index space.  All of its draws over one row count come from
-one integers(n, size=(count, n)) call (_Draws), which numpy fills with what
-count calls of integers(n, size=n) return, so every seed keeps its values.
-Each link is a pick, the row indices of the chain's root, and
-Dataset._picked composes a pick of a pick into a pick of the root; evaluate
-sums the root's columns of per-row products at the picks (moments.Dataset).
-Every chain opens through _start: a sampler draws a new root per replica,
-and a Dataset source (mc_estimate's data, a Dataset population) is picked
-from by every replica itself, so it builds each block's column once; when it
-has N rows, X^1 is drawn in the links' block.  A replica step does only
-float work on float data: the coefficients a_j and those of a polynomial F
-are converted to float once per run (bit-identical, since Fraction times
-float is computed as float(a) * b).
+A chain runs in index space.  Each link is a pick, the row indices of the
+chain's root, and Dataset._picked composes a pick of a pick into a pick of
+the root; evaluate sums the root's columns of per-row products at the picks
+(moments.Dataset).  A Dataset source (mc_estimate's data, a Dataset
+population) is picked from by every replica itself, so it builds each
+block's column once.  A replica step does only float work on float data: the
+coefficients a_j and those of a polynomial F are converted to float once per
+run (bit-identical, since Fraction times float is computed as float(a) * b).
 
-A polynomial chain over a Dataset of float cells runs a block of replicas at
-once (_block_values) and keeps the seed's values.  Each replica reads the raw
-words of its draws from its PCG64, Generator.integers' rule (Lemire's bounded
-integers on 32-bit halves, low half first) turns them into picks, and
-moments._pick_evaluator evaluates a block of picks with numpy, in the order
-and with the IEEE operations of evaluate.  A replica whose draw numpy would
-reject and redraw runs alone.  Callables, exact data and samplers run one
-replica at a time.
+A chain over a Dataset picks in blocks of replicas (_replica_picks) and keeps
+the seed's values.  Each replica reads the raw words of its draws from its
+PCG64, and Generator.integers' rule (Lemire's bounded integers on 32-bit
+halves, low half first) turns them into X^1's picks of the source's rows and
+its links' picks of N rows.  numpy redraws a replica whose draw it would
+reject, and every replica of a chain whose row count or N is 2**32 or more:
+integers(rows, size=N), then integers(N, size=(links, N)), which numpy fills
+with what one call per link returns.  Only the evaluation differs: a
+polynomial that moments._pick_evaluator takes is evaluated a block at a
+time, in the order and with the IEEE operations of evaluate; any other
+functional runs link by link (_chain_value).  A sampler draws a new root per
+replica from the replica's generator, then its links' picks in one call.
 
 The exhaustive route pushes the exact law of the resampled row multiset one
 chain level at a time: C(2N-1, N) states per level with multinomial weights,
@@ -83,33 +82,15 @@ def expansion_coefficients(schedule):
     return tuple(coeffs)
 
 
-def _draw(data, n, rng):
-    """n rows drawn i.i.d. uniformly from data's rows.
-
-    rng is a Generator, or a chain's _Draws, whose next row holds the n draws.
-    """
-    if type(rng) is _Draws:
-        return Dataset._picked(data, next(rng.rows))
-    return Dataset._picked(data, rng.integers(data.n, size=n).tolist())
-
-
 def resample(data, rng):
-    """N rows drawn i.i.d. uniformly from data's rows."""
-    return _draw(data, data.n, rng)
+    """N rows drawn i.i.d. uniformly from data's rows.
 
-
-class _Draws:
-    """count draws of rng.integers(n, size=n) for one chain, made by one call.
-
-    rng.integers(n, size=(count, n)) fills its rows with what count calls of
-    rng.integers(n, size=n) return, in order (test_mc.py holds numpy to it),
-    so a chain that takes its draws from here keeps its seed's values.
+    rng is a Generator, or an iterator over a chain's link picks, whose next
+    item holds the N picks.
     """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rng, n, count):
-        self.rows = iter(rng.integers(n, size=(count, n)).tolist())
+    if hasattr(rng, "__next__"):
+        return Dataset._picked(data, next(rng))
+    return Dataset._picked(data, rng.integers(data.n, size=data.n).tolist())
 
 
 def _as_functional(F):
@@ -155,7 +136,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # replicas whose seed words are derived, and generators built, at a time
 _SPAWN_BLOCK = 4096
-# cells per array of a replica block (_block_values): draws, picks, products
+# cells per array of a replica block (_replica_picks): draws, picks, products
 _BLOCK_CELLS = 2**13
 
 
@@ -273,34 +254,31 @@ def _bounded(halves, bound):
     return (product >> np.uint64(32)).astype(np.intp), rejected
 
 
-def _block_values(evaluate_picks, coeffs, rows, n, states, replica_value):
-    """The chain values of the replicas whose _spawn_states rows are states, in blocks.
+def _replica_picks(seed, replicas, rows, n, links):
+    """X^1's picks (count, n) and the links' picks (count, links, n) of every replica, by blocks.
 
     A replica's draws are X^1's n picks of the source's rows, then its links'
     picks of n rows, in numpy's order; a bound of 1 takes no half.  So each
     replica reads from its PCG64 the raw words of those picks (_bounded), a
-    block of replicas at a time, and its links are picks of picks
-    (take_along_axis).  evaluate_picks is a moments._pick_evaluator, so
-    every value has the bits of the replica's own chain.  A replica with a
-    rejected half is run by replica_value(r, generator) instead.
+    block of replicas at a time.  A replica with a rejected half, and every
+    replica when a bound is 2**32 or more (numpy's 64-bit route), takes its
+    picks from its Generator instead.
     """
     import numpy as np
     from numpy.random import Generator
 
     def draw(halves, bound, shape):
-        if bound == 1:
-            return np.zeros(shape, dtype=np.intp), np.zeros(len(halves), dtype=bool)
+        if bound == 1 or bound > _MASK32:
+            return np.zeros(shape, dtype=np.intp), np.full(len(halves), bound > 1)
         picks, rejected = _bounded(halves, bound)
         return picks.reshape(shape), rejected.any(axis=1)
 
-    links = len(coeffs) - 1
     first = n if rows > 1 else 0
     halves = first + (links * n if n > 1 else 0)
     size = max(1, _BLOCK_CELLS // ((links + 1) * n))
     raw = np.empty((size, (halves + 1) // 2), dtype=np.uint64)
     pcg64 = _pcg64_seeder()
-    states = iter(states)
-    values = []
+    states = _replica_states(seed, replicas)
     while block := list(islice(states, size)):
         count = len(block)
         for i, words in enumerate(block):
@@ -308,17 +286,29 @@ def _block_values(evaluate_picks, coeffs, rows, n, states, replica_value):
         u = raw[:count].astype("<u8").view("<u4")[:, :halves]
         picks, rejected = draw(u[:, :first], rows, (count, n))
         steps, rejected_steps = draw(u[:, first:], n, (count, links, n))
-        total = np.zeros(count)
-        with np.errstate(all="ignore"):
-            for j, a in enumerate(coeffs):
-                if j > 0:
-                    picks = np.take_along_axis(picks, steps[:, j - 1], axis=1)
-                total += a * evaluate_picks(picks)
-        chain = total.tolist()
         for i in np.flatnonzero(rejected | rejected_steps).tolist():
-            chain[i] = replica_value(len(values) + i, Generator(pcg64(block[i])))
-        values += chain
-    return values
+            rng = Generator(pcg64(block[i]))
+            picks[i] = rng.integers(rows, size=n)
+            steps[i] = rng.integers(n, size=(links, n))
+        yield picks, steps
+
+
+def _block_values(evaluate_picks, coeffs, picks, steps):
+    """The chain values of a block of replicas, from their X^1 picks and link picks.
+
+    Links are picks of picks (take_along_axis), and evaluate_picks is a
+    moments._pick_evaluator, so every value has the bits of the replica's own
+    chain.
+    """
+    import numpy as np
+
+    total = np.zeros(len(picks))
+    with np.errstate(all="ignore"):
+        for j, a in enumerate(coeffs):
+            if j > 0:
+                picks = np.take_along_axis(picks, steps[:, j - 1], axis=1)
+            total += a * evaluate_picks(picks)
+    return total.tolist()
 
 
 def _chain_coefficients(coeffs):
@@ -329,25 +319,14 @@ def _chain_coefficients(coeffs):
     return coeffs
 
 
-def _start(source, n, rng, links):
-    """X^1 of a chain of n rows and its links' _Draws (None without links).
-
-    A sampler source draws a new root.  A Dataset source is picked from by
-    rng, X^1 in the links' block when the Dataset has n rows.
-    """
-    if isinstance(source, Dataset) and source.n == n:
-        draws = _Draws(rng, n, links + 1)
-        return _draw(source, n, draws), draws
-    first = _draw(source, n, rng) if isinstance(source, Dataset) else source(rng, n)
-    return first, _Draws(rng, n, links) if links else None
-
-
 def _mc_values(F, source, n, coeffs, replicas, seed):
     """The chain value of every replica 0..replicas-1, in order.
 
-    A polynomial over a Dataset that moments._pick_evaluator takes runs its
-    replicas in blocks (_block_values); every other replica is opened by
-    _start and run by _chain_value, one at a time.  Both give the same bits.
+    A Dataset source is picked from in replica blocks (_replica_picks); a
+    polynomial that moments._pick_evaluator takes is evaluated a block at a
+    time (_block_values), every other functional by _chain_value, one replica
+    at a time.  A sampler draws each replica's root and links from the
+    replica's generator.  Every route gives the replica's own bits.
     """
     _check_run(seed, replicas)
     coeffs = _chain_coefficients(coeffs)
@@ -356,23 +335,29 @@ def _mc_values(F, source, n, coeffs, replicas, seed):
     float_chain = _as_functional(float_F), float_coeffs
     links = len(coeffs) - 1
 
-    def replica_value(r, rng):
+    def replica_value(r, first, link_picks):
+        fn, chain_coeffs = exact_chain if first.exact else float_chain
         try:
-            first, draws = _start(source, n, rng, links)
-            fn, chain_coeffs = exact_chain if first.exact else float_chain
-            return _chain_value(fn, chain_coeffs, first, draws)
+            return _chain_value(fn, chain_coeffs, first, iter(link_picks))
         except RuntimeError as exc:
             raise RuntimeError(f"replica {r}: {exc}") from exc
 
-    evaluate_picks = None
-    # float_F is F with float coefficients when F is a non-constant polynomial;
-    # bounds below 2**32 take numpy's 32-bit route, the one _bounded follows
-    if float_F is not F and isinstance(source, Dataset) and n <= _MASK32:
-        evaluate_picks = _pick_evaluator(float_F, source)
-    if evaluate_picks is None:
-        return [replica_value(r, rng) for r, rng in enumerate(_replica_generators(seed, replicas))]
-    states = _replica_states(seed, replicas)
-    return _block_values(evaluate_picks, float_coeffs, source.n, n, states, replica_value)
+    values = []
+    if not isinstance(source, Dataset):
+        for r, rng in enumerate(_replica_generators(seed, replicas)):
+            first = source(rng, n)
+            link_picks = rng.integers(n, size=(links, n)).tolist() if links else ()
+            values.append(replica_value(r, first, link_picks))
+        return values
+    # float_F is F with float coefficients when F is a non-constant polynomial
+    evaluate_picks = _pick_evaluator(float_F, source) if float_F is not F else None
+    for picks, steps in _replica_picks(seed, replicas, source.n, n, links):
+        if evaluate_picks is not None:
+            values += _block_values(evaluate_picks, float_coeffs, picks, steps)
+        else:
+            for first, link_picks in zip(picks.tolist(), steps.tolist()):
+                values.append(replica_value(len(values), Dataset._picked(source, first), link_picks))
+    return values
 
 
 def _report(values, seed):

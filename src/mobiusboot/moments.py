@@ -12,6 +12,7 @@ polynomial is exact iff every coefficient it is given, zeros included, is.
 """
 
 import math
+import numbers
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -26,6 +27,25 @@ class MissingMomentError(LookupError):
 
 def _is_exact(x):
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+# cell types that Dataset keeps as they are; numpy registers its scalars with
+# the numbers ABCs, so _cell converts them without importing numpy
+_SCALARS = frozenset((int, float, Fraction, bool))
+
+
+def _cell(v):
+    """A Dataset cell as a Python scalar, as .tolist() gives: a numpy integer
+    becomes an int and a numpy float a float.  A nan or inf cell raises ValueError.
+    """
+    if type(v) not in _SCALARS and isinstance(v, numbers.Real):
+        if isinstance(v, numbers.Integral):
+            v = int(v)
+        elif not isinstance(v, numbers.Rational):
+            v = float(v)
+    if type(v) is float and not math.isfinite(v):
+        raise ValueError(f"Dataset cell {v!r} is not finite")
+    return v
 
 
 def _is_int(x):
@@ -195,7 +215,7 @@ class Dataset:
     __slots__ = ("rows", "exact", "root", "picks", "columns")
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(tuple(map(_cell, r)) for r in rows)
         if not rows:
             raise ValueError("Dataset needs at least one row")
         d = len(rows[0])
@@ -391,8 +411,8 @@ def _pick_evaluator(F, data):
     The function returned takes an (R, N) integer array, R picks of N of
     data's rows, and returns their R values as a float64 array, each with
     the bits of evaluate(F, Dataset._picked(data, row)).  It needs float
-    coefficients, a Python float in every cell of data's root (an int, a
-    Fraction or a numpy scalar cell would change a product's type or bits)
+    coefficients, a Python float in every cell of data's root (an int or a
+    Fraction cell would change a product's type or bits)
     and no label of F beyond d; otherwise the answer is None.  It reads the
     root's columns (_column), gathers them at the picks, and sums each
     block's row with np.add.accumulate, which adds in order as evaluate's

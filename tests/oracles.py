@@ -291,8 +291,8 @@ def chain_values(F, source, n, coeffs, replicas, seed):
     """sum_j a_j F(X^{j+1}) per replica of n-row chains, one draw per link.
 
     X^1 is source(rng, n) for a sampler and draw(source, n, rng) for a
-    Dataset, whatever its row count: the per-link route that mc._start's
-    block draw must reproduce.  Replica i draws from
+    Dataset, whatever its row count: the per-link route that mc's replica
+    blocks of picks must reproduce.  Replica i draws from
     default_rng(SeedSequence(seed).spawn(replicas)[i]).
     A polynomial F is evaluated with its own coefficients, and the a_j stay
     as given, so Fraction times float is rounded where the product is taken.

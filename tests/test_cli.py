@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -675,9 +676,12 @@ def test_selftest_names_first_failure(monkeypatch, capsys):
 
 
 def test_console_script_installed(workdir):
+    # the child process finds the package where the tests import it from
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "mobiusboot.cli", "smatrix", "--m", "2", "--n", "3",
          "--out", str(workdir / "sub")],
+        env=env,
         capture_output=True,
         text=True,
     )

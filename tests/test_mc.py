@@ -35,7 +35,6 @@ from mobiusboot.mc import (
     _bounded,
     _replica_generators,
     _spawn_states,
-    _start,
 )
 from mobiusboot.moments import (
     Dataset,
@@ -460,29 +459,31 @@ class RecordedDraws:
 
 
 @pytest.mark.parametrize("links", [0, 1, 3])
-def test_start_draws_x1_in_the_links_block_only_from_n_rows(links):
-    # a Dataset of n rows has X^1 in the first row of the links' block, one
-    # numpy call; a Dataset of another row count and a sampler draw X^1 first,
-    # then the links' block (none without links).  A Dataset source is picked
-    # from itself, a sampler draws a new root
-    data = Dataset([[float(v), -float(v)] for v in range(5)])
-    sampler = normal_sampler(2)
-    for source, n in ((data, 5), (data, 3), (data, 7), (sampler, 4)):
-        rng, replay = RecordedDraws(40 + n), np.random.default_rng(40 + n)
-        first, draws = _start(source, n, rng, links)
-        if source is data and n == data.n:
-            assert rng.sizes == [(links + 1, n)]
-            block = replay.integers(n, size=(links + 1, n)).tolist()
-            want, block = oracles.take(data, block[0]), block[1:]
-        else:
-            first_size = (n, 2) if source is sampler else n
-            assert rng.sizes == [first_size] + ([(links, n)] if links else [])
-            want = sampler(replay, n) if source is sampler else oracles.draw(data, n, replay)
-            block = replay.integers(n, size=(links, n)).tolist() if links else None
-        assert first.n == n and first.rows == want.rows
-        assert (first.root is data) if source is data else (first.picks is None)
-        assert (None if draws is None else list(draws.rows)) == block
-        assert rng.rng.integers(2**62, size=4).tolist() == replay.integers(2**62, size=4).tolist()
+def test_sampler_draws_x1_then_the_links_block(monkeypatch, links):
+    # a sampler draws a new root per replica from the replica's generator, X^1
+    # of (n, d) normals, then every link's picks in one integers(n, size=(links, n))
+    # call (none without links); the links are picks of that root
+    from mobiusboot import mc
+
+    recorded = []
+
+    def generators(seed, replicas):
+        for child in np.random.SeedSequence(seed).spawn(replicas):
+            recorded.append(RecordedDraws(child))
+            yield recorded[-1]
+
+    monkeypatch.setattr(mc, "_replica_generators", generators)
+    calls = counted_evaluate(monkeypatch)
+    sampler, n, F = normal_sampler(2), 4, cubic_poly(2)
+    coeffs = expansion_coefficients([1] * links)
+    got = _mc_values(F, sampler, n, coeffs, 5, 40)
+    assert [rng.sizes for rng in recorded] == [[(n, 2)] + ([(links, n)] if links else [])] * 5
+    assert_same_values(got, oracles.chain_values(F, sampler, n, coeffs, 5, 40))
+    assert len(calls) == 5 * (links + 1)
+    for r in range(5):
+        first, *chain = calls[r * (links + 1):(r + 1) * (links + 1)]
+        assert first.picks is None and first.n == n
+        assert all(ds.root is first and ds.n == n for ds in chain)
 
 
 @pytest.mark.parametrize(
@@ -848,9 +849,10 @@ def test_block_route_is_prefix_stable():
 
 
 def test_rejected_replicas_are_run_one_at_a_time(monkeypatch):
-    # a replica with a rejected half is recomputed through _start and
-    # _chain_value: rows marked rejected, with their picks spoilt, keep
-    # every value as it is
+    # a replica with a rejected half takes its picks from numpy, one replica at
+    # a time: rows marked rejected, with their picks spoilt, keep every value
+    # as it is, on the block route (F over float data) and on the per-link
+    # route (a callable over float data, F over exact data)
     from mobiusboot import mc
 
     bounded, marked = mc._bounded, []
@@ -862,15 +864,19 @@ def test_rejected_replicas_are_run_one_at_a_time(monkeypatch):
         picks[extra] = (picks[extra] + 1) % bound
         return picks, rejected | extra[:, None]
 
-    data = Dataset([[0.5, -1.25], [3.0, 2.0], [-7.0, 0.1]])
+    floats = Dataset([[0.5, -1.25], [3.0, 2.0], [-7.0, 0.1]])
+    exact = Dataset([[Fraction(1, 2), Fraction(-5, 4)], [Fraction(3), Fraction(2)],
+                     [Fraction(-7), Fraction(1, 10)]])
     F = cubic_poly(2)
-    for n in (3, 5):
-        coeffs = expansion_coefficients([1, 2])
-        want = oracles.chain_values(F, data, n, coeffs, 60, 31)
-        monkeypatch.setattr(mc, "_bounded", more_rejections)
-        assert_same_values(_mc_values(F, data, n, coeffs, 60, 31), want)
-        monkeypatch.undo()
-    assert sum(marked) > 0
+    for fn, data in ((F, floats), (row_spread, floats), (F, exact)):
+        for n in (3, 5):
+            coeffs = expansion_coefficients([1, 2])
+            want = oracles.chain_values(fn, data, n, coeffs, 60, 31)
+            monkeypatch.setattr(mc, "_bounded", more_rejections)
+            marked.clear()
+            assert_same_values(_mc_values(fn, data, n, coeffs, 60, 31), want)
+            monkeypatch.undo()
+            assert sum(marked) > 0
 
 
 @pytest.mark.parametrize(
@@ -878,9 +884,8 @@ def test_rejected_replicas_are_run_one_at_a_time(monkeypatch):
     [
         Dataset([[1.0, 2.0], [3, 4.0]]),  # an int cell
         Dataset([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]),
-        Dataset(np.array([[1.0, 2.0], [3.0, 4.0]])),  # numpy float64 cells
     ],
-    ids=["int-cell", "exact", "float64-cells"],
+    ids=["int-cell", "exact"],
 )
 def test_block_route_needs_python_float_cells(monkeypatch, source):
     F = cubic_poly(2)
@@ -890,8 +895,40 @@ def test_block_route_needs_python_float_cells(monkeypatch, source):
     coeffs = expansion_coefficients([1])
     got = _mc_values(F, source, 2, coeffs, 20, 5)
     assert len(calls) == 20 * 2
-    # float64 cells give float64 values on this route; their bits are the oracle's
-    assert_same_values([float(v) for v in got], oracles.chain_values(F, source, 2, coeffs, 20, 5))
+    assert_same_values(got, oracles.chain_values(F, source, 2, coeffs, 20, 5))
+
+
+def test_numpy_float64_cells_take_the_block_route(monkeypatch):
+    # Dataset stores a numpy float64 cell as a Python float, so the block
+    # route takes it and no replica calls evaluate
+    source = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert all(type(v) is float for row in source.rows for v in row)
+    F = cubic_poly(2)
+    calls = counted_evaluate(monkeypatch)
+    coeffs = expansion_coefficients([1])
+    got = _mc_values(F, source, 2, coeffs, 20, 5)
+    assert calls == []
+    assert_same_values(got, oracles.chain_values(F, source, 2, coeffs, 20, 5))
+
+
+class HugeRows:
+    """2**32 + 5 rows (i, 1/(i+1)), each made when read: a root too large to hold."""
+
+    def __len__(self):
+        return 2**32 + 5
+
+    def __getitem__(self, i):
+        return (float(i), 1 / (i + 1))
+
+
+def test_rows_beyond_32_bit_bounds_are_picked_by_numpy():
+    # numpy draws from 2**32 rows or more by its 64-bit route, which _bounded
+    # does not follow: every replica takes its picks from numpy
+    source = Dataset._validated(HugeRows(), exact=False)
+    coeffs = expansion_coefficients([1, 1])
+    for n in (1, 3):
+        want = oracles.chain_values(row_spread, source, n, coeffs, 20, 6)
+        assert_same_values(_mc_values(row_spread, source, n, coeffs, 20, 6), want)
 
 
 def test_pick_evaluator_refuses_exact_polynomials_and_labels_beyond_d():

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from mobiusboot.lattice import (
@@ -494,6 +495,32 @@ def test_scalar_from_json():
 def test_scalar_from_json_rejects(val):
     with pytest.raises(ValueError):
         scalar_from_json(val)
+
+
+def test_dataset_stores_numpy_cells_as_python_scalars():
+    # an int64 cell becomes an int, so the fourth power of 2**20 is exact
+    # instead of wrapping around in int64; a float64 cell becomes a float
+    quartic = MomentPolynomial(1, {LabeledTerm([[0, 0, 0, 0]]): 1})
+    ints = Dataset(np.array([[2**20], [3]]))
+    assert ints.exact and [type(row[0]) for row in ints.rows] == [int, int]
+    assert evaluate(quartic, ints) == Fraction(1208925819614629174706257, 2)
+    assert evaluate(quartic, ints) == evaluate(quartic, Dataset([[2**20], [3]]))
+    floats = Dataset(np.array([[0.1, -0.0], [1e300, 5e-324]]))
+    assert not floats.exact
+    assert [type(v) for row in floats.rows for v in row] == [float] * 4
+    assert repr(floats.rows) == "((0.1, -0.0), (1e+300, 5e-324))"
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("-inf"), np.inf],
+    ids=["nan", "inf", "-inf", "float64-nan", "float32-inf", "numpy-inf"],
+)
+def test_dataset_rejects_non_finite_cells(cell):
+    with pytest.raises(ValueError, match="Dataset cell .* is not finite"):
+        Dataset([[1.0, 2.0], [3.0, cell]])
+    with pytest.raises(ValueError, match="not finite"):
+        Dataset(np.array([[1.0], [cell]]))
 
 
 def test_dataset_from_csv(tmp_path):
