@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 infeasible inputs, 4 selftest failure.
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -454,6 +455,9 @@ def _join_signed_values(argv):
 
 
 def main(argv=None):
+    # numpy loads on the first Monte Carlo draw, and no route of the package
+    # calls BLAS: an OpenBLAS thread pool would only spin and burn CPU
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

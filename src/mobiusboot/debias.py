@@ -20,7 +20,9 @@ from fractions import Fraction
 from .lattice import falling_factorial
 from .moments import (
     InfeasibleError,
+    MomentPolynomial,
     MomentTable,
+    _is_exact,
     _is_int,
     evaluate,
     reachable_blocks,
@@ -164,9 +166,34 @@ def exact_bias(F, schedule, population):
         if j == len(etas):
             break
         eta = etas[j]
-        g = g + eta * (F - apply_S(g, n))
+        g = _step(g, eta, F, apply_S(g, n))
         bound = bound * norm(eta)
     return BiasReport(target, tuple(records))
+
+
+def _step(g, eta, F, Sg):
+    """The next iterate g + eta*(F - Sg), as nonstationary_debias forms it.
+
+    For an exact g, F and eta = p/q, one integer pass over one common
+    denominator: with D the lcm of the coefficients' denominators, each term
+    sums q*D*g_t + p*D*F_t - p*D*Sg_t and becomes one Fraction over q*D.
+    The terms come in the order the operator arithmetic leaves them (g's,
+    then F's, then Sg's, zeros dropped), which keeps every merge plan key.
+    Any other step takes that arithmetic.
+    """
+    if not (g.exact and F.exact and _is_exact(eta)):
+        return g + eta * (F - Sg)
+    eta = Fraction(eta)
+    p, q = eta.numerator, eta.denominator
+    den = math.lcm(*{c.denominator for P in (g, F, Sg) for c in P.terms.values()})
+    sums = {}
+    for P, w in ((g, q * den), (F, p * den), (Sg, -p * den)):
+        for t, c in P.terms.items():
+            sums[t] = sums.get(t, 0) + w // c.denominator * c.numerator
+    common = q * den
+    return MomentPolynomial._validated(
+        g.d, ((t, Fraction(s, common)) for t, s in sums.items()), True
+    )
 
 
 # -- bound calculators --------------------------------------------------------------

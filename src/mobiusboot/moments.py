@@ -34,9 +34,10 @@ def _is_exact(x):
 _SCALARS = frozenset((int, float, Fraction, bool))
 
 
-def _cell(v):
-    """A Dataset cell as a Python scalar, as .tolist() gives: a numpy integer
-    becomes an int and a numpy float a float.  A nan or inf cell raises ValueError.
+def _cell(v, name="Dataset cell"):
+    """A Dataset cell or a MomentTable value as a Python scalar, as .tolist()
+    gives: a numpy integer becomes an int and a numpy float a float.  A nan or
+    inf value raises ValueError, naming it as name.
     """
     if type(v) not in _SCALARS and isinstance(v, numbers.Real):
         if isinstance(v, numbers.Integral):
@@ -44,7 +45,7 @@ def _cell(v):
         elif not isinstance(v, numbers.Rational):
             v = float(v)
     if type(v) is float and not math.isfinite(v):
-        raise ValueError(f"Dataset cell {v!r} is not finite")
+        raise ValueError(f"{name} {v!r} is not finite")
     return v
 
 
@@ -278,7 +279,9 @@ class MomentTable:
         """VALUES maps blocks to moments, as a mapping or as (block, moment) pairs.
 
         Each block is a sequence of int labels in 0..d-1, in any order, and
-        no two blocks may sort to the same multiset.
+        no two blocks may sort to the same multiset.  Moments follow Dataset's
+        cell rule: a numpy scalar becomes a Python scalar, and a nan or inf
+        moment raises ValueError.
         """
         _check_dimension(d)
         self.d = d
@@ -289,7 +292,7 @@ class MomentTable:
             key = tuple(sorted(block))
             if key in self.values:
                 raise ValueError(f"block {list(key)} is listed twice")
-            self.values[key] = v
+            self.values[key] = _cell(v, f"block {list(key)} moment")
         self.exact = all(_is_exact(v) for v in self.values.values())
 
     def moment(self, block):
@@ -363,7 +366,9 @@ def evaluate(F, population):
     On a Dataset each distinct block's moment sums the root's column of that
     block at the picks (every row of a root), in order from 0: the products
     and the order of empirical_moment on the Dataset's rows, so the same bits.
-    An exact root's column sums as integers over its common denominator.
+    An exact root's column sums as integers over its common denominator.  An
+    exact polynomial against an exact table or root is one Fraction
+    (_exact_value).
     """
     if isinstance(population, Dataset):
         root = population.root or population
@@ -373,7 +378,24 @@ def evaluate(F, population):
             picks = range(len(root.rows))
         n = len(picks)
         exact = root.exact
+        if exact and F.exact:
+
+            def moment(block):
+                column = columns.get(block)
+                if column is None:
+                    column = columns[block] = _column(root, block)
+                numerators, den = column
+                return sum(map(numerators.__getitem__, picks)), den * n
+
+            return _exact_value(F, moment)
     elif isinstance(population, MomentTable):
+        if population.exact and F.exact:
+
+            def moment(block):
+                m = population.moment(block)
+                return m.numerator, m.denominator
+
+            return _exact_value(F, moment)
         columns = None
     else:
         raise TypeError(f"cannot evaluate against {type(population).__name__}")
@@ -403,6 +425,35 @@ def evaluate(F, population):
             v = v * m
         total += v
     return total
+
+
+def _exact_value(F, moment):
+    """evaluate of an exact F whose block moments are exact, summed in integers.
+
+    moment(block) gives a block's moment as a pair (numerator, denominator)
+    of ints.  It is called once per distinct block, in the order the
+    per-term loop reads them, so a missing block raises there first.  Each
+    term's product is an integer numerator over an integer denominator, the
+    terms with one denominator add up first, and those sums add over the lcm
+    of the denominators into one Fraction.  Fractions are normalised, so it
+    is the Fraction that adding the terms as Fractions gives.  An F with no
+    terms is the int 0, as that sum from 0 is.
+    """
+    if not F.terms:
+        return 0
+    cache = {}
+    sums = {}
+    for term, coeff in F.terms.items():
+        num, den = coeff.numerator, coeff.denominator
+        for block in term:
+            m = cache.get(block)
+            if m is None:
+                m = cache[block] = moment(block)
+            num *= m[0]
+            den *= m[1]
+        sums[den] = sums.get(den, 0) + num
+    common = math.lcm(*sums)
+    return Fraction(sum(s * (common // den) for den, s in sums.items()), common)
 
 
 def _pick_evaluator(F, data):

@@ -22,7 +22,7 @@ from mobiusboot.lattice import (
     falling_factorial,
     zeta_matrix,
 )
-from mobiusboot.moments import Dataset, LabeledTerm, MomentPolynomial
+from mobiusboot.moments import Dataset, LabeledTerm, MomentPolynomial, MomentTable
 
 
 def refines(sigma, pi):
@@ -259,13 +259,22 @@ def empirical_moment(data, block):
     return Fraction(total, data.n) if data.exact else total / data.n
 
 
-def evaluate(F, data):
-    """The plug-in value of F, each block occurrence's moment by the per-row loop."""
+def evaluate(F, population):
+    """The value of F as the per-term loop sums it: one Fraction or float product
+    per block occurrence and one sum per term, from 0.
+
+    A block's moment is read from a MomentTable, or comes from the per-row
+    loop on a Dataset.
+    """
+    if isinstance(population, MomentTable):
+        moment = population.moment
+    else:
+        moment = lambda block: empirical_moment(population, block)
     total = 0
     for term, coeff in F.terms.items():
         v = coeff
         for block in term:
-            v = v * empirical_moment(data, block)
+            v = v * moment(block)
         total += v
     return total
 

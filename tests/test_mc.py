@@ -405,6 +405,41 @@ def test_only_drawing_commands_load_numpy(tmp_path):
     assert loaded == [[0, False]] * (len(commands) - 1) + [[0, True]]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in Linux's /proc")
+@pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "two"])
+def test_mc_run_starts_numpy_with_one_blas_thread(tmp_path, setting):
+    # an OpenBLAS worker thread would only spin, since no route calls BLAS:
+    # cli.main starts numpy with one thread, keeps a caller's own setting,
+    # and importing the package sets nothing
+    (tmp_path / "var.json").write_text(
+        '{"d": 1, "terms": [{"blocks": [[0], [0]], "coeff": "-1"},'
+        ' {"blocks": [[0, 0]], "coeff": "1"}]}'
+    )
+    (tmp_path / "data.csv").write_text("x\n0.0\n1.0\n2.0\n")
+    argv = ["mc-run", "--functional", "var.json", "--data", "data.csv", "--k", "2",
+            "--replicas", "20", "--out", "mc"]
+    code = (
+        "import json, os, sys\n"
+        "from mobiusboot.cli import main\n"
+        "imported = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(json.dumps([rc, 'numpy' in sys.modules, imported,"
+        " os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task'))]))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(mobiusboot.__file__).parents[1])
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    rc, loaded, imported, threads, tasks = json.loads(out.stdout.splitlines()[-1])
+    assert [rc, loaded, imported, threads] == [0, True, setting, setting or "1"]
+    if setting is None:
+        assert tasks == 1
+
+
 def test_float_chain_bit_identical_to_fraction_coefficients():
     # the float-coefficient path for polynomials must reproduce, bit for bit,
     # Fraction coefficients times float evaluations

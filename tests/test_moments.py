@@ -301,14 +301,34 @@ def test_missing_moment_raises():
         (2, {(0, True): 1}, "block [0, True] is not a list of labels in 0..1"),
         (2, {(0, 1): 1, (1, 0): 2}, "block [0, 1] is listed twice"),
         (2, [([1, 0], 1), ([1, 0], 2)], "block [0, 1] is listed twice"),
+        (1, {(0,): math.nan}, "block [0] moment nan is not finite"),
+        (2, {(1, 0): -math.inf}, "block [0, 1] moment -inf is not finite"),
+        (1, {(0,): 1, (0, 0): np.float64("inf")}, "block [0, 0] moment inf is not finite"),
+        (1, [((0,), np.float32("nan"))], "block [0] moment nan is not finite"),
     ],
     ids=["d-zero", "d-bool", "d-str", "label-out-of-range", "label-negative", "label-bool",
-         "duplicate-block", "duplicate-pair"],
+         "duplicate-block", "duplicate-pair", "nan", "-inf", "float64-inf", "float32-nan"],
 )
 def test_moment_table_rejects_malformed_tables(d, values, message):
     with pytest.raises(ValueError) as exc:
         MomentTable(d, values)
     assert str(exc.value) == message
+
+
+def test_moment_table_stores_numpy_scalars_as_python_scalars():
+    # Dataset's cell rule: an int64 table is exact and takes the integer route,
+    # whose value is that of the same table of Python ints
+    ints = MomentTable(1, {(0,): np.int64(3), (0, 0): np.int64(2**40)})
+    assert ints.exact
+    assert [type(v) for v in ints.values.values()] == [int, int]
+    assert evaluate(variance_poly(), ints) == Fraction(2**40 - 9)
+    assert evaluate(variance_poly(), ints) == evaluate(
+        variance_poly(), MomentTable(1, {(0,): 3, (0, 0): 2**40})
+    )
+    floats = MomentTable(1, {(0,): np.float64(0.5), (0, 0): np.float64(-0.0)})
+    assert not floats.exact
+    assert [type(v) for v in floats.values.values()] == [float, float]
+    assert repr(evaluate(variance_poly(), floats)) == "-0.25"
 
 
 @pytest.mark.parametrize("d", [0, "1", 1.0])

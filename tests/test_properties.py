@@ -9,10 +9,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mobiusboot import artifact
+from mobiusboot.debias import StepSchedule, exact_bias, nonstationary_debias
 from mobiusboot.lattice import (
     Partition,
     bell,
@@ -25,7 +26,9 @@ from mobiusboot.moments import (
     CONSTANT_TERM,
     Dataset,
     LabeledTerm,
+    MissingMomentError,
     MomentPolynomial,
+    MomentTable,
     empirical_moment,
     evaluate,
     reachable_blocks,
@@ -218,9 +221,12 @@ CELLS = {
 
 
 @st.composite
-def dataset_and_block(draw):
-    """A float, Fraction or int dataset and a block of up to 4 labels, repeats allowed."""
-    cells = CELLS[draw(st.sampled_from(sorted(CELLS)))]
+def dataset_and_block(draw, kinds=tuple(sorted(CELLS))):
+    """A float, Fraction or int dataset and a block of up to 4 labels, repeats allowed.
+
+    kinds names the cell kinds to choose from.
+    """
+    cells = CELLS[draw(st.sampled_from(kinds))]
     d = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=6))
     block = draw(st.lists(st.integers(0, d - 1), max_size=4))
@@ -251,12 +257,16 @@ def test_empirical_moment_label_error_unchanged(case, bad):
 
 
 @st.composite
-def dataset_polynomial_picks(draw):
-    """A dataset as dataset_and_block draws it, a polynomial over its labels, two picks."""
-    data, _ = draw(dataset_and_block())
+def dataset_polynomial_picks(draw, exact=False):
+    """A dataset as dataset_and_block draws it, a polynomial over its labels, two picks.
+
+    With exact, the cells are p/q or int and so are the coefficients, so
+    evaluate takes its integer route.
+    """
+    data, _ = draw(dataset_and_block(("fraction", "int")) if exact else dataset_and_block())
     block = st.lists(st.integers(0, data.d - 1), min_size=1, max_size=4)
     terms = draw(st.lists(st.lists(block, min_size=1, max_size=3), min_size=1, max_size=4))
-    coeff = st.one_of(st.integers(-9, 9), CELLS["fraction"], EDGE_FLOATS)
+    coeff = st.one_of(st.integers(-9, 9), CELLS["fraction"], *([] if exact else [EDGE_FLOATS]))
     F = MomentPolynomial(data.d, {LabeledTerm(term): draw(coeff) for term in terms})
     first = draw(st.lists(st.integers(0, data.n - 1), min_size=1, max_size=6))
     second = draw(st.lists(st.integers(0, len(first) - 1), min_size=1, max_size=6))
@@ -264,7 +274,7 @@ def dataset_polynomial_picks(draw):
 
 
 @settings(PROPERTY, max_examples=200)
-@given(dataset_polynomial_picks())
+@given(st.one_of(dataset_polynomial_picks(), dataset_polynomial_picks(exact=True)))
 def test_evaluate_on_roots_and_picks_matches_row_loop(case):
     # block moments from the root's columns, against the per-row loop on the picked rows
     data, F, first, second = case
@@ -276,6 +286,108 @@ def test_evaluate_on_roots_and_picks_matches_row_loop(case):
         want = oracles.evaluate(F, Dataset(ds.rows))
         assert type(value) is type(want)
         assert repr(value) == repr(want)  # -0.0, inf, nan and every last bit count
+
+
+# -- exact evaluation and exact iterates, in integers against the Fraction arithmetic --
+
+EXACT_MOMENTS = st.one_of(
+    st.just(0), st.integers(-(2**70), 2**70), st.fractions(max_denominator=50)
+)
+
+
+@st.composite
+def exact_polynomial_and_moments(draw):
+    """An exact polynomial over d <= 3 labels and an exact moment for each of its blocks.
+
+    Terms have up to 4 blocks of up to 3 labels; the constant term (no
+    blocks) and the empty polynomial appear, and many moments are 0.
+    """
+    d = draw(st.integers(1, 3))
+    block = st.lists(st.integers(0, d - 1), min_size=1, max_size=3)
+    terms = draw(st.lists(st.lists(block, max_size=4), max_size=5))
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    F = MomentPolynomial(d, {LabeledTerm(term): draw(coeff) for term in terms})
+    blocks = sorted({b for term in F.terms for b in term})
+    return F, {b: draw(EXACT_MOMENTS) for b in blocks}
+
+
+@settings(PROPERTY, max_examples=200)
+@given(exact_polynomial_and_moments())
+def test_exact_evaluate_against_a_table_matches_fraction_loop(case):
+    F, values = case
+    table = MomentTable(F.d, values)
+    got, want = evaluate(F, table), oracles.evaluate(F, table)
+    assert type(got) is type(want)  # the int 0 for an empty F, a Fraction otherwise
+    assert got == want
+
+
+@PROPERTY
+@given(exact_polynomial_and_moments(), st.data())
+def test_exact_evaluate_names_the_first_missing_block(case, data):
+    F, values = case
+    assume(values)
+    missing = data.draw(st.sets(st.sampled_from(sorted(values)), min_size=1))
+    table = MomentTable(F.d, {b: v for b, v in values.items() if b not in missing})
+    with pytest.raises(MissingMomentError) as got:
+        evaluate(F, table)
+    with pytest.raises(MissingMomentError) as want:
+        oracles.evaluate(F, table)
+    assert str(got.value) == str(want.value)
+
+
+STEP = st.one_of(
+    st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4),
+    st.integers(1, 3),
+    st.sampled_from([0.5, 1.25]),
+)
+
+
+@st.composite
+def trajectory_case(draw):
+    """An exact polynomial, a unit, default or custom schedule at N >= its
+    block counts, and an exact table of every block its terms can merge into.
+
+    A custom schedule may hold int and float steps; after a float step the
+    iterates are float.
+    """
+    F, n = draw(labeled_polynomial_and_n())
+    k = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["unit", "default", "custom"]))
+    if kind == "unit":
+        schedule = StepSchedule.unit(n, k)
+    elif kind == "default":
+        schedule = StepSchedule.default(n, min(k, n))
+    else:
+        schedule = StepSchedule(n, draw(st.lists(STEP, min_size=k, max_size=k)))
+    values = {b: draw(EXACT_MOMENTS) for b in sorted(reachable_blocks(F))}
+    return F, schedule, MomentTable(F.d, values)
+
+
+# g_1 has no (0,0) term, which F lists first, so g_2 lists it after (0)(0)
+CANCELLING = (
+    MomentPolynomial(1, {LabeledTerm([[0, 0]]): Fraction(1, 2), LabeledTerm([[0], [0]]): 1}),
+    StepSchedule(2, [1, 1]),
+    MomentTable(1, {(0,): Fraction(1, 3), (0, 0): 2}),
+)
+
+
+@PROPERTY
+@given(trajectory_case())
+@example(CANCELLING)
+def test_exact_bias_iterates_equal_operator_arithmetic(case):
+    # each iterate of exact_bias against nonstationary_debias's g + eta*(F - S g):
+    # the same terms in the same order (so the same merge plan keys), the same
+    # coefficients, and the signed bias from the per-term loop
+    F, schedule, table = case
+    n = schedule.n
+    target = oracles.evaluate(F, table)
+    for j, record in enumerate(exact_bias(F, schedule, table).records):
+        want = nonstationary_debias(F, n, StepSchedule(n, schedule.etas[:j]))
+        assert record.estimator.exact == want.exact
+        assert repr(list(record.estimator.terms.items())) == repr(list(want.terms.items()))
+        signed = oracles.evaluate(apply_S(want, n), table) - target
+        assert type(record.signed_bias) is type(signed)
+        assert repr(record.signed_bias) == repr(signed)
 
 
 # -- the streaming artifact writer against the one that rendered everything first --
