@@ -36,6 +36,7 @@ from .moments import (
     normal_moment_table,
     polynomial_from_dict,
     polynomial_to_dict,
+    reachable_blocks,
     scalar_from_json,
 )
 from .resampling import (
@@ -136,15 +137,29 @@ def _load_functional(path):
             raise UsageError(f"malformed functional JSON {path}: {exc!r}") from None
 
 
-def _parse_population(obj, needed_order, d):
+def _normal_table(d, F):
+    """d independent standard normals' moments of the blocks exact_bias reads of F.
+
+    A block's moment is the product over its distinct labels of one normal's
+    moment of that label's count.  A block with a label >= d is left out, so
+    a population narrower than F raises MissingMomentError.
+    """
+    one = normal_moment_table(1, F.max_order())
+    return MomentTable(d, (
+        (block, math.prod(one.moment((0,) * block.count(lab)) for lab in set(block)))
+        for block in reachable_blocks(F) if block[-1] < d
+    ))
+
+
+def _parse_population(obj, F):
     if not isinstance(obj, dict):
         raise ValueError("not a JSON object")
     family = obj.get("family")
     if family not in (None, "normal"):
         raise InfeasibleError(f"unknown population family {family!r}")
-    d = obj["d"] if family is None else obj.get("d", d)
+    d = obj["d"] if family is None else obj.get("d", F.d)
     if family == "normal":
-        return normal_moment_table(d, needed_order), mc_mod.normal_sampler(d)
+        return _normal_table(d, F), mc_mod.normal_sampler(d)
     values = []
     for entry in obj["moments"]:
         block = entry["block"]
@@ -154,11 +169,11 @@ def _parse_population(obj, needed_order, d):
     return MomentTable(d, values), None
 
 
-def _load_population(path, needed_order, d):
+def _load_population(path, F):
     """Moment table plus an optional replica sampler, from a population JSON."""
     with open(path) as fh:
         try:
-            return _parse_population(json.load(fh), needed_order, d)
+            return _parse_population(json.load(fh), F)
         except InfeasibleError:
             raise
         except _JSON_ERRORS as exc:
@@ -192,7 +207,7 @@ def cmd_bias(args, argv):
     _at_least("--n", args.n, 1)
     _at_least("--k", args.k, 0)
     F = _load_functional(args.functional)
-    table, _ = _load_population(args.population, F.max_order(), F.d)
+    table, _ = _load_population(args.population, F)
     report = exact_bias(F, _parse_schedule(args.schedule, args.n, args.k), table)
     art = Artifact("bias", argv)
     art.add_table("trajectory", ["k", "signed_bias", "abs_bias", "bound"], report.rows())
@@ -262,7 +277,7 @@ def _mc_population_table(args, F):
     if args.n is None:
         raise UsageError("--n is required with --population")
     _at_least("--n", args.n, 1)
-    table, sampler = _load_population(args.population, F.max_order(), F.d)
+    table, sampler = _load_population(args.population, F)
     if sampler is None:
         raise InfeasibleError(
             "population JSON without a sampling family cannot be simulated;"

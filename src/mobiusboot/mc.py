@@ -311,6 +311,11 @@ def _block_values(evaluate_picks, coeffs, picks, steps):
     return total.tolist()
 
 
+def _check_data(data):
+    if not isinstance(data, Dataset):
+        raise TypeError(f"cannot run a chain on {type(data).__name__}: a Dataset is needed")
+
+
 def _chain_coefficients(coeffs):
     """coeffs as a tuple; a chain estimator needs a_0 at least."""
     coeffs = tuple(coeffs)
@@ -377,6 +382,7 @@ def mc_estimate(F, data, coeffs, replicas, seed):
     The chain opens with a redraw of data as X^1, so the estimator is unbiased
     for evaluate(apply_S(G), data) where G carries the coefficients.
     """
+    _check_data(data)
     values = _mc_values(F, data, data.n, coeffs, replicas, seed)
     return _report(values, seed)
 
@@ -410,6 +416,7 @@ def exhaustive_estimate(F, data, coeffs):
     when its level is summed, and Fraction times float is float(Fraction) *
     float.  Exact on exact data.
     """
+    _check_data(data)
     coeffs = _chain_coefficients(coeffs)
     fn = _as_functional(F)
     n = data.n
@@ -448,6 +455,7 @@ def chain_expectation(F, coeffs, data):
     G = sum_j a_j S^j F.  This is the value that mc_estimate and
     exhaustive_estimate estimate.
     """
+    _check_data(data)
     coeffs = _chain_coefficients(coeffs)
     n = data.n
     total = MomentPolynomial(F.d, {})

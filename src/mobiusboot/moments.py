@@ -268,6 +268,35 @@ class Dataset:
     def d(self):
         return len((self.root or self).rows[0])
 
+    def _moments(self, pairs):
+        """The block-moment reader: block -> the root's column summed at the picks, over n.
+
+        A float column sums in row order from 0 (the built-in sum compensates
+        from Python 3.12 on), so the bits hold on every version.  An exact
+        column sums its integer numerators: with pairs the reader gives (that
+        sum, denominator * n), otherwise their Fraction.
+        """
+        root = self.root or self
+        columns = root.columns
+        picks = self.picks
+        if picks is None:
+            picks = range(len(root.rows))
+        n = len(picks)
+        exact = root.exact
+
+        def moment(block):
+            column = columns.get(block) or _column(root, block)
+            if exact:
+                numerators, den = column
+                s = sum(map(numerators.__getitem__, picks))
+                return (s, den * n) if pairs else Fraction(s, den * n)
+            s = 0
+            for i in picks:
+                s += column[i]
+            return s / n
+
+        return moment
+
     def __repr__(self):
         return f"Dataset(n={self.n}, d={self.d})"
 
@@ -302,103 +331,84 @@ class MomentTable:
         except KeyError:
             raise MissingMomentError(f"moment table has no entry for block {key}") from None
 
+    def _moments(self, pairs):
+        """The block-moment reader: moment, or with pairs, (numerator, denominator) of it."""
+        if not pairs:
+            return self.moment
+
+        def pair(block):
+            m = self.moment(block)
+            return m.numerator, m.denominator
+
+        return pair
+
     @classmethod
     def from_dataset(cls, data, blocks):
         """Tabulate the empirical moments of the given blocks."""
         return cls(data.d, {tuple(b): empirical_moment(data, b) for b in blocks})
 
 
-def _product_column(data, block):
-    """Each row's product 1 * x_a * x_b * ... of the block's variables, in row order.
+def _column(root, block):
+    """Build root's column for block, on the block's first read, and keep it in root.columns.
 
-    Since 1 * x is x, blocks of one and two labels, the blocks variances and
-    covariances read, skip the leading 1 and the per-label loop.
+    The column is each row's product 1 * x_a * x_b * ... of the block's
+    variables, in row order; blocks of one and two labels, which variances
+    and covariances read, skip the leading 1 and the per-label loop.  On
+    exact rows it is (integer numerators, their common denominator), so a
+    moment is one integer sum and one normalised Fraction, the same Fraction.
     """
-    rows = data.rows
+    rows = root.rows
     d = len(rows[0])
     for lab in block:
         if not 0 <= lab < d:
             raise ValueError(f"label {lab} out of range for d={d}")
     if len(block) == 1:
         (a,) = block
-        return [row[a] for row in rows]
-    if len(block) == 2:
+        column = [row[a] for row in rows]
+    elif len(block) == 2:
         a, b = block
-        return [row[a] * row[b] for row in rows]
-    column = [1] * len(rows)
-    for lab in block:
-        column = [p * row[lab] for p, row in zip(column, rows)]
+        column = [row[a] * row[b] for row in rows]
+    else:
+        column = [1] * len(rows)
+        for lab in block:
+            column = [p * row[lab] for p, row in zip(column, rows)]
+    if root.exact:
+        den = math.lcm(*[p.denominator for p in column])
+        column = [p.numerator * (den // p.denominator) for p in column], den
+    root.columns[block] = column
     return column
-
-
-def _column(root, block):
-    """The column evaluate keeps on root for block: _product_column's list, or on exact rows,
-    the products as (integer numerators, their common denominator).
-
-    Over one denominator a block's moment is one integer sum and one Fraction,
-    not one Fraction add per row; Fractions are normalised, so it is the same
-    Fraction.
-    """
-    column = _product_column(root, block)
-    if not root.exact:
-        return column
-    den = math.lcm(*[p.denominator for p in column])
-    return [p.numerator * (den // p.denominator) for p in column], den
 
 
 def empirical_moment(data, block):
     """Plug-in moment: mean over rows of the product of the block's variables.
 
-    The sum runs in row order from 0 (not the built-in sum, which compensates
-    float sums from Python 3.12 on), so float data gives the same bits on
-    every version.
+    Dataset._moments reads it: a Fraction on exact data, a float otherwise.
     """
-    total = 0
-    for p in _product_column(data, block):
-        total += p
-    n = data.n
-    return Fraction(total, n) if data.exact else total / n
+    return Dataset._moments(data, False)(tuple(block))
 
 
 def evaluate(F, population):
     """Value of the polynomial against a Dataset (plug-in) or a MomentTable.
 
-    On a Dataset each distinct block's moment sums the root's column of that
-    block at the picks (every row of a root), in order from 0: the products
-    and the order of empirical_moment on the Dataset's rows, so the same bits.
-    An exact root's column sums as integers over its common denominator.  An
-    exact polynomial against an exact table or root is one Fraction
-    (_exact_value).
+    Each distinct block's moment is read once per call from the population's
+    block-moment reader (_moments); on a Dataset it is the block's
+    empirical_moment, bit for bit.  An exact polynomial against an exact
+    table or Dataset is one Fraction summed in integers (_exact_value); any
+    other pair takes the per-term loop (_term_sum).
     """
-    if isinstance(population, Dataset):
-        root = population.root or population
-        columns = root.columns
-        picks = population.picks
-        if picks is None:
-            picks = range(len(root.rows))
-        n = len(picks)
-        exact = root.exact
-        if exact and F.exact:
-
-            def moment(block):
-                column = columns.get(block)
-                if column is None:
-                    column = columns[block] = _column(root, block)
-                numerators, den = column
-                return sum(map(numerators.__getitem__, picks)), den * n
-
-            return _exact_value(F, moment)
-    elif isinstance(population, MomentTable):
-        if population.exact and F.exact:
-
-            def moment(block):
-                m = population.moment(block)
-                return m.numerator, m.denominator
-
-            return _exact_value(F, moment)
-        columns = None
-    else:
+    if not isinstance(population, (Dataset, MomentTable)):
         raise TypeError(f"cannot evaluate against {type(population).__name__}")
+    exact = F.exact and population.exact
+    moment = population._moments(exact)
+    return _exact_value(F, moment) if exact else _term_sum(F, moment)
+
+
+def _term_sum(F, moment):
+    """The per-term loop: the sum from 0 over terms of coeff * m_1 * m_2 * ...
+
+    moment(block) gives a block's moment: a scalar, or for _pick_evaluator a
+    numpy array of one moment per pick.  It is called once per distinct block.
+    """
     # each distinct block's moment once per call: the variance reads (0) twice
     cache = {}
     total = 0
@@ -407,21 +417,7 @@ def evaluate(F, population):
         for block in term:
             m = cache.get(block)
             if m is None:
-                if columns is None:
-                    m = population.moment(block)
-                else:
-                    column = columns.get(block)
-                    if column is None:
-                        column = columns[block] = _column(root, block)
-                    if exact:
-                        numerators, den = column
-                        m = Fraction(sum(map(numerators.__getitem__, picks)), den * n)
-                    else:
-                        s = 0
-                        for i in picks:
-                            s += column[i]
-                        m = s / n
-                cache[block] = m
+                m = cache[block] = moment(block)
             v = v * m
         total += v
     return total
@@ -464,12 +460,11 @@ def _pick_evaluator(F, data):
     the bits of evaluate(F, Dataset._picked(data, row)).  It needs float
     coefficients, a Python float in every cell of data's root (an int or a
     Fraction cell would change a product's type or bits)
-    and no label of F beyond d; otherwise the answer is None.  It reads the
-    root's columns (_column), gathers them at the picks, and sums each
-    block's row with np.add.accumulate, which adds in order as evaluate's
-    loop does.  That loop starts from 0, so the sum gets + 0.0, which turns
-    only a -0.0 sum into 0.0.  IEEE products and sums are the same in numpy
-    as in Python.
+    and no label of F beyond d; otherwise the answer is None.  It gathers the
+    root's columns at the picks and sums each block's row with
+    np.add.accumulate, in order as the Dataset reader adds; + 0.0 turns only
+    a -0.0 sum into the 0.0 that reader's sum from 0 gives.  _term_sum runs on
+    those arrays: IEEE products and sums are the same in numpy as in Python.
     """
     root = data.root or data
     if F.exact or any(term.max_label() >= data.d for term in F.terms):
@@ -478,33 +473,21 @@ def _pick_evaluator(F, data):
         return None
     import numpy as np
 
-    columns = {}
-    for term in F.terms:
-        for block in term:
-            if block not in columns:
-                column = root.columns.get(block)
-                if column is None:
-                    column = root.columns[block] = _column(root, block)
-                columns[block] = np.array(column)
+    blocks = {block for term in F.terms for block in term}
+    columns = {block: np.array(root.columns.get(block) or _column(root, block)) for block in blocks}
     outer = None if data.picks is None else np.array(data.picks)
 
     def values(picks):
         if outer is not None:
             picks = outer[picks]
         n = picks.shape[1]
-        cache = {}
-        total = np.zeros(len(picks))
+
+        def moment(block):
+            sums = np.add.accumulate(columns[block][picks], axis=1)[:, -1]
+            return (sums + 0.0) / n
+
         with np.errstate(all="ignore"):
-            for term, coeff in F.terms.items():
-                v = coeff
-                for block in term:
-                    m = cache.get(block)
-                    if m is None:
-                        sums = np.add.accumulate(columns[block][picks], axis=1)[:, -1]
-                        m = cache[block] = (sums + 0.0) / n
-                    v = v * m
-                total += v
-        return total
+            return _term_sum(F, moment)
 
     return values
 
@@ -523,14 +506,6 @@ def reachable_blocks(F):
 
 # -- analytic populations ------------------------------------------------------
 
-def _double_factorial(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def normal_moment_table(d, max_order):
     """Moment table of d independent standard normal variables.
 
@@ -544,7 +519,7 @@ def normal_moment_table(d, max_order):
             v = 1
             for lab in set(block):
                 c = block.count(lab)
-                v = 0 if c % 2 else v * _double_factorial(c - 1)
+                v = 0 if c % 2 else v * math.prod(range(c - 1, 0, -2))
             values[block] = Fraction(v)
     return MomentTable(d, values)
 

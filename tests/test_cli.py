@@ -307,6 +307,79 @@ def test_exit_code_missing_moment(workdir):
     assert rc == 3
 
 
+# one term of 8 singleton blocks over 16 variables: 255 reachable blocks, where
+# every label multiset up to order 8 would be C(24, 8) = 735471 entries
+WIDE_JSON = {"d": 16, "terms": [{"blocks": [[lab] for lab in range(0, 16, 2)], "coeff": "1"}]}
+
+
+def _tables_read_by_exact_bias(monkeypatch):
+    tables = []
+    real = cli.exact_bias
+
+    def recorded(F, schedule, table):
+        tables.append(table)
+        return real(F, schedule, table)
+
+    monkeypatch.setattr(cli, "exact_bias", recorded)
+    return tables
+
+
+def test_normal_population_tabulates_only_reachable_blocks(workdir, monkeypatch):
+    from mobiusboot.moments import reachable_blocks
+
+    monkeypatch.chdir(workdir)
+    tables = _tables_read_by_exact_bias(monkeypatch)
+    (workdir / "wide.json").write_text(json.dumps(WIDE_JSON))
+    (workdir / "normal.json").write_text(json.dumps({"family": "normal"}))
+    rc = main(["bias", "--functional", "wide.json", "--population", "normal.json",
+               "--n", "9", "--k", "1", "--out", "w"])
+    assert rc == 0
+    (table,) = tables
+    assert table.d == 16 and set(table.values) == reachable_blocks(polynomial_from_dict(WIDE_JSON))
+    assert len(table.values) == 255
+    assert all(v == 0 for v in table.values.values())  # every label of a block is odd-count
+    _, rows = _rows(workdir / "w.csv", "trajectory")
+    assert [row[1] for row in rows] == ["0", "0"]
+
+
+def test_normal_population_table_matches_the_full_table(workdir, monkeypatch):
+    # the reachable blocks' moments, and so the trajectory, of a population
+    # wider than F are those of normal_moment_table
+    from mobiusboot.debias import StepSchedule, exact_bias
+    from mobiusboot.moments import normal_moment_table
+
+    monkeypatch.chdir(workdir)
+    tables = _tables_read_by_exact_bias(monkeypatch)
+    functional = {"d": 2, "terms": [
+        {"blocks": [[0, 0], [1]], "coeff": "1/3"},
+        {"blocks": [[0], [0], [1, 1]], "coeff": "-2"},
+        {"blocks": [[0, 0, 1, 1]], "coeff": "1"},
+    ]}
+    (workdir / "f.json").write_text(json.dumps(functional))
+    (workdir / "normal3.json").write_text(json.dumps({"family": "normal", "d": 3}))
+    rc = main(["bias", "--functional", "f.json", "--population", "normal3.json",
+               "--n", "5", "--k", "2", "--schedule", "default", "--out", "n"])
+    assert rc == 0
+    F = polynomial_from_dict(functional)
+    full = normal_moment_table(3, F.max_order())
+    (table,) = tables
+    assert table.values == {block: full.values[block] for block in table.values}
+    report = exact_bias(F, StepSchedule.default(5, 2), full)
+    _, rows = _rows(workdir / "n.csv", "trajectory")
+    assert [row[1] for row in rows] == [str(r.signed_bias) for r in report.records]
+    assert any(r.signed_bias for r in report.records)
+
+
+def test_normal_population_narrower_than_the_functional_exits_3(workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    (workdir / "wide.json").write_text(json.dumps(WIDE_JSON))
+    (workdir / "normal8.json").write_text(json.dumps({"family": "normal", "d": 8}))
+    rc = main(["bias", "--functional", "wide.json", "--population", "normal8.json",
+               "--n", "9", "--k", "1", "--out", "w"])
+    assert rc == 3
+    assert "moment table has no entry for block" in capsys.readouterr().err
+
+
 def test_exit_code_exhaustive_too_large(workdir, monkeypatch):
     # the cap fires before the target is computed
     def target_not_wanted(*args):

@@ -537,6 +537,38 @@ def test_empty_coefficients_rejected_by_every_chain_route(run, empty):
         run(empty)
 
 
+NOT_DATA = pytest.mark.parametrize(
+    "data", [normal_moment_table(1, 2), [[1.0], [2.0]]], ids=["MomentTable", "list"]
+)
+
+
+def _not_reached(*args):
+    raise AssertionError("reached before data was checked")
+
+
+@NOT_DATA
+def test_mc_estimate_names_data_that_is_not_a_dataset(data, monkeypatch):
+    # checked before any replica is drawn, so before numpy loads
+    monkeypatch.setattr(mobiusboot.mc, "_replica_picks", _not_reached)
+    monkeypatch.setattr(mobiusboot.mc, "_pcg64_seeder", _not_reached)
+    with pytest.raises(TypeError, match=f"cannot run a chain on {type(data).__name__}"):
+        mc_estimate(variance_poly(), data, (1, -1), 3, 0)
+
+
+@NOT_DATA
+def test_exhaustive_estimate_names_data_that_is_not_a_dataset(data, monkeypatch):
+    monkeypatch.setattr(mobiusboot.mc, "_multiset_picks", _not_reached)
+    with pytest.raises(TypeError, match=f"cannot run a chain on {type(data).__name__}"):
+        exhaustive_estimate(variance_poly(), data, (1, -1))
+
+
+@NOT_DATA
+def test_chain_expectation_names_data_that_is_not_a_dataset(data, monkeypatch):
+    monkeypatch.setattr(mobiusboot.mc, "apply_S", _not_reached)
+    with pytest.raises(TypeError, match=f"cannot run a chain on {type(data).__name__}"):
+        chain_expectation(variance_poly(), (1, -1), data)
+
+
 def test_mc_reads_no_pick_layout():
     # the pick layout (root, picks, columns) stays behind Dataset: mc composes
     # picks through Dataset._picked alone, so the layout can change in one module

@@ -1,9 +1,11 @@
 """Moment polynomial evaluation, unbiased evaluation, conversions."""
 
+import ast
 import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -589,22 +591,18 @@ def test_conversion_rejects_mismatched_sizes():
         zeta_matrix(2).matvec([1] * 5)
 
 
-def test_evaluate_reads_each_distinct_block_once_per_call(monkeypatch):
-    from mobiusboot import moments
-
+def test_evaluate_reads_each_distinct_block_once_per_call():
     built, calls = [], []
-    kernel = moments._product_column
-
-    def counted(data, block):
-        built.append(block)
-        return kernel(data, block)
 
     class ReadColumns(dict):
         def get(self, block):
             calls.append(block)
             return dict.get(self, block)
 
-    monkeypatch.setattr(moments, "_product_column", counted)
+        def __setitem__(self, block, column):
+            built.append(block)
+            dict.__setitem__(self, block, column)
+
     F = MomentPolynomial(
         2,
         {
@@ -628,6 +626,50 @@ def test_evaluate_reads_each_distinct_block_once_per_call(monkeypatch):
             v = v * empirical_moment(data, block)
         want += v
     assert repr(got) == repr(want)
+
+
+def _nodes_by_function(tree):
+    """(name of the innermost enclosing function, node) for every node below tree."""
+
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, ast.FunctionDef) else function
+            yield name, child
+            yield from walk(child, name)
+
+    return list(walk(tree, None))
+
+
+def test_moments_keeps_one_copy_of_each_evaluation_step():
+    # one function builds and stores a root's column, evaluate reads blocks
+    # through the population's reader alone, and two loops form a value from
+    # F's terms: the integer one and the per-term one
+    from mobiusboot import moments
+
+    nodes = _nodes_by_function(ast.parse(Path(moments.__file__).read_text()))
+
+    def is_columns(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "columns") or (
+            isinstance(node, ast.Name) and node.id == "columns"
+        )
+
+    stores = {
+        function
+        for function, node in nodes
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and is_columns(node.value))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("setdefault", "update") and is_columns(node.func.value))
+    }
+    assert stores == {"_column"}
+    read = {node.attr for function, node in nodes if function == "evaluate" and isinstance(node, ast.Attribute)}
+    assert read & {"root", "picks", "columns"} == set()
+    assert "_moments" in read  # the walk sees evaluate's attribute reads
+    term_loops = {
+        function
+        for function, node in nodes
+        if isinstance(node, (ast.For, ast.comprehension)) and ast.unparse(node.iter) == "F.terms.items()"
+    }
+    assert term_loops == {"_term_sum", "_exact_value"}
 
 
 def test_exact_columns_sum_numerators_over_one_denominator():

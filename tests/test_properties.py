@@ -221,21 +221,27 @@ CELLS = {
 
 
 @st.composite
-def dataset_and_block(draw, kinds=tuple(sorted(CELLS))):
+def dataset_and_block(draw, kinds=tuple(sorted(CELLS)), picked=False):
     """A float, Fraction or int dataset and a block of up to 4 labels, repeats allowed.
 
-    kinds names the cell kinds to choose from.
+    kinds names the cell kinds to choose from.  With picked, the dataset may
+    also be a pick of the one drawn, or a pick of that pick.
     """
     cells = CELLS[draw(st.sampled_from(kinds))]
     d = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=1, max_size=6))
     block = draw(st.lists(st.integers(0, d - 1), max_size=4))
-    return Dataset(rows), tuple(block)
+    data = Dataset(rows)
+    for _ in range(draw(st.integers(0, 2)) if picked else 0):
+        data = Dataset._picked(data, draw(st.lists(st.integers(0, data.n - 1), min_size=1, max_size=6)))
+    return data, tuple(block)
 
 
 @settings(PROPERTY, max_examples=200)
-@given(dataset_and_block())
+@given(dataset_and_block(picked=True))
 def test_empirical_moment_matches_per_row_loop(case):
+    # on a pick the moment sums the root's column at the picks; the oracle
+    # multiplies out the pick's own rows
     data, block = case
     got, want = empirical_moment(data, block), oracles.empirical_moment(data, block)
     assert type(got) is type(want)
@@ -243,7 +249,7 @@ def test_empirical_moment_matches_per_row_loop(case):
 
 
 @PROPERTY
-@given(dataset_and_block(), st.integers(-3, 5))
+@given(dataset_and_block(picked=True), st.integers(-3, 5))
 def test_empirical_moment_label_error_unchanged(case, bad):
     data, block = case
     if 0 <= bad < data.d:
@@ -296,29 +302,36 @@ EXACT_MOMENTS = st.one_of(
 
 
 @st.composite
-def exact_polynomial_and_moments(draw):
+def exact_polynomial_and_moments(draw, mixed=False):
     """An exact polynomial over d <= 3 labels and an exact moment for each of its blocks.
 
     Terms have up to 4 blocks of up to 3 labels; the constant term (no
-    blocks) and the empty polynomial appear, and many moments are 0.
+    blocks) and the empty polynomial appear, and many moments are 0.  With
+    mixed, the coefficients, the moments or both may be floats instead.
     """
     d = draw(st.integers(1, 3))
     block = st.lists(st.integers(0, d - 1), min_size=1, max_size=3)
     terms = draw(st.lists(st.lists(block, max_size=4), max_size=5))
     coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    moments = EXACT_MOMENTS
+    if mixed:
+        coeff = draw(st.sampled_from([coeff, EDGE_FLOATS]))
+        moments = draw(st.sampled_from([moments, CELLS["float"]]))
     F = MomentPolynomial(d, {LabeledTerm(term): draw(coeff) for term in terms})
     blocks = sorted({b for term in F.terms for b in term})
-    return F, {b: draw(EXACT_MOMENTS) for b in blocks}
+    return F, {b: draw(moments) for b in blocks}
 
 
 @settings(PROPERTY, max_examples=200)
-@given(exact_polynomial_and_moments())
+@given(exact_polynomial_and_moments(mixed=True))
 def test_exact_evaluate_against_a_table_matches_fraction_loop(case):
+    # exact F on an exact table sums in integers; every other pairing of
+    # coefficient and moment kinds takes the per-term loop
     F, values = case
     table = MomentTable(F.d, values)
     got, want = evaluate(F, table), oracles.evaluate(F, table)
-    assert type(got) is type(want)  # the int 0 for an empty F, a Fraction otherwise
-    assert got == want
+    assert type(got) is type(want)  # the int 0 for an empty F, a Fraction or float otherwise
+    assert repr(got) == repr(want)  # -0.0, inf, nan and every last bit count
 
 
 @PROPERTY
