@@ -33,7 +33,6 @@ from .moments import (
     MomentTable,
     dataset_from_csv,
     evaluate,  # unused; test_wrappers_replace_every_import_binding reads cli.evaluate
-    normal_moment_table,
     polynomial_from_dict,
     polynomial_to_dict,
     reachable_blocks,
@@ -140,15 +139,10 @@ def _load_functional(path):
 def _normal_table(d, F):
     """d independent standard normals' moments of the blocks exact_bias reads of F.
 
-    A block's moment is the product over its distinct labels of one normal's
-    moment of that label's count.  A block with a label >= d is left out, so
-    a population narrower than F raises MissingMomentError.
+    A block with a label >= d is left out, so a population narrower than F
+    raises MissingMomentError.
     """
-    one = normal_moment_table(1, F.max_order())
-    return MomentTable(d, (
-        (block, math.prod(one.moment((0,) * block.count(lab)) for lab in set(block)))
-        for block in reachable_blocks(F) if block[-1] < d
-    ))
+    return MomentTable.normal(d, (block for block in reachable_blocks(F) if block[-1] < d))
 
 
 def _parse_population(obj, F):

@@ -22,23 +22,16 @@ from .moments import (
     InfeasibleError,
     MomentPolynomial,
     MomentTable,
+    _check_sample_size,
     _is_exact,
-    _is_int,
     evaluate,
     reachable_blocks,
 )
 from .resampling import apply_S, one_norm_id_minus_S, one_norm_id_minus_scaled
 
 
-def _check_int_size(n):
-    if not _is_int(n):
-        raise ValueError(f"sample size must be an int, got {n!r}")
-
-
 def _check_size(n, k):
-    _check_int_size(n)
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n}")
+    _check_sample_size(n)
     if k < 0:
         raise ValueError(f"step count must be nonnegative, got {k}")
 
@@ -237,7 +230,7 @@ def general_bound(gammas, n):
     gammas = _check_gammas(gammas)
     if n < 1:
         raise ValueError("N must be positive")
-    _check_int_size(n)
+    _check_sample_size(n)
     cut = _cut_index(n)
     if cut >= len(gammas):
         raise ValueError(
@@ -262,7 +255,7 @@ def bandlimited_bound(d, theta, n):
         raise ValueError(f"theta must be finite, got {theta}")
     if d < 1 or theta <= 0:
         raise ValueError("need d >= 1 and theta > 0")
-    _check_int_size(n)
+    _check_sample_size(n)
     if n < 8 * (8 * d * theta + 1) ** 2:
         raise ValueError(
             f"N={n} below the required 8*(8*d*theta+1)^2 = {8 * (8 * d * theta + 1) ** 2:.6g}"
@@ -286,7 +279,7 @@ def neumann_trace_bound(sigma, n):
         raise ValueError(f"sigma must lie in (0,1), got {sigma}")
     if n < 1:
         raise ValueError("N must be positive")
-    _check_int_size(n)
+    _check_sample_size(n)
     k = math.floor(-math.sqrt(n / 8) * math.log(sigma))
     # sigma^sqrt(N/32) <= 1 and 4/(1-sigma) stays within double range, so the
     # direct product is safe and exact at round powers where exp(log .) is not

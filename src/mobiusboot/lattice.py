@@ -204,8 +204,9 @@ def _groupings(b):
     """One row (rgs, k, masks) per grouping of b blocks, in _rgs_strings(b) order.
 
     rgs sends block i into merged block rgs[i], k counts the merged blocks, and
-    bit i of masks[g] is set iff block i merges into g.  _incidence_matrix
-    and resampling's merge walk work out each weight once per row.
+    bit i of masks[g] is set iff block i merges into g.  An operator's weight
+    law reads (b, k, rgs) once per row: _incidence_matrix for the dense
+    matrices and resampling's merge plans for the term walk.
     """
     rows = []
     for rgs in _rgs_strings(b):
@@ -419,13 +420,15 @@ def _dense_row(cols, vals, n):
 def _incidence_matrix(index, weight):
     """The matrix with weight(b, k, grouping) at (position(pi), col) for pi >= sigma.
 
-    sigma (column col) has b blocks, grouping is the RGS over them that merges
-    them into pi, and k is pi's block count.  Every comparable cell is stored,
-    zero weights included, so each row's columns are its _support_rows(m)
-    tuple.  The weight is worked out once per _groupings(b) row and shared by
-    every column with b blocks, one run of stirling2(m, b) in the index.  The
-    columns are visited in order and each one's weights are appended to the
-    rows of its _coarsening_rows entry, so no merged RGS is looked up per cell.
+    weight is an operator's law: 1 for zeta, _mobius_weight(grouping) for
+    Moebius, and resampling's S law at N for the dense S.  sigma (column col)
+    has b blocks, grouping is the RGS over them that merges them into pi, and
+    k is pi's block count.  Every comparable cell is stored, zero weights
+    included, so each row's columns are its _support_rows(m) tuple.  The
+    weight is worked out once per _groupings(b) row and shared by every column
+    with b blocks, one run of stirling2(m, b) in the index.  The columns are
+    visited in order and each one's weights are appended to the rows of its
+    _coarsening_rows entry, so no merged RGS is looked up per cell.
     """
     m = index.m
     table = _coarsening_rows(m)

@@ -58,6 +58,13 @@ def _check_dimension(d):
         raise ValueError(f"d must be a positive integer, got {d!r}")
 
 
+def _check_sample_size(n):
+    if not _is_int(n):
+        raise ValueError(f"sample size must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError(f"sample size must be positive, got {n}")
+
+
 def _canon_blocks(blocks):
     canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: (len(b), b)))
     for block in canon:
@@ -343,9 +350,39 @@ class MomentTable:
         return pair
 
     @classmethod
+    def normal(cls, d, blocks):
+        """The moments of d independent standard normal variables at the given blocks.
+
+        A block's moment factors over its distinct labels; each label with
+        multiplicity c contributes (c-1)!! for even c and 0 for odd c.
+        """
+        _check_dimension(d)
+        values = {}
+        for block in blocks:
+            v = 1
+            for lab in set(block):
+                c = block.count(lab)
+                v = 0 if c % 2 else v * math.prod(range(c - 1, 0, -2))
+            values[block] = Fraction(v)
+        return cls(d, values)
+
+    @classmethod
     def from_dataset(cls, data, blocks):
-        """Tabulate the empirical moments of the given blocks."""
-        return cls(data.d, {tuple(b): empirical_moment(data, b) for b in blocks})
+        """Tabulate the empirical moments of the given blocks.
+
+        Each moment is empirical_moment's, bit for bit.  data's root keeps only
+        the columns it held before the call: a block's column is dropped once
+        its moment is read, so at most one new column is alive at a time.
+        """
+        columns = (data.root or data).columns
+        moment = data._moments(False)
+        values = {}
+        for block in map(tuple, blocks):
+            kept = block in columns
+            values[block] = moment(block)
+            if not kept:
+                del columns[block]
+        return cls(data.d, values)
 
 
 def _column(root, block):
@@ -507,21 +544,9 @@ def reachable_blocks(F):
 # -- analytic populations ------------------------------------------------------
 
 def normal_moment_table(d, max_order):
-    """Moment table of d independent standard normal variables.
-
-    A block's moment factors over distinct labels; each label with
-    multiplicity c contributes (c-1)!! for even c and 0 for odd c.
-    """
-    _check_dimension(d)
-    values = {}
-    for size in range(max_order + 1):
-        for block in combinations_with_replacement(range(d), size):
-            v = 1
-            for lab in set(block):
-                c = block.count(lab)
-                v = 0 if c % 2 else v * math.prod(range(c - 1, 0, -2))
-            values[block] = Fraction(v)
-    return MomentTable(d, values)
+    """Moment table of d independent standard normal variables, every block up to max_order."""
+    blocks = (b for k in range(max_order + 1) for b in combinations_with_replacement(range(d), k))
+    return MomentTable.normal(d, blocks)
 
 
 # -- serialization -------------------------------------------------------------

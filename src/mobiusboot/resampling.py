@@ -1,22 +1,24 @@
 """The resampling expectation operator on moment-polynomial coefficients.
 
 One round of drawing N rows with replacement sends the coefficient at a
-partition to its coarsenings: duplicate row indices merge blocks.  The matrix
-S over LatticeIndex order has entry(pi, sigma) = falling(N,#pi)/N^{#sigma} for
-sigma <= pi and 0 otherwise.  Every column sums to exactly 1 (the weights
-enumerate all index draws), and every row at a partition with more than N
-blocks is zero, since no N-sample respects that many distinct blocks.
-
-S factors through the order incidence as S = R.zeta.C^{-1} with
-R = diag(falling(N,#pi)) and C = diag(N^{#pi}), which is what makes one
-resampling round a Moebius-inversion step in disguise; S^{-1} = C.mu.R^{-1}
-whenever N is at least the largest block count.
+partition to its coarsenings: duplicate row indices merge blocks.  Each
+operator here is a weight law, law(N, b, k, grouping): the weight of b blocks
+merged along a grouping into k.  The laws are the factorizations through the
+order incidence.  S = R.zeta.C^{-1}, with R = diag(falling(N,#pi)) and
+C = diag(N^{#pi}), gives S's law falling(N,k)/N^b (_sampling_law), which is
+what makes one resampling round a Moebius-inversion step in disguise.
+S^{-1} = C.mu.R^{-1}, whenever N is at least the largest block count, gives
+N^k mu(grouping)/falling(N,b) (_inverse_law).  sampling_matrix hands a law to
+lattice._incidence_matrix, and apply_S and apply_S_inverse hand theirs to one
+merge walk.  Every column of S sums to exactly 1 (the weights enumerate all
+index draws), and every row at a partition with more than N blocks is zero,
+since no N-sample respects that many distinct blocks.
 """
 
 import math
 from array import array
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .lattice import (
     IncidenceMatrix,
@@ -33,28 +35,34 @@ from .moments import (
     InfeasibleError,
     LabeledTerm,
     MomentPolynomial,
+    _check_sample_size,
     _is_exact,
     evaluate,
 )
 
 
-def sampling_matrix(m, n):
-    """Build S for order m and sample size n.
+def _sampling_law(n, b, k, grouping):
+    """S's weight at N for b blocks merged into k: falling(N,k)/N^b."""
+    return Fraction(falling_factorial(n, k), n**b)
 
-    The weight of b blocks merged into k, Fraction(falling(N,k), N^b), is one
-    object per grouping row of b blocks, shared by every column with b blocks.
+
+def _inverse_law(n, b, k, grouping):
+    """S^{-1}'s weight at N for b blocks merged along grouping into k.
+
+    N^k mu(grouping)/falling(N,b); falling(N,b) is 0 for b > N, where S^{-1}
+    does not exist.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n}")
-    num, den = _sampling_weight(n)
-    return _incidence_matrix(
-        enumerate_partitions(m), lambda b, k, grouping: Fraction(num(k, grouping), den(b))
-    )
+    return Fraction(n**k * _mobius_weight(grouping), falling_factorial(n, b))
 
 
-def _sampling_weight(n):
-    """S's weight for b blocks merged into k, falling(N,k)/N^b, as (numerator, denominator)."""
-    return (lambda k, grouping: falling_factorial(n, k)), (lambda b: n**b)
+def sampling_matrix(m, n):
+    """Build S for order m and sample size n, from _sampling_law.
+
+    The weight of b blocks merged into k is one Fraction per grouping row of
+    b blocks, shared by every column with b blocks.
+    """
+    _check_sample_size(n)
+    return _incidence_matrix(enumerate_partitions(m), partial(_sampling_law, n))
 
 
 def factorization(m, n):
@@ -90,37 +98,27 @@ def _cells_of_either(a_cols, a_vals, b_cols, b_vals):
     return ((j, a.get(j, 0), b.get(j, 0)) for j in a.keys() | b.keys())
 
 
-def _inverse_weight(n):
-    """S^{-1}'s weight for b blocks merged along a grouping into k,
-    N^k mu(grouping)/falling(N,b), as (numerator, denominator)."""
-    return (lambda k, grouping: n**k * _mobius_weight(grouping)), (lambda b: falling_factorial(n, b))
-
-
-_WEIGHTS = {"S": _sampling_weight, "S_inv": _inverse_weight}
-
-
 @lru_cache(maxsize=4)
-def _merge_plan(terms, kind, n):
-    """Where each merge of each term lands, under the weight _WEIGHTS[kind](n).
+def _merge_plan(terms, law, n):
+    """Where each merge of each term lands, under the weight law at N.
 
     Returns (merged, lands, levels).  merged holds the distinct merged terms in
     first-reached order.  lands is one array('I') of positions in merged: per
     term in turn, one per grouping of its b blocks with a nonzero weight, in
     _groupings(b) order.  levels[b] = (numerators, denominator, floats) holds
-    those weights: numerator(k, grouping) as ints, denominator(b), and
-    float(Fraction(numerator, denominator)) for float coefficients.  A merge
+    those weights: the lcm of their denominators, each weight as an int
+    numerator over it, and float(weight) for float coefficients.  A merge
     reads its blocks from the term's unions by the grouping's masks.
     """
-    numerator, denominator = _WEIGHTS[kind](n)
     picks, levels, position, lands = {}, {}, {}, array("I")
     for term in terms:
         b = len(term)
         if b not in levels:
-            den = denominator(b)
-            rows = [(masks, num) for rgs, k, masks in _groupings(b) if (num := numerator(k, rgs))]
+            rows = [(masks, w) for rgs, k, masks in _groupings(b) if (w := law(n, b, k, rgs))]
             picks[b] = [masks for masks, _ in rows]
-            nums = tuple(num for _, num in rows)
-            levels[b] = nums, den, tuple(float(Fraction(num, den)) for num in nums)
+            den = math.lcm(*(w.denominator for _, w in rows))
+            nums = tuple(w.numerator * (den // w.denominator) for _, w in rows)
+            levels[b] = nums, den, tuple(float(w) for _, w in rows)
         union = term.unions().__getitem__
         for masks in picks[b]:
             merged = sorted(map(union, masks))
@@ -130,28 +128,25 @@ def _merge_plan(terms, kind, n):
     return tuple(position), lands, levels
 
 
-def _merge_walk(F, n, kind):
+def _merge_walk(F, n, law):
     """Spread each term's coefficient over the Bell(b) merges of its b blocks.
 
-    The merge of b blocks into k along a grouping gets coeff * numerator(k,
-    grouping) / denominator(b), with (numerator, denominator) = _WEIGHTS[kind](n);
-    zero weights are skipped and labels ride along.  Exact sums run in integers
-    over one common denominator D, the lcm over terms of coeff's denominator
-    times denominator(b), and each output coefficient is one Fraction(sum, D).
-    Float coefficients take coeff * float(weight), the bits a Fraction weight
-    gives, summed term by term in walk order.
+    The merge of b blocks into k along a grouping gets coeff * law(n, b, k,
+    grouping); zero weights are skipped and labels ride along.  Exact sums
+    run in integers over one common denominator D, the lcm over terms of
+    coeff's denominator times the term's level denominator, and each output
+    coefficient is one Fraction(sum, D).  Float coefficients take
+    coeff * float(weight), summed term by term in walk order.
 
     Where the merges land comes from _merge_plan, keyed by F's terms in order,
-    the kind and N.  exact_bias applies S twice to each iterate, and its later
+    the law and N.  exact_bias applies S twice to each iterate, and its later
     iterates share one support, so most calls replay a plan as one arithmetic
     pass.  A plan holds 4 bytes per merge and keeps its key's terms and its
     merged terms alive; the memo keeps the last maxsize = 4 plans, so what
     outlives a call is bounded by the four largest supports used last, about
     0.25 MB for an order-7 iterate of 877 terms and 19302 merges.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n}")
-    merged, lands, levels = _merge_plan(tuple(F.terms), kind, n)
+    merged, lands, levels = _merge_plan(tuple(F.terms), law, n)
     sums = [0] * len(merged)
     lands = iter(lands)
     if F.exact:
@@ -177,7 +172,8 @@ def apply_S(F, n):
     Each term's coefficient spreads over the merges of its blocks with weight
     falling(N,#merged)/N^{#blocks}.
     """
-    return _merge_walk(F, n, "S")
+    _check_sample_size(n)
+    return _merge_walk(F, n, _sampling_law)
 
 
 def apply_S_inverse(F, n):
@@ -188,10 +184,11 @@ def apply_S_inverse(F, n):
     only when N is at least every term's block count; otherwise this raises
     InfeasibleError.
     """
+    _check_sample_size(n)
     most = max((term.block_count for term in F.terms), default=0)
     if n < most:
         raise InfeasibleError(f"symmetric statistic needs N >= {most} distinct rows, got N={n}")
-    return _merge_walk(F, n, "S_inv")
+    return _merge_walk(F, n, _inverse_law)
 
 
 def unbiased_evaluate(F, data):
@@ -214,14 +211,19 @@ def reduced_matrix(m, n):
     A partition with j blocks has stirling2(j,i) coarsenings with i blocks,
     all receiving the same weight, which is why S acts on level sums.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and N must be positive")
+    _check_order_and_size(m, n)
     columns = tuple(tuple(range(i - 1, m)) for i in range(1, m + 1))
     values = [
         [Fraction(stirling2(j, i) * falling_factorial(n, i), n**j) for j in range(i, m + 1)]
         for i in range(1, m + 1)
     ]
     return IncidenceMatrix._stored(range(1, m + 1), columns, values)
+
+
+def _check_order_and_size(m, n):
+    _check_sample_size(n)
+    if m < 1:
+        raise ValueError(f"order m must be positive, got {m}")
 
 
 # -- norms and convergence ratios ----------------------------------------------
@@ -244,52 +246,35 @@ def _one_norm(S, eta):
     """Max column 1-norm of Id - eta*S for a built S, so one S serves every eta.
 
     A column's sum runs over its diagonal cell and its nonzero stored cells:
-    any other cell adds exactly 0.  An exact eta on int and Fraction cells
-    sums integers over one common denominator.  Otherwise the rows are read in
-    order and each cell is added to its column's running sum, so a float eta
-    gives the bits of a sum down each dense column.
+    any other cell adds exactly 0.  The rows are read in order and each cell
+    is added to its column's running sum.  An exact eta = p/q on int and
+    Fraction cells sums integers over q*den, den the lcm of the cells'
+    denominators: each cell s = a/b is scaled to p*a*(den/b) and the identity
+    to q*den, and the result is one Fraction.  Otherwise each cell is eta*s
+    and the identity 1, so a float eta gives the bits of a sum down each
+    dense column.
     """
-    if _is_exact(eta) and _exact_cells(S):
-        return _one_norm_exact(S, eta)
+    exact = _is_exact(eta) and all({int, Fraction}.issuperset(map(type, vals)) for vals in S.values)
+    if exact:
+        p, q = eta.as_integer_ratio()
+        den = math.lcm(*{s.denominator for vals in S.values for s in vals})
+        one, zero = q * den, 0
+    else:
+        one, zero = 1, eta * 0  # an unstored diagonal is eta * 0, as a dense column reads it
     totals = [0] * len(S.index)
     for i, (cols, vals) in enumerate(zip(S.columns, S.values)):
-        diagonal = 0
+        diagonal = zero
         for j, s in zip(cols, vals):
-            if j == i:
-                diagonal = s
-            elif s:
-                totals[j] += abs(0 - eta * s)
-        totals[i] += abs(1 - eta * diagonal)
-    return max(Fraction(0), *totals)
-
-
-def _exact_cells(S):
-    types = set()
-    for vals in S.values:
-        types.update(map(type, vals))
-    return types <= {int, Fraction}
-
-
-def _one_norm_exact(S, eta):
-    """_one_norm for an exact eta and exact cells, as one Fraction over q*den.
-
-    eta = p/q and every cell s = a/b is a*(den/b)/den, den the lcm of the b,
-    so |delta - eta*s| is |q*den*delta - p*a*(den/b)| / (q*den).
-    """
-    eta = Fraction(eta)
-    p, q = eta.numerator, eta.denominator
-    den = math.lcm(*{s.denominator for vals in S.values for s in vals})
-    totals = [0] * len(S.index)
-    for i, (cols, vals) in enumerate(zip(S.columns, S.values)):
-        diagonal = 0
-        for j, s in zip(cols, vals):
-            scaled = p * s.numerator * (den // s.denominator)
-            if j == i:
-                diagonal = scaled
+            if exact:  # the int cell is 0 where s is (or p is), and tests faster
+                s = cell = p * s.numerator * (den // s.denominator)
             else:
-                totals[j] += abs(scaled)
-        totals[i] += abs(q * den - diagonal)
-    return Fraction(max(0, *totals), q * den)
+                cell = eta * s
+            if j == i:
+                diagonal = cell
+            elif s:
+                totals[j] += abs(cell)
+        totals[i] += abs(one - diagonal)
+    return Fraction(max(0, *totals), one) if exact else max(Fraction(0), *totals)
 
 
 def one_norm_id_minus_scaled(m, n, eta):
@@ -307,13 +292,13 @@ def one_norm_id_minus_scaled(m, n, eta):
 
 def gamma_ratio(m, n):
     """falling(N,m)/N^m as an exact Fraction; 0 when m > N."""
-    if m < 1 or n < 1:
-        raise ValueError("m and N must be positive")
+    _check_order_and_size(m, n)
     return Fraction(falling_factorial(n, m), n**m)
 
 
 def log_gamma_ratio(m, n):
     """log(falling(N,m)/N^m) as a float; -inf when m > N."""
+    _check_order_and_size(m, n)
     if m > n:
         return -math.inf
     return sum(math.log1p(-i / n) for i in range(m))

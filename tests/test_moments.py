@@ -286,6 +286,39 @@ def test_table_matches_dataset_evaluation():
     assert evaluate(F, table) == evaluate(F, data)
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_table_from_dataset_leaves_the_roots_columns_as_they_were(exact):
+    # tabulating every reachable block kept one column of N products per
+    # block on the root, though the chains then read only F's own blocks
+    rng = random.Random(70)
+    cell = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))) if exact else rng.random
+    data = Dataset([[cell() for _ in range(3)] for _ in range(12)])
+    F = MomentPolynomial(3, {LabeledTerm([[0], [1, 2], [2]]): 1, LabeledTerm([[0, 0]]): -1})
+    evaluate(MomentPolynomial(3, {LabeledTerm([[0], [1, 2]]): 1}), data)
+    held = dict(data.columns)
+    pick = Dataset._picked(data, [rng.randrange(12) for _ in range(7)])
+    for ds in (data, pick):
+        table = MomentTable.from_dataset(ds, reachable_blocks(F))
+        assert data.columns.keys() == held.keys()
+        assert all(data.columns[block] is column for block, column in held.items())
+        fresh = Dataset(ds.rows)
+        assert table.values.keys() == reachable_blocks(F)
+        assert all(repr(v) == repr(empirical_moment(fresh, b)) for b, v in table.values.items())
+
+
+def test_normal_moments_follow_one_rule_for_every_table():
+    # normal_moment_table and the tables built from chosen blocks read one
+    # per-block rule: (c-1)!! per label of even count c, 0 for an odd count
+    full = normal_moment_table(3, 6)
+    blocks = [(0,), (1, 1), (0, 0, 2, 2), (0, 1, 1, 1), (2, 2, 2, 2, 2, 2)]
+    chosen = MomentTable.normal(3, blocks)
+    assert list(chosen.values) == blocks
+    assert all(repr(chosen.values[b]) == repr(full.values[b]) for b in blocks)
+    assert [chosen.values[b] for b in blocks] == [0, 1, 1, 0, 15]
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        MomentTable.normal(0, blocks)
+
+
 def test_missing_moment_raises():
     table = MomentTable(1, {(0,): 0})
     with pytest.raises(MissingMomentError):

@@ -1,9 +1,11 @@
 """Sampling matrix structure, factorization, norms, exhaustive oracle."""
 
+import ast
 import math
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -558,3 +560,79 @@ def test_linear_regime_alpha1_boundary():
     # alpha=1 at m=10 sits between exp(-1/4 - 1/alpha) and the 3/4 mark
     ratio = math.exp(log_gamma_ratio(10, 100))
     assert math.exp(-1.25) <= ratio < 0.75
+
+
+_VARIANCE = MomentPolynomial(1, {LabeledTerm([[0, 0]]): 1, LabeledTerm([[0], [0]]): -1})
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [
+        lambda n: apply_S(_VARIANCE, n),
+        lambda n: apply_S_inverse(_VARIANCE, n),
+        lambda n: sampling_matrix(2, n),
+        lambda n: reduced_matrix(2, n),
+        lambda n: gamma_ratio(1, n),
+        lambda n: log_gamma_ratio(1, n),
+    ],
+    ids=["apply_S", "apply_S_inverse", "sampling_matrix", "reduced_matrix", "gamma_ratio",
+         "log_gamma_ratio"],
+)
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (True, "sample size must be an int, got True"),
+        (2.0, "sample size must be an int, got 2.0"),
+        (2.5, "sample size must be an int, got 2.5"),
+        (0, "sample size must be positive, got 0"),
+        (-3, "sample size must be positive, got -3"),
+    ],
+    ids=["True", "2.0", "2.5", "0", "-3"],
+)
+def test_operators_check_the_sample_size_as_step_schedule_does(operator, n, message):
+    # apply_S(F, True) and sampling_matrix(2, True) computed at N = 1, a float
+    # N met a bare TypeError from math.perm, and log_gamma_ratio(1, 0) was -inf
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        operator(n)
+
+
+def test_operators_check_the_order():
+    for operator in (reduced_matrix, gamma_ratio, log_gamma_ratio):
+        with pytest.raises(ValueError, match="order m must be positive, got 0"):
+            operator(0, 3)
+
+
+def test_resampling_keeps_one_law_per_operator_and_one_one_norm_loop():
+    # each operator is one weight-law function: no string-keyed weight table,
+    # the dense S and apply_S read the same S law, apply_S_inverse reads a
+    # law too, and one function walks a matrix's cells for the one-norm
+    tree = ast.parse(Path(resampling.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        and any(isinstance(key, ast.Constant) and isinstance(key.value, str) for key in node.keys)
+    ]
+
+    def law_passed(caller, callee):
+        # the law argument of caller's call to callee, as a module-level function name
+        (call,) = [
+            node for node in ast.walk(functions[caller])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == callee
+        ]
+        law = call.args[-1]
+        if isinstance(law, ast.Call) and ast.unparse(law.func) == "partial":
+            law = law.args[0]
+        assert isinstance(law, ast.Name) and law.id in functions, ast.unparse(call)
+        return law.id
+
+    s_law = law_passed("sampling_matrix", "_incidence_matrix")
+    assert law_passed("apply_S", "_merge_walk") == s_law
+    assert law_passed("apply_S_inverse", "_merge_walk") != s_law
+    cell_loops = {
+        name
+        for name, function in functions.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.For) and ".values" in ast.unparse(node.iter)
+    }
+    assert cell_loops == {"_one_norm"}
