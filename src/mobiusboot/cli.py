@@ -10,6 +10,8 @@ Exit codes: 0 success, 2 usage error, 3 infeasible inputs, 4 selftest failure.
 """
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -68,6 +70,12 @@ def _at_least(flag, value, low):
         raise UsageError(f"{flag} must be >= {low}, got {value}")
 
 
+def _check_steps(k):
+    _at_least("--k", k, 0)
+    if k >= 2**20:  # a step list of 2**20 entries is already 8 MB
+        raise UsageError(f"--k must be < 2**20, got {k}")
+
+
 def _out_base(args, default):
     path = Path(args.out or default)
     if path.suffix in (".csv", ".json"):
@@ -124,8 +132,9 @@ def cmd_smatrix(args, argv):
     return 0
 
 
-# what a malformed input JSON raises while it is read into library objects
-_JSON_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
+# what a malformed input JSON raises while it is read into library objects;
+# json.load raises RecursionError on deeply nested arrays or objects
+_JSON_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, RecursionError)
 
 
 def _load_functional(path):
@@ -199,7 +208,7 @@ def _parse_schedule(text, n, k):
 
 def cmd_bias(args, argv):
     _at_least("--n", args.n, 1)
-    _at_least("--k", args.k, 0)
+    _check_steps(args.k)
     F = _load_functional(args.functional)
     table, _ = _load_population(args.population, F)
     report = exact_bias(F, _parse_schedule(args.schedule, args.n, args.k), table)
@@ -214,7 +223,7 @@ def cmd_bias(args, argv):
 def cmd_mc_run(args, argv):
     if (args.data is None) == (args.population is None):
         raise UsageError("exactly one of --data or --population is required")
-    _at_least("--k", args.k, 0)
+    _check_steps(args.k)
     _at_least("--replicas", args.replicas, 1)
     if args.replicas >= 2**32:  # a replica's spawn key is one uint32 word
         raise UsageError(f"--replicas must be < 2**32, got {args.replicas}")
@@ -467,6 +476,12 @@ def main(argv=None):
     # numpy loads on the first Monte Carlo draw, and no route of the package
     # calls BLAS: an OpenBLAS thread pool would only spin and burn CPU
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # the interpreter's shutdown runs full cyclic collections over the whole
+    # heap, which the process exit frees anyway; frozen first, it is skipped.
+    # One registration per process, however often main runs; handlers
+    # registered before it still run, after it (last in, first out)
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

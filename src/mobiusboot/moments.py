@@ -592,23 +592,31 @@ def polynomial_from_dict(obj):
 def dataset_from_csv(path):
     """Read one sample per row, d numeric columns; a non-numeric line 1 is a header.
 
-    A non-numeric row after line 1 or a nan/inf cell raises ValueError naming
-    its line; blank lines are skipped.
+    A non-numeric row after line 1, a nan/inf cell or a line the csv module
+    cannot read (a field over its size limit) raises ValueError naming its
+    line of the file (a quoted field may span lines: the record's last);
+    blank lines are skipped.
     """
     import csv
 
     rows = []
     with open(path, newline="") as fh:
-        for line, record in enumerate(csv.reader(fh), 1):
-            if not record:
-                continue
-            try:
-                row = [float(v) for v in record]
-            except ValueError:
-                if line > 1:
-                    raise ValueError(f"{path}, line {line}: non-numeric row {record}") from None
-                continue  # header line
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{path}, line {line}: non-finite cell in {record}")
-            rows.append(row)
+        reader = csv.reader(fh)
+        try:
+            for record_no, record in enumerate(reader, 1):
+                if not record:
+                    continue
+                try:
+                    row = [float(v) for v in record]
+                except ValueError:
+                    if record_no > 1:
+                        raise ValueError(
+                            f"{path}, line {reader.line_num}: non-numeric row {record}"
+                        ) from None
+                    continue  # header line
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"{path}, line {reader.line_num}: non-finite cell in {record}")
+                rows.append(row)
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return Dataset(rows)

@@ -430,17 +430,23 @@ MC_DATA = ["mc-run", "--functional", "var.json", "--data", "data.csv", "--replic
         MC_POP + ["--n", "4", "--k", "1", "--seed", "-1"],
         MC_DATA + ["--k", "1", "--replicas", str(2**32)],
         MC_POP + ["--n", "4", "--k", "1", "--replicas", str(2**32)],
+        BIAS + ["--n", "4", "--k", str(2**20)],
+        MC_DATA + ["--k", str(2**20)],
+        MC_POP + ["--n", "4", "--k", str(2**20)],
     ],
     ids=[
         "smatrix-n0", "smatrix-reduced-n0", "smatrix-m0", "smatrix-reduced-m0", "bias-n0", "mc-population-n0",
         "bias-k-negative", "mc-data-k-negative", "mc-population-k-negative", "mc-replicas0",
         "mc-data-seed-negative", "mc-population-seed-negative",
         "mc-data-replicas-2^32", "mc-population-replicas-2^32",
+        "bias-k-2^20", "mc-data-k-2^20", "mc-population-k-2^20",
     ],
 )
 def test_integer_flags_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
     monkeypatch.chdir(workdir)
-    _assert_usage_error(main(argv + ["--out", "x"]), capsys)
+    err = _assert_usage_error(main(argv + ["--out", "x"]), capsys)
+    if str(2**20) in argv:
+        assert f"--k must be < 2**20, got {2**20}" in err
     assert not (workdir / "x.csv").exists()
 
 
@@ -460,17 +466,19 @@ def test_integer_flags_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
         json.dumps({"d": True, "terms": VARIANCE_JSON["terms"]}),
         json.dumps({"d": 1.5, "terms": VARIANCE_JSON["terms"]}),
         json.dumps({"d": 2, "terms": [{"blocks": [[True, 0]], "coeff": "1"}]}),
+        "[" * 200000 + "]" * 200000,
     ],
     ids=["unparsable", "no-d", "no-terms", "no-blocks", "no-coeff", "zero-denominator",
          "not-object", "nan-coeff", "inf-coeff", "bool-coeff", "bool-d", "float-d",
-         "bool-label"],
+         "bool-label", "deep-nesting"],
 )
 def test_malformed_functional_exit_2(workdir, monkeypatch, capsys, text):
     monkeypatch.chdir(workdir)
     (workdir / "bad.json").write_text(text)
     rc = main(["bias", "--functional", "bad.json", "--population", "pop.json",
                "--n", "4", "--k", "1", "--out", "x"])
-    _assert_usage_error(rc, capsys)
+    err = _assert_usage_error(rc, capsys)
+    assert err.startswith("error: malformed functional JSON bad.json: ")
 
 
 @pytest.mark.parametrize("extra", [[], ["--exhaustive"]], ids=["sampled", "exhaustive"])
@@ -656,15 +664,20 @@ def test_bounds_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
         "x\n-inf\n1.0\n",
         "x\n1/2\n-1\n2\n",
         "a\nb\n1\n",
+        "x\n0.0\n" + "1" * 131073 + "\n2.0\n",
     ],
-    ids=["text-after-data", "nan", "inf", "negative-inf", "fraction-after-header", "second-header"],
+    ids=["text-after-data", "nan", "inf", "negative-inf", "fraction-after-header", "second-header",
+         "oversized-field"],
 )
 def test_malformed_dataset_exit_2(workdir, monkeypatch, capsys, rows):
     monkeypatch.chdir(workdir)
     (workdir / "bad.csv").write_text(rows)
     rc = main(["mc-run", "--functional", "var.json", "--data", "bad.csv", "--k", "1",
                "--replicas", "10", "--out", "x"])
-    _assert_usage_error(rc, capsys)
+    err = _assert_usage_error(rc, capsys)
+    assert err.startswith("error: malformed dataset CSV: bad.csv, line ")
+    if len(rows) > 131072:
+        assert "line 3: field larger than field limit" in err
     assert not (workdir / "x.csv").exists()
 
 
@@ -690,10 +703,12 @@ def test_malformed_dataset_exit_2(workdir, monkeypatch, capsys, rows):
                                         {"block": [0, 0], "value": "1"},
                                         {"block": [0, 1], "value": "1"},
                                         {"block": [1, 0], "value": "2"}]}),
+        '{"family": "normal", "d": ' + "[" * 200000 + "]" * 200000 + "}",
     ],
     ids=["unparsable", "not-object", "no-moments", "no-d", "d-zero", "no-block",
          "block-not-list", "label-out-of-range", "no-value", "nan-string", "zero-denominator",
-         "nan-number", "inf-number", "null-value", "normal-d-not-int", "duplicate-block"],
+         "nan-number", "inf-number", "null-value", "normal-d-not-int", "duplicate-block",
+         "deep-nesting"],
 )
 def test_malformed_population_exit_2(workdir, monkeypatch, capsys, text):
     monkeypatch.chdir(workdir)
@@ -701,6 +716,7 @@ def test_malformed_population_exit_2(workdir, monkeypatch, capsys, text):
     rc = main(["bias", "--functional", "var.json", "--population", "bad.json",
                "--n", "4", "--k", "1", "--out", "x"])
     err = _assert_usage_error(rc, capsys)
+    assert err.startswith("error: malformed population JSON bad.json: ")
     if "[1, 0]" in text:
         assert "block [0, 1] is listed twice" in err
     assert not (workdir / "x.csv").exists()
@@ -761,6 +777,53 @@ def test_console_script_installed(workdir):
     assert proc.returncode == 0
     assert (workdir / "sub.csv").exists()
     assert (workdir / "sub.json").exists()
+
+
+# A child process: an exit handler registered before anything else, which
+# therefore runs after every later one, prints whether the heap is frozen
+# then; the child then runs `main` once per argv in sys.argv[1:].
+_FREEZE_PROBE = """
+import atexit, gc, json, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0, flush=True))
+from mobiusboot import cli
+for argv in map(json.loads, sys.argv[1:]):
+    assert cli.main(argv) == 0
+"""
+
+
+def _without_timestamp(path):
+    """An artifact's lines without its one timestamp line."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith((b"# timestamp: ", b' "timestamp": '))]
+    assert len(kept) == len(lines) - 1, path.name
+    return kept
+
+
+@pytest.mark.parametrize("runs", [0, 2])
+def test_main_freezes_the_heap_at_exit(tmp_path, monkeypatch, runs):
+    # main registers gc.freeze once per process, so the interpreter's shutdown
+    # collections skip the heap; importing the package registers nothing
+    argvs = [["lattice", "--m", "3", "--out", name] for name in ("a", "b")][:runs]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    (tmp_path / "child").mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, *map(json.dumps, argvs)],
+        cwd=tmp_path / "child",
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{runs > 0}\n"
+    (tmp_path / "here").mkdir()
+    monkeypatch.chdir(tmp_path / "here")
+    for argv in argvs:
+        assert main(argv) == 0
+        for suffix in (".csv", ".json"):
+            name = argv[-1] + suffix
+            assert _without_timestamp(tmp_path / "child" / name) == _without_timestamp(
+                tmp_path / "here" / name
+            )
 
 
 def test_cli_imports_no_private_name():
@@ -859,9 +922,7 @@ def test_dense_artifacts_keep_their_bytes(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main(list(argv)) == 0
     for name, digest in ARTIFACT_DIGESTS[argv].items():
-        lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
-        kept = [line for line in lines if not line.startswith((b"# timestamp: ", b' "timestamp": '))]
-        assert len(kept) == len(lines) - 1, name
+        kept = _without_timestamp(tmp_path / name)
         assert hashlib.sha256(b"".join(kept)).hexdigest() == digest, name
 
 

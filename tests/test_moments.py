@@ -611,6 +611,13 @@ def test_dataset_from_csv_only_line_1_is_a_header(tmp_path, text):
         dataset_from_csv(path)
 
 
+def test_dataset_from_csv_names_the_file_line_after_a_multi_line_field(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text('"a\nb"\n1\nx\n')
+    with pytest.raises(ValueError, match="line 4: non-numeric row"):
+        dataset_from_csv(path)
+
+
 def test_dataset_from_csv_without_header_keeps_every_row(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("0.5,1\n-1,2\n\n3,4e-3\n")
