@@ -27,7 +27,6 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import __version__
-from .lattice import _dense_row
 
 
 def _scalar(v):
@@ -57,24 +56,13 @@ def _is_plain(text):
 
 
 class _MatrixRows:
-    """The rows [label, *row] of a square IncidenceMatrix, rendered from its stored cells.
-
-    Iterating gives the rows as cells, like any table's rows; Artifact.write
-    calls render instead.
-    """
+    """The rows [label, *row] of a square IncidenceMatrix, rendered from its stored cells."""
 
     __slots__ = ("labels", "matrix")
 
     def __init__(self, labels, matrix):
         self.labels = labels
         self.matrix = matrix
-
-    def __iter__(self):
-        n = len(self.labels)
-        return (
-            [label, *_dense_row(cols, vals, n)]
-            for label, cols, vals in zip(self.labels, self.matrix.columns, self.matrix.values)
-        )
 
     def render(self):
         """Per row (line, text), its CSV line and its JSON text; or (None, cells).
@@ -84,13 +72,15 @@ class _MatrixRows:
         the zeros between them, sliced from one ',0' run and from its JSON
         counterpart.  That is exact for any stored columns: every cell the
         matrix does not store is the int 0, and int and Fraction texts are
-        plain.  Any other row comes as its cells, [label, *dense row], for
-        Artifact.write to print like every other table's rows.
+        plain.  Any other row comes as its cells, [label, *dense row] read from
+        the matrix's entries, for Artifact.write to print like every other
+        table's rows.
         """
         n = len(self.labels)
         zeros_csv = ",0" * n
         zeros_json = '",\n     "0' * n
-        for label, cols, vals in zip(self.labels, self.matrix.columns, self.matrix.values):
+        rows = zip(self.labels, self.matrix.columns, self.matrix.values)
+        for i, (label, cols, vals) in enumerate(rows):
             if type(label) is str and _is_plain(label) and _EXACT_TYPES.issuperset(map(type, vals)):
                 csv_parts, json_parts = [label], ['"' + label]
                 end = 0
@@ -103,7 +93,7 @@ class _MatrixRows:
                 json_parts += zeros_json[: 10 * (n - end)], '"'
                 yield "".join(csv_parts), "".join(json_parts)
             else:
-                yield None, [label, *_dense_row(cols, vals, n)]
+                yield None, [label, *self.matrix.entries[i]]
 
 
 class Artifact:

@@ -10,7 +10,6 @@ All combinatorics (Bell, Stirling, falling factorials) are exact integers.
 """
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm, prod
 from operator import itemgetter
@@ -286,10 +285,10 @@ class LatticeIndex:
 
 def _check_cap(m):
     if m < 1 or m > DEFAULT_CAP:
-        raise CapExceededError(
-            f"m={m} outside supported range 1..{DEFAULT_CAP} "
-            f"(Bell({m}) = {bell(max(m, 0))} partitions)"
-        )
+        # Bell(m) is named while it is short: the triangle is O(m^2) big-int
+        # additions, and Bell(2000) has more digits than str() prints
+        count = f" (Bell({m}) = {bell(m)} partitions)" if 0 <= m <= 20 else ""
+        raise CapExceededError(f"m={m} outside supported range 1..{DEFAULT_CAP}{count}")
 
 
 @lru_cache(maxsize=None)
@@ -354,36 +353,25 @@ class IncidenceMatrix:
     Row i stores columns[i], increasing column positions, and values[i]; every
     other cell is the int 0.  The builders store exactly support(), zero
     weights included: zeta, Moebius and S are elements of the order's incidence
-    algebra (Stanley, EC1, 3.6), and the level matrix is upper triangular.  The
-    constructor takes dense rows and stores every cell but an int or Fraction
-    0, so a bool or float zero, or a nonzero cell off the order, stays visible.
+    algebra (Stanley, EC1, 3.6), and the level matrix is upper triangular.
     """
 
     __slots__ = ("index", "columns", "values", "_entries")
 
-    def __init__(self, index, entries):
-        self.index = index
-        self.columns, self.values, self._entries = [], [], None
-        for row in entries:
-            cols = tuple(j for j, v in enumerate(row) if v != 0 or type(v) not in (int, Fraction))
-            self.columns.append(cols)
-            self.values.append([row[j] for j in cols])
-
-    @classmethod
-    def _stored(cls, index, columns, values):
-        """A matrix from its stored cells, the rows' columns increasing."""
-        matrix = cls.__new__(cls)
-        matrix.index, matrix.columns, matrix.values, matrix._entries = index, columns, values, None
-        return matrix
+    def __init__(self, index, columns, values):
+        self.index, self.columns, self.values, self._entries = index, columns, values, None
 
     @property
     def entries(self):
         """Dense rows, built on first access; Bell(8)^2 cells take 137 MB of list slots."""
         if self._entries is None:
             n = len(self.index)
-            self._entries = [
-                _dense_row(cols, vals, n) for cols, vals in zip(self.columns, self.values)
-            ]
+            self._entries = []
+            for cols, vals in zip(self.columns, self.values):
+                row = [0] * n
+                for j, v in zip(cols, vals):
+                    row[j] = v
+                self._entries.append(row)
         return self._entries
 
     def support(self):
@@ -407,14 +395,6 @@ class IncidenceMatrix:
             sum(v * vec[j] for j, v in zip(cols, vals) if v)
             for cols, vals in zip(self.columns, self.values)
         ]
-
-
-def _dense_row(cols, vals, n):
-    """One row of n cells: vals at cols, the int 0 elsewhere."""
-    row = [0] * n
-    for j, v in zip(cols, vals):
-        row[j] = v
-    return row
 
 
 def _incidence_matrix(index, weight):
@@ -441,7 +421,7 @@ def _incidence_matrix(index, weight):
             for row, w in zip(rows, weights):
                 appends[row](w)
         col += stirling2(m, b)
-    return IncidenceMatrix._stored(index, _support_rows(m), values)
+    return IncidenceMatrix(index, _support_rows(m), values)
 
 
 def zeta_matrix(m):

@@ -408,25 +408,28 @@ def exhaustive_estimate(F, data, coeffs):
     F must be symmetric in the rows (every MomentPolynomial is), so X^{j+1} is
     known by its row multiset, a sorted tuple of data's row indices.  The exact
     law of that multiset starts at data (X^1 is a redraw of data, as in
-    mc_estimate); each level pushes it through the C(2N-1, N) multinomial picks
-    and adds a_j E[F].  Linear in k: F is evaluated once per distinct multiset,
-    at most C(2N-1, N) times, and a state's picks are summed per target once,
-    not once per level.  The law holds integer counts of ordered paths over one
-    denominator, N^(N*level); each multiset's probability becomes one Fraction
-    when its level is summed, and Fraction times float is float(Fraction) *
-    float.  Exact on exact data.
+    mc_estimate), and each level pushes it through the C(2N-1, N) multinomial
+    picks; a state's picks are summed per target once, not once per level.
+    The law holds integer counts of ordered paths over N^(N*level), and each
+    multiset's chain weight sum_j a_j P(X^{j+1} = multiset) is summed in
+    integers over one denominator.  Linear in k: F is then read once per
+    multiset, at most C(2N-1, N) times, and the weighted values are summed
+    once, exactly, in the order the multisets were first reached.  On float
+    data the sum is rounded once, so F's own roundings are the only others
+    and the a_j's cancellation costs no digits; a nan or inf value makes the
+    sum a float from there on.  Each a_j is taken as an exact Fraction, so a
+    float a_j must be finite.  Exact on exact data.
     """
     _check_data(data)
-    coeffs = _chain_coefficients(coeffs)
+    coeffs = [Fraction(a) for a in _chain_coefficients(coeffs)]
     fn = _as_functional(F)
     n = data.n
     picks = _multiset_picks(n)
+    den = math.lcm(*(a.denominator for a in coeffs)) * n ** (n * len(coeffs))
     law = {tuple(range(n)): 1}
     moves = {}
-    values = {}
-    den = 1
-    total = 0
-    for a in coeffs:
+    weights = {}
+    for level, a in enumerate(coeffs, 1):
         nxt = {}
         for rows, p in law.items():
             if rows not in moves:
@@ -436,15 +439,17 @@ def exhaustive_estimate(F, data, coeffs):
             for key, w in moves[rows].items():
                 nxt[key] = nxt.get(key, 0) + p * w
         law = nxt
-        den *= n**n
-        # a plain loop, not sum(): from Python 3.12 sum compensates float sums
-        level = 0
+        scale = a.numerator * (den // (a.denominator * n ** (n * level)))
         for rows, p in law.items():
-            if rows not in values:
-                values[rows] = fn(Dataset._picked(data, rows))
-            level += Fraction(p, den) * values[rows]
-        total += a * level
-    return total
+            weights[rows] = weights.get(rows, 0) + p * scale
+    # one exact sum of the finite values, rounded once if any was a float
+    total, floats = 0, False
+    for rows, w in weights.items():
+        v = fn(Dataset._picked(data, rows))
+        if isinstance(v, float) and math.isfinite(v):
+            v, floats = Fraction(v), True
+        total += Fraction(w, den) * v
+    return float(total) if floats else total
 
 
 def chain_expectation(F, coeffs, data):

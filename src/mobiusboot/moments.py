@@ -595,12 +595,13 @@ def dataset_from_csv(path):
     A non-numeric row after line 1, a nan/inf cell or a line the csv module
     cannot read (a field over its size limit) raises ValueError naming its
     line of the file (a quoted field may span lines: the record's last);
-    blank lines are skipped.
+    blank lines are skipped.  The file is read as UTF-8, and a byte-order mark
+    before line 1 is dropped, so it cannot turn a first row into a header.
     """
     import csv
 
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             for record_no, record in enumerate(reader, 1):

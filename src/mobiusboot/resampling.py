@@ -217,7 +217,7 @@ def reduced_matrix(m, n):
         [Fraction(stirling2(j, i) * falling_factorial(n, i), n**j) for j in range(i, m + 1)]
         for i in range(1, m + 1)
     ]
-    return IncidenceMatrix._stored(range(1, m + 1), columns, values)
+    return IncidenceMatrix(range(1, m + 1), columns, values)
 
 
 def _check_order_and_size(m, n):

@@ -13,9 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from mobiusboot import resampling
-from mobiusboot.artifact import _scalar
+from mobiusboot.artifact import _MatrixRows, _scalar
 from mobiusboot.lattice import (
     DimensionError,
+    IncidenceMatrix,
     _mobius_weight,
     _rgs_strings,
     enumerate_partitions,
@@ -117,6 +118,18 @@ def reduced_entries(m, n):
         ]
         for i in range(1, m + 1)
     ]
+
+
+def matrix_from_rows(index, entries):
+    """An IncidenceMatrix over index from dense rows, storing every cell but an
+    int or Fraction 0, so a bool or float zero, or a nonzero cell off the
+    order, stays stored where matvec, the one-norm and the writer read it."""
+    columns, values = [], []
+    for row in entries:
+        cols = tuple(j for j, v in enumerate(row) if v != 0 or type(v) not in (int, Fraction))
+        columns.append(cols)
+        values.append([row[j] for j in cols])
+    return IncidenceMatrix(index, columns, values)
 
 
 def assert_stored_cells(matrix, want):
@@ -324,12 +337,15 @@ def chain_values(F, source, n, coeffs, replicas, seed):
 
 # -- the artifact writer that rendered every cell before writing anything ---------
 
+def matrix_rows(labels, matrix):
+    """[label, *dense row] per row of an IncidenceMatrix, read from its entries."""
+    return ([label, *row] for label, row in zip(labels, matrix.entries))
+
+
 def matrix_table(artifact, name, labels, matrix):
     """Artifact.add_matrix's table as plain rows, so that Artifact.write renders each
     matrix row cell by cell, as it renders every other table."""
-    artifact.add_table(
-        name, ["row"] + labels, ([label, *row] for label, row in zip(labels, matrix.entries))
-    )
+    artifact.add_table(name, ["row"] + labels, matrix_rows(labels, matrix))
 
 
 def write_artifact(artifact, base, stamp):
@@ -337,12 +353,16 @@ def write_artifact(artifact, base, stamp):
 
     Every cell goes through _scalar into lists, the CSV is built in a
     StringIO, and the JSON mirror is json.dump(payload, indent=1) plus a
-    newline.  STAMP stands in for the write time.
+    newline.  A matrix table's rows are read from its matrix's entries.
+    STAMP stands in for the write time.
     """
-    tables = [
-        {"name": name, "columns": list(columns), "rows": [[_scalar(v) for v in row] for row in rows]}
-        for name, columns, rows in artifact.tables
-    ]
+    tables = []
+    for name, columns, rows in artifact.tables:
+        if isinstance(rows, _MatrixRows):
+            rows = matrix_rows(rows.labels, rows.matrix)
+        tables.append(
+            {"name": name, "columns": list(columns), "rows": [[_scalar(v) for v in row] for row in rows]}
+        )
     buf = io.StringIO()
     for key, val in artifact.provenance.items():
         buf.write(f"# {key}: {val}\n")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -149,6 +150,25 @@ def test_mc_exhaustive_deep_chain_matches_target(workdir):
     assert value == pytest.approx(target, rel=1e-12)
 
 
+def test_mc_exhaustive_long_chain_on_float_data_matches_target(workdir):
+    # 80 unit steps: the chain coefficients cancel over many orders of magnitude
+    (workdir / "four.csv").write_text("0.5\n1.25\n-2.0\n3.5\n")
+    rc = main(
+        [
+            "mc-run",
+            "--functional", str(workdir / "var.json"),
+            "--data", str(workdir / "four.csv"),
+            "--k", "80",
+            "--exhaustive",
+            "--out", str(workdir / "long"),
+        ]
+    )
+    assert rc == 0
+    _, rows = _rows(workdir / "long.csv", "exhaustive")
+    value, target = float(rows[0][1]), float(rows[0][2])
+    assert value == pytest.approx(target, rel=1e-12, abs=0)
+
+
 def test_mc_estimate_near_target(workdir):
     out = workdir / "mc"
     rc = main(
@@ -252,6 +272,32 @@ def test_exit_code_usage(workdir):
 
 def test_exit_code_cap(workdir):
     assert main(["lattice", "--m", "40", "--out", str(workdir / "x")]) == 2
+
+
+def test_cap_of_a_large_m_exits_2_with_one_error_line(workdir, capsys):
+    # Bell(2000) has more digits than str() of an int prints
+    assert main(["lattice", "--m", "2000", "--out", str(workdir / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: m=2000 outside supported range 1..8\n"
+    assert not (workdir / "x.csv").exists()
+
+
+def test_cap_of_a_huge_m_exits_2_at_once(workdir):
+    # the cap check computes no Bell number of a huge m (an O(m^2) triangle)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobiusboot.cli", "smatrix", "--m", "1000000", "--n", "3",
+         "--out", str(workdir / "x")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stderr == "error: m=1000000 outside supported range 1..8\n"
+    assert elapsed < 1, elapsed
 
 
 @pytest.mark.parametrize(
@@ -1021,7 +1067,7 @@ def _hand_built(m):
     entries[3][0] = 1.0  # a float cell on the support
     entries[4][n - 1] = Fraction(0)  # a Fraction zero off the order prints 0
     entries[5][0] = "7"  # a str cell on the support
-    return lattice.IncidenceMatrix(M.index, entries)
+    return oracles.matrix_from_rows(M.index, entries)
 
 
 def test_matrix_rows_off_support_fall_back_to_per_cell_route(tmp_path, monkeypatch):
@@ -1066,7 +1112,7 @@ def _square_matrices(draw):
     s = draw(st.integers(0, 5))
     entries = draw(st.lists(st.lists(_CELLS, min_size=s, max_size=s), min_size=s, max_size=s))
     labels = draw(st.lists(_LABELS, min_size=s, max_size=s))
-    return labels, lattice.IncidenceMatrix(range(1, s + 1), entries)
+    return labels, oracles.matrix_from_rows(range(1, s + 1), entries)
 
 
 @settings(
@@ -1102,7 +1148,7 @@ def test_identity_check_sees_a_zeta_cell_off_the_order():
     entries = [list(row) for row in Z.entries]
     entries[0][-1] = 1  # finest row, coarsest column
     assert selftest._is_identity(Z, lattice.mobius_matrix(3))
-    assert not selftest._is_identity(lattice.IncidenceMatrix(Z.index, entries), lattice.mobius_matrix(3))
+    assert not selftest._is_identity(oracles.matrix_from_rows(Z.index, entries), lattice.mobius_matrix(3))
 
 
 def test_one_norm_check_builds_one_S_per_m_and_n(monkeypatch):
@@ -1122,7 +1168,7 @@ def test_one_norm_check_builds_one_S_per_m_and_n(monkeypatch):
         S = real(m, n)
         entries = [list(row) for row in S.entries]
         entries[-1][0] += Fraction(1, n**m)
-        return lattice.IncidenceMatrix(S.index, entries)
+        return oracles.matrix_from_rows(S.index, entries)
 
     monkeypatch.setattr(selftest, "sampling_matrix", shifted)
     with pytest.raises(selftest.SelfTestFailure, match="one-norm"):

@@ -1,11 +1,14 @@
 """Partition lattice: enumeration order, refinement axioms, zeta/Mobius."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mobiusboot import artifact, lattice
 from mobiusboot.lattice import (
     CapExceededError,
     DimensionError,
@@ -105,6 +108,13 @@ def test_cap_errors_name_bell():
         enumerate_partitions(9)
     with pytest.raises(CapExceededError):
         enumerate_partitions(0)
+
+
+def test_cap_error_of_a_large_m_names_no_bell_number():
+    # Bell(2000) has over 4300 digits, more than str() of an int prints
+    with pytest.raises(CapExceededError) as info:
+        enumerate_partitions(2000)
+    assert str(info.value) == "m=2000 outside supported range 1..8"
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
@@ -338,7 +348,7 @@ def test_zeta_and_mobius_stored_cells_match_per_cell_oracle(m):
         oracles.assert_stored_cells(matrix, want)
 
 
-# one value of each kind the constructor may see, with whether it is stored
+# one value of each kind a dense row may hold, with whether matrix_from_rows stores it
 ROUND_TRIP_CELLS = [
     (0, False),
     (Fraction(0), False),
@@ -359,18 +369,63 @@ def test_constructor_round_trip(value, stored, where):
     dense = [list(row) for row in Z.entries]
     i, j = (4, 2) if where == "on-the-order" else (0, 4)
     dense[i][j] = value
-    M = IncidenceMatrix(Z.index, dense)
-    assert (j in M.columns[i]) is stored
-    for row, cols in enumerate(M.columns):
+    planted = oracles.matrix_from_rows(Z.index, dense)
+    assert (j in planted.columns[i]) is stored
+    for row, cols in enumerate(planted.columns):
         assert list(cols) == sorted(cols)
         if row != i:
             assert cols == Z.columns[row]
+    # the one constructor holds the cells it is given, as they are
+    M = IncidenceMatrix(planted.index, planted.columns, planted.values)
+    assert (M.index, M.columns, M.values) == (Z.index, planted.columns, planted.values)
+    if stored:
+        assert M.values[i][M.columns[i].index(j)] is value
     back = M.entries
     # every cell comes back as it went in, but an int or Fraction 0 comes back as the int 0
     want = value if stored else 0
     assert back[i][j] == want and type(back[i][j]) is type(want)
     assert back == dense
+    for row, cols in zip(back, M.columns):
+        assert all(type(row[c]) is int and row[c] == 0 for c in set(range(len(row))) - set(cols))
     assert M.entries is back  # built once
+
+
+def test_incidence_matrix_has_one_constructor_from_its_stored_cells():
+    # IncidenceMatrix(index, columns, values) is the only way to build one: no
+    # dense-rows constructor, no classmethod, no two-argument call in src/;
+    # the writer reads no private lattice name and no dense-row iterator
+    def classes(module):
+        tree = ast.parse(Path(module.__file__).read_text())
+        return tree, {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    _, lattice_classes = classes(lattice)
+    methods = {
+        node.name: node for node in lattice_classes["IncidenceMatrix"].body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not [
+        name for name, node in methods.items()
+        if any(ast.unparse(d) == "classmethod" for d in node.decorator_list)
+    ]
+    assert [a.arg for a in methods["__init__"].args.args] == ["self", "index", "columns", "values"]
+    calls = [
+        node
+        for path in sorted(Path(lattice.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("IncidenceMatrix")
+    ]
+    assert calls and all(len(call.args) + len(call.keywords) == 3 for call in calls)
+    tree, artifact_classes = classes(artifact)
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "lattice"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    rows_methods = [n.name for n in artifact_classes["_MatrixRows"].body if isinstance(n, ast.FunctionDef)]
+    assert "__iter__" not in rows_methods
 
 
 def test_mobius_m8_from_stored_cells():

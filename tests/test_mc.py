@@ -248,6 +248,25 @@ def test_exhaustive_evaluates_each_multiset_once():
     assert len(calls) == math.comb(7, 4) == len(set(calls))
 
 
+@pytest.mark.parametrize("k", [20, 40, 80])
+def test_exhaustive_keeps_its_digits_on_float_data_as_k_grows(k):
+    # the a_j of k unit steps alternate in sign and grow with k: each
+    # multiset's chain weight is summed exactly, so their cancellation costs
+    # no digits; summed in floats level by level it cost about log10 sum|a_j|
+    data = Dataset([[0.5], [1.25], [-2.0], [3.5]])
+    coeffs = expansion_coefficients(StepSchedule.unit(4, k))
+    got = exhaustive_estimate(variance_poly(), data, coeffs)
+    assert type(got) is float
+    assert got == pytest.approx(chain_expectation(variance_poly(), coeffs, data), rel=1e-12, abs=0)
+
+
+def test_exhaustive_keeps_a_non_finite_value():
+    # the exact sum takes finite floats only: inf stays inf, and inf - inf is nan
+    data = Dataset([[0.5], [1.25], [-2.0]])
+    assert exhaustive_estimate(lambda ds: math.inf, data, (1,)) == math.inf
+    assert math.isnan(exhaustive_estimate(lambda ds: math.inf, data, (1, -1)))
+
+
 def test_exhaustive_unbiased_after_default_schedule():
     # two default steps at m=2: the chain estimator's exact expectation
     # equals the plug-in value on the source data

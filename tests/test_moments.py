@@ -624,6 +624,16 @@ def test_dataset_from_csv_without_header_keeps_every_row(tmp_path):
     assert dataset_from_csv(path).rows == ((0.5, 1.0), (-1.0, 2.0), (3.0, 0.004))
 
 
+def test_dataset_from_csv_drops_a_byte_order_mark(tmp_path):
+    # a UTF-8 BOM before a number does not make line 1 a header, and a BOM
+    # before a header does not keep it from being one
+    path = tmp_path / "rows.csv"
+    path.write_bytes("\ufeff0.5\n1.25\n-2.0\n".encode("utf-8"))
+    assert dataset_from_csv(path).rows == ((0.5,), (1.25,), (-2.0,))
+    path.write_bytes("\ufeffx,y\n1.0,2.0\n3.5,-1.0\n".encode("utf-8"))
+    assert dataset_from_csv(path).rows == ((1.0, 2.0), (3.5, -1.0))
+
+
 def test_conversion_rejects_mismatched_sizes():
     with pytest.raises(DimensionError):
         mobius_matrix(3).matvec([1, 2])

@@ -15,7 +15,6 @@ from mobiusboot import resampling
 from mobiusboot.debias import StepSchedule
 from mobiusboot.lattice import (
     DimensionError,
-    IncidenceMatrix,
     LatticeIndex,
     enumerate_partitions,
     falling_factorial,
@@ -205,7 +204,7 @@ def _tampered_sampling_matrix(kind):
         else:
             # finest row, coarsest column: the finest partition is not coarser
             entries[0][-1] = Fraction(1, n)
-        return IncidenceMatrix(S.index, entries)
+        return oracles.matrix_from_rows(S.index, entries)
 
     return build
 
@@ -440,7 +439,7 @@ def test_one_norm_sums_each_column_in_row_order():
     # is 1e16 + 2, in any order that takes the diagonal first 1e16 + 1 rounds
     # to 1e16 before the second 1.0 comes in
     entries = [[0.0, 0, -1.0], [0, 0.5, 1.0], [0.125, 0.25, -1e16]]
-    S = IncidenceMatrix(range(1, 4), entries)
+    S = oracles.matrix_from_rows(range(1, 4), entries)
     want = max(
         sum(abs((1 if i == j else 0) - 1.0 * entries[i][j]) for i in range(3)) for j in range(3)
     )
@@ -475,7 +474,7 @@ def _dense_one_norm(entries, eta):
 )
 def test_one_norm_exact_cells_match_dense_scan(entries, eta):
     # any exact cells, zeros and cells off the order included, and any exact eta
-    S = IncidenceMatrix(range(1, len(entries) + 1), entries)
+    S = oracles.matrix_from_rows(range(1, len(entries) + 1), entries)
     got = resampling._one_norm(S, eta)
     assert type(got) is Fraction and got == _dense_one_norm(entries, eta)
 
@@ -483,7 +482,7 @@ def test_one_norm_exact_cells_match_dense_scan(entries, eta):
 def test_one_norm_exact_eta_on_float_cells_keeps_row_order():
     # an int eta on float cells is float work: the same sums as a float eta
     entries = [[0.0, 0, -1.0], [0, 0.5, 1.0], [0.125, 0.25, -1e16]]
-    S = IncidenceMatrix(range(1, 4), entries)
+    S = oracles.matrix_from_rows(range(1, 4), entries)
     assert repr(resampling._one_norm(S, 1)) == repr(_dense_one_norm(entries, 1)) == repr(1e16 + 2)
 
 
@@ -511,7 +510,7 @@ def test_one_norm_direct_reads_a_nonzero_off_the_order(monkeypatch, m, n):
         S = real(m, n)
         entries = [list(row) for row in S.entries]
         entries[0][-1] = Fraction(5, 2)
-        return IncidenceMatrix(S.index, entries)
+        return oracles.matrix_from_rows(S.index, entries)
 
     monkeypatch.setattr(resampling, "sampling_matrix", build)
     entries = build(m, n).entries
