@@ -23,6 +23,7 @@ from . import __version__
 from .artifact import Artifact
 from .lattice import (
     CapExceededError,
+    check_block_cap,
     cover_edges,
     enumerate_partitions,
     format_partition,
@@ -74,6 +75,11 @@ def _check_steps(k):
     _at_least("--k", k, 0)
     if k >= 2**20:  # a step list of 2**20 entries is already 8 MB
         raise UsageError(f"--k must be < 2**20, got {k}")
+
+
+# one replica of mc-run --population holds its N x d root cells and k x N link
+# picks as Python objects, about 200 bytes a cell: 2**20 cells peak near 220 MB
+_DRAW_CAP = 2**20
 
 
 def _out_base(args, default):
@@ -138,11 +144,14 @@ _JSON_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowErro
 
 
 def _load_functional(path):
+    """The functional JSON at path, held to the block cap before any of its merges is built."""
     with open(path) as fh:
         try:
-            return polynomial_from_dict(json.load(fh))
+            F = polynomial_from_dict(json.load(fh))
         except _JSON_ERRORS as exc:
             raise UsageError(f"malformed functional JSON {path}: {exc!r}") from None
+    check_block_cap(F.terms)
+    return F
 
 
 def _normal_table(d, F):
@@ -286,6 +295,11 @@ def _mc_population_table(args, F):
             "population JSON without a sampling family cannot be simulated;"
             " use the bias subcommand for exact trajectories"
         )
+    cells = args.n * (table.d + args.k)
+    if cells > _DRAW_CAP:
+        raise UsageError(
+            f"one replica draws --n x (d + --k) = {cells} cells; at most 2**20 are supported"
+        )
     schedule = _parse_schedule(args.schedule, args.n, args.k)
     rows = mc_mod.bias_experiment(
         F, table, schedule, args.replicas, seed=args.seed, sampler=sampler
@@ -337,6 +351,8 @@ def _bounds_table(args):
     if not args.alpha > 0:
         raise UsageError(f"--alpha must be > 0, got {args.alpha}")
     _at_least("--m-max", args.m_max, 1)
+    if args.m_max > 4096:  # row m sums m log1p terms: 4096 rows take about 1 s
+        raise UsageError(f"--m-max must be <= 4096, got {args.m_max}")
     rows = []
     for m in range(1, args.m_max + 1):
         n = linear_regime_size(m, args.alpha)

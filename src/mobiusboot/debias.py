@@ -24,6 +24,7 @@ from .moments import (
     MomentTable,
     _check_sample_size,
     _is_exact,
+    _scaled,
     evaluate,
     reachable_blocks,
 )
@@ -168,24 +169,24 @@ def _step(g, eta, F, Sg):
     """The next iterate g + eta*(F - Sg), as nonstationary_debias forms it.
 
     For an exact g, F and eta = p/q, one integer pass over one common
-    denominator: with D the lcm of the coefficients' denominators, each term
-    sums q*D*g_t + p*D*F_t - p*D*Sg_t and becomes one Fraction over q*D.
+    denominator: with D the lcm of the coefficients' denominators (_scaled),
+    each term sums q*D*g_t + p*D*F_t - p*D*Sg_t and becomes one Fraction
+    over q*D.
     The terms come in the order the operator arithmetic leaves them (g's,
     then F's, then Sg's, zeros dropped), which keeps every merge plan key.
     Any other step takes that arithmetic.
     """
     if not (g.exact and F.exact and _is_exact(eta)):
         return g + eta * (F - Sg)
-    eta = Fraction(eta)
-    p, q = eta.numerator, eta.denominator
-    den = math.lcm(*{c.denominator for P in (g, F, Sg) for c in P.terms.values()})
+    p, q = Fraction(eta).as_integer_ratio()
+    nums, den = _scaled(c.as_integer_ratio() for P in (g, F, Sg) for c in P.terms.values())
+    nums = iter(nums)
     sums = {}
-    for P, w in ((g, q * den), (F, p * den), (Sg, -p * den)):
-        for t, c in P.terms.items():
-            sums[t] = sums.get(t, 0) + w // c.denominator * c.numerator
-    common = q * den
+    for P, w in ((g, q), (F, p), (Sg, -p)):
+        for t, num in zip(P.terms, nums):  # the terms first: zip stops at their end
+            sums[t] = sums.get(t, 0) + w * num
     return MomentPolynomial._validated(
-        g.d, ((t, Fraction(s, common)) for t, s in sums.items()), True
+        g.d, ((t, Fraction(s, q * den)) for t, s in sums.items()), True
     )
 
 

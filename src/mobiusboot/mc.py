@@ -54,6 +54,7 @@ from .moments import (
     MomentTable,
     _is_int,
     _pick_evaluator,
+    _scaled,
     evaluate,
     reachable_blocks,
 )
@@ -421,15 +422,15 @@ def exhaustive_estimate(F, data, coeffs):
     float a_j must be finite.  Exact on exact data.
     """
     _check_data(data)
-    coeffs = [Fraction(a) for a in _chain_coefficients(coeffs)]
+    coeffs = [Fraction(a).as_integer_ratio() for a in _chain_coefficients(coeffs)]
     fn = _as_functional(F)
     n = data.n
     picks = _multiset_picks(n)
-    den = math.lcm(*(a.denominator for a in coeffs)) * n ** (n * len(coeffs))
+    scales, den = _scaled((a, q * n ** (n * level)) for level, (a, q) in enumerate(coeffs, 1))
     law = {tuple(range(n)): 1}
     moves = {}
     weights = {}
-    for level, a in enumerate(coeffs, 1):
+    for scale in scales:
         nxt = {}
         for rows, p in law.items():
             if rows not in moves:
@@ -439,7 +440,6 @@ def exhaustive_estimate(F, data, coeffs):
             for key, w in moves[rows].items():
                 nxt[key] = nxt.get(key, 0) + p * w
         law = nxt
-        scale = a.numerator * (den // (a.denominator * n ** (n * level)))
         for rows, p in law.items():
             weights[rows] = weights.get(rows, 0) + p * scale
     # one exact sum of the finite values, rounded once if any was a float

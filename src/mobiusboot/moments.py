@@ -29,6 +29,19 @@ def _is_exact(x):
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _scaled(ratios):
+    """(numerators, den) of (p, q) int pairs: den is the lcm of the q's, p/q = numerator/den.
+
+    The numerators come in the pairs' order, and no pairs give ([], 1).  Every
+    exact result built as integer numerators over one denominator is built
+    here.  It takes pairs rather than Fractions, so a q may be a product of
+    denominators that no gcd has normalised.
+    """
+    ratios = list(ratios)
+    den = math.lcm(*{q for _, q in ratios})
+    return [p * (den // q) for p, q in ratios], den
+
+
 # cell types that Dataset keeps as they are; numpy registers its scalars with
 # the numbers ABCs, so _cell converts them without importing numpy
 _SCALARS = frozenset((int, float, Fraction, bool))
@@ -275,13 +288,12 @@ class Dataset:
     def d(self):
         return len((self.root or self).rows[0])
 
-    def _moments(self, pairs):
+    def _moments(self):
         """The block-moment reader: block -> the root's column summed at the picks, over n.
 
         A float column sums in row order from 0 (the built-in sum compensates
         from Python 3.12 on), so the bits hold on every version.  An exact
-        column sums its integer numerators: with pairs the reader gives (that
-        sum, denominator * n), otherwise their Fraction.
+        column sums its integer numerators into one Fraction over denominator * n.
         """
         root = self.root or self
         columns = root.columns
@@ -295,8 +307,7 @@ class Dataset:
             column = columns.get(block) or _column(root, block)
             if exact:
                 numerators, den = column
-                s = sum(map(numerators.__getitem__, picks))
-                return (s, den * n) if pairs else Fraction(s, den * n)
+                return Fraction(sum(map(numerators.__getitem__, picks)), den * n)
             s = 0
             for i in picks:
                 s += column[i]
@@ -338,16 +349,9 @@ class MomentTable:
         except KeyError:
             raise MissingMomentError(f"moment table has no entry for block {key}") from None
 
-    def _moments(self, pairs):
-        """The block-moment reader: moment, or with pairs, (numerator, denominator) of it."""
-        if not pairs:
-            return self.moment
-
-        def pair(block):
-            m = self.moment(block)
-            return m.numerator, m.denominator
-
-        return pair
+    def _moments(self):
+        """The block-moment reader: the table's moment method."""
+        return self.moment
 
     @classmethod
     def normal(cls, d, blocks):
@@ -375,7 +379,7 @@ class MomentTable:
         its moment is read, so at most one new column is alive at a time.
         """
         columns = (data.root or data).columns
-        moment = data._moments(False)
+        moment = data._moments()
         values = {}
         for block in map(tuple, blocks):
             kept = block in columns
@@ -410,8 +414,7 @@ def _column(root, block):
         for lab in block:
             column = [p * row[lab] for p, row in zip(column, rows)]
     if root.exact:
-        den = math.lcm(*[p.denominator for p in column])
-        column = [p.numerator * (den // p.denominator) for p in column], den
+        column = _scaled(p.as_integer_ratio() for p in column)
     root.columns[block] = column
     return column
 
@@ -421,7 +424,7 @@ def empirical_moment(data, block):
 
     Dataset._moments reads it: a Fraction on exact data, a float otherwise.
     """
-    return Dataset._moments(data, False)(tuple(block))
+    return Dataset._moments(data)(tuple(block))
 
 
 def evaluate(F, population):
@@ -435,9 +438,8 @@ def evaluate(F, population):
     """
     if not isinstance(population, (Dataset, MomentTable)):
         raise TypeError(f"cannot evaluate against {type(population).__name__}")
-    exact = F.exact and population.exact
-    moment = population._moments(exact)
-    return _exact_value(F, moment) if exact else _term_sum(F, moment)
+    moment = population._moments()
+    return _exact_value(F, moment) if F.exact and population.exact else _term_sum(F, moment)
 
 
 def _term_sum(F, moment):
@@ -463,30 +465,30 @@ def _term_sum(F, moment):
 def _exact_value(F, moment):
     """evaluate of an exact F whose block moments are exact, summed in integers.
 
-    moment(block) gives a block's moment as a pair (numerator, denominator)
-    of ints.  It is called once per distinct block, in the order the
-    per-term loop reads them, so a missing block raises there first.  Each
-    term's product is an integer numerator over an integer denominator, the
-    terms with one denominator add up first, and those sums add over the lcm
-    of the denominators into one Fraction.  Fractions are normalised, so it
-    is the Fraction that adding the terms as Fractions gives.  An F with no
-    terms is the int 0, as that sum from 0 is.
+    moment(block) gives a block's moment, an int or a Fraction, read as its
+    (numerator, denominator).  It is called once per distinct block, in the
+    order the per-term loop reads them, so a missing block raises there
+    first.  Each term's product is an integer numerator over an integer
+    denominator, the terms with one denominator add up first, and those sums
+    add over one denominator (_scaled) into one Fraction.  Fractions are
+    normalised, so it is the Fraction that adding the terms as Fractions
+    gives.  An F with no terms is the int 0, as that sum from 0 is.
     """
     if not F.terms:
         return 0
     cache = {}
     sums = {}
     for term, coeff in F.terms.items():
-        num, den = coeff.numerator, coeff.denominator
+        num, den = coeff.as_integer_ratio()
         for block in term:
             m = cache.get(block)
             if m is None:
-                m = cache[block] = moment(block)
+                m = cache[block] = moment(block).as_integer_ratio()
             num *= m[0]
             den *= m[1]
         sums[den] = sums.get(den, 0) + num
-    common = math.lcm(*sums)
-    return Fraction(sum(s * (common // den) for den, s in sums.items()), common)
+    nums, common = _scaled((s, den) for den, s in sums.items())
+    return Fraction(sum(nums), common)
 
 
 def _pick_evaluator(F, data):
@@ -597,11 +599,24 @@ def dataset_from_csv(path):
     line of the file (a quoted field may span lines: the record's last);
     blank lines are skipped.  The file is read as UTF-8, and a byte-order mark
     before line 1 is dropped, so it cannot turn a first row into a header.
+    A byte that is not UTF-8 raises ValueError naming its line, counted as
+    csv counts lines (a line ends at \n, \r\n or \r).
     """
     import csv
+    import io
 
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(b"\xef\xbb\xbf")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(
+            f"{path}, line {line}: byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+        ) from None
     rows = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             for record_no, record in enumerate(reader, 1):

@@ -19,12 +19,14 @@ import math
 from array import array
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import islice
 
 from .lattice import (
     IncidenceMatrix,
     _groupings,
     _incidence_matrix,
     _mobius_weight,
+    check_block_cap,
     enumerate_partitions,
     falling_factorial,
     stirling2,
@@ -37,6 +39,7 @@ from .moments import (
     MomentPolynomial,
     _check_sample_size,
     _is_exact,
+    _scaled,
     evaluate,
 )
 
@@ -108,17 +111,19 @@ def _merge_plan(terms, law, n):
     _groupings(b) order.  levels[b] = (numerators, denominator, floats) holds
     those weights: the lcm of their denominators, each weight as an int
     numerator over it, and float(weight) for float coefficients.  A merge
-    reads its blocks from the term's unions by the grouping's masks.
+    reads its blocks from the term's unions by the grouping's masks.  A term
+    of more than BLOCK_CAP blocks raises CapExceededError before any table
+    is built.
     """
+    check_block_cap(terms)
     picks, levels, position, lands = {}, {}, {}, array("I")
     for term in terms:
         b = len(term)
         if b not in levels:
             rows = [(masks, w) for rgs, k, masks in _groupings(b) if (w := law(n, b, k, rgs))]
             picks[b] = [masks for masks, _ in rows]
-            den = math.lcm(*(w.denominator for _, w in rows))
-            nums = tuple(w.numerator * (den // w.denominator) for _, w in rows)
-            levels[b] = nums, den, tuple(float(w) for _, w in rows)
+            nums, den = _scaled(w.as_integer_ratio() for _, w in rows)
+            levels[b] = tuple(nums), den, tuple(float(w) for _, w in rows)
         union = term.unions().__getitem__
         for masks in picks[b]:
             merged = sorted(map(union, masks))
@@ -150,11 +155,12 @@ def _merge_walk(F, n, law):
     sums = [0] * len(merged)
     lands = iter(lands)
     if F.exact:
-        common = math.lcm(*{c.denominator * levels[len(t)][1] for t, c in F.terms.items()})
-        for term, coeff in F.terms.items():
-            nums, den, _ = levels[len(term)]
-            c = coeff.numerator * (common // (coeff.denominator * den))
-            for w, i in zip(nums, lands):  # nums first: zip stops without taking a land
+        coeffs, common = _scaled(
+            (c.numerator, c.denominator * levels[len(t)][1]) for t, c in F.terms.items()
+        )
+        for term, c in zip(F.terms, coeffs):
+            # the weights first: zip stops at their end without taking a land
+            for w, i in zip(levels[len(term)][0], lands):
                 sums[i] += c * w
         out = ((t, Fraction(s, common)) for t, s in zip(merged, sums))
     else:
@@ -248,27 +254,25 @@ def _one_norm(S, eta):
     A column's sum runs over its diagonal cell and its nonzero stored cells:
     any other cell adds exactly 0.  The rows are read in order and each cell
     is added to its column's running sum.  An exact eta = p/q on int and
-    Fraction cells sums integers over q*den, den the lcm of the cells'
-    denominators: each cell s = a/b is scaled to p*a*(den/b) and the identity
-    to q*den, and the result is one Fraction.  Otherwise each cell is eta*s
-    and the identity 1, so a float eta gives the bits of a sum down each
-    dense column.
+    Fraction cells sums integers over q*den: each cell s is an int over den,
+    the lcm of the cells' denominators (_scaled), times p, the identity is
+    q*den, and the result is one Fraction.  Otherwise each cell is eta*s and
+    the identity 1, so a float eta gives the bits of a sum down each dense
+    column.
     """
     exact = _is_exact(eta) and all({int, Fraction}.issuperset(map(type, vals)) for vals in S.values)
-    if exact:
+    if exact:  # the loop tests the int cell, 0 where s is, and faster
         p, q = eta.as_integer_ratio()
-        den = math.lcm(*{s.denominator for vals in S.values for s in vals})
-        one, zero = q * den, 0
-    else:
-        one, zero = 1, eta * 0  # an unstored diagonal is eta * 0, as a dense column reads it
+        cells, den = _scaled(s.as_integer_ratio() for vals in S.values for s in vals)
+        cells = iter(cells)  # read row by row below
+        eta, one, zero = p, q * den, 0
+    else:  # an unstored diagonal is eta * 0, as a dense column reads it
+        one, zero = 1, eta * 0
     totals = [0] * len(S.index)
     for i, (cols, vals) in enumerate(zip(S.columns, S.values)):
         diagonal = zero
-        for j, s in zip(cols, vals):
-            if exact:  # the int cell is 0 where s is (or p is), and tests faster
-                s = cell = p * s.numerator * (den // s.denominator)
-            else:
-                cell = eta * s
+        for j, s in zip(cols, islice(cells, len(vals)) if exact else vals):
+            cell = eta * s
             if j == i:
                 diagonal = cell
             elif s:

@@ -711,19 +711,22 @@ def test_bounds_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
         "x\n1/2\n-1\n2\n",
         "a\nb\n1\n",
         "x\n0.0\n" + "1" * 131073 + "\n2.0\n",
+        b"x\n0.5\n1.2\xe9\n2.0\n",
     ],
     ids=["text-after-data", "nan", "inf", "negative-inf", "fraction-after-header", "second-header",
-         "oversized-field"],
+         "oversized-field", "not-utf8"],
 )
 def test_malformed_dataset_exit_2(workdir, monkeypatch, capsys, rows):
     monkeypatch.chdir(workdir)
-    (workdir / "bad.csv").write_text(rows)
+    (workdir / "bad.csv").write_bytes(rows if isinstance(rows, bytes) else rows.encode())
     rc = main(["mc-run", "--functional", "var.json", "--data", "bad.csv", "--k", "1",
                "--replicas", "10", "--out", "x"])
     err = _assert_usage_error(rc, capsys)
     assert err.startswith("error: malformed dataset CSV: bad.csv, line ")
     if len(rows) > 131072:
         assert "line 3: field larger than field limit" in err
+    if isinstance(rows, bytes):  # the decode error named neither the file nor the line
+        assert "line 3: byte 0xe9 is not UTF-8" in err
     assert not (workdir / "x.csv").exists()
 
 
@@ -808,6 +811,89 @@ def test_selftest_names_first_failure(monkeypatch, capsys):
     assert main(["selftest"]) == 4
     out = capsys.readouterr().out
     assert "FAIL injected_invariant: deliberately broken" in out
+
+
+def _run_in_child(argv, cwd, timeout=20):
+    """(CompletedProcess, seconds) of the CLI run in a child process.
+
+    The child gets its own 2 GiB address-space limit, so a run that tries to
+    take the host's memory fails in the child instead.
+    """
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobiusboot.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=limit,
+    )
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("command", ["bias", "mc-run"])
+def test_a_term_over_the_block_cap_exits_2_at_once(workdir, command):
+    # a term of 13 singleton blocks built Bell(13) merges and ended in a
+    # MemoryError traceback; the CLI now stops it when it loads the functional
+    big = {"d": 13, "terms": [{"blocks": [[i] for i in range(13)], "coeff": "1"}]}
+    (workdir / "big.json").write_text(json.dumps(big))
+    argv = [command, "--functional", "big.json", "--population", "pop.json", "--n", "20", "--k", "1"]
+    if command == "mc-run":
+        argv += ["--replicas", "1"]
+    proc, elapsed = _run_in_child(argv + ["--out", "x"], workdir)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stderr == "error: a term has 13 blocks; at most 10 per term are supported\n"
+    assert elapsed < 2, elapsed
+    assert not (workdir / "x.csv").exists()
+
+
+def test_mc_run_over_the_draw_cap_exits_2_at_once(workdir):
+    # N = 1e11 normal rows ended in numpy's "Unable to allocate 745. GiB"
+    argv = ["mc-run", "--functional", "var.json", "--population", "pop.json",
+            "--n", "100000000000", "--k", "0", "--replicas", "1", "--out", "x"]
+    proc, elapsed = _run_in_child(argv, workdir)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stderr == (
+        "error: one replica draws --n x (d + --k) = 100000000000 cells;"
+        " at most 2**20 are supported\n"
+    )
+    assert elapsed < 2, elapsed
+
+
+@pytest.mark.parametrize("d, n, k", [(1, 2**20 + 1, 0), (3, 2**18, 2), (1, 2**19 + 1, 1)])
+def test_mc_run_draw_cap_counts_root_cells_and_link_picks(workdir, monkeypatch, capsys, d, n, k):
+    # N x d root cells plus k x N link picks: each case draws more than 2**20
+    # cells, and is stopped before the exact trajectory runs
+    monkeypatch.chdir(workdir)
+    (workdir / "popd.json").write_text(json.dumps({"family": "normal", "d": d}))
+    monkeypatch.setattr(cli.mc_mod, "bias_experiment", None)  # never reached
+    rc = main(["mc-run", "--functional", "var.json", "--population", "popd.json",
+               "--n", str(n), "--k", str(k), "--replicas", "1", "--out", "x"])
+    err = _assert_usage_error(rc, capsys)
+    assert f"= {n * (d + k)} cells; at most 2**20" in err
+
+
+def test_linconv_m_max_is_capped(workdir, monkeypatch, capsys):
+    # row m sums m log1p terms, so the table costs m_max^2 / 2 of them: 16000
+    # rows took 13 s, and --m-max 1000000 would have run for hours
+    monkeypatch.chdir(workdir)
+    assert main(["bounds", "--kind", "linconv", "--m-max", "4096", "--out", "lc"]) == 0
+    _, rows = _rows(workdir / "lc.csv", "linconv")
+    assert len(rows) == 4096
+    start = time.perf_counter()
+    err = _assert_usage_error(
+        main(["bounds", "--kind", "linconv", "--m-max", "4097", "--out", "x"]), capsys
+    )
+    assert time.perf_counter() - start < 0.5
+    assert err == "error: --m-max must be <= 4096, got 4097\n"
+    assert not (workdir / "x.csv").exists()
 
 
 def test_console_script_installed(workdir):

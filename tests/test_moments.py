@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
@@ -634,6 +635,26 @@ def test_dataset_from_csv_drops_a_byte_order_mark(tmp_path):
     assert dataset_from_csv(path).rows == ((1.0, 2.0), (3.5, -1.0))
 
 
+@pytest.mark.parametrize(
+    "raw, line",
+    [
+        (b"x\n0.5\n1.2\xe9\n2.0\n", 3),
+        (b"x\r\n0.5\r\n1.2\xe9\r\n", 3),
+        (b"x\r0.5\r\n\r1.2\xe9\r", 4),
+        (b"\xef\xbb\xbfx\n\xe9", 2),
+        (b"\xff\n1\n", 1),
+    ],
+    ids=["lf", "crlf", "cr-and-blank-line", "after-bom", "line-1"],
+)
+def test_dataset_from_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, raw, line):
+    # the decode fails before csv reads a line, so the line is counted from
+    # the byte's offset, ending lines where csv does
+    path = tmp_path / "rows.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: byte 0x.. is not UTF-8"):
+        dataset_from_csv(path)
+
+
 def test_conversion_rejects_mismatched_sizes():
     with pytest.raises(DimensionError):
         mobius_matrix(3).matvec([1, 2])
@@ -720,6 +741,25 @@ def test_moments_keeps_one_copy_of_each_evaluation_step():
         if isinstance(node, (ast.For, ast.comprehension)) and ast.unparse(node.iter) == "F.terms.items()"
     }
     assert term_loops == {"_term_sum", "_exact_value"}
+
+
+def test_one_helper_scales_every_exact_value_to_one_denominator():
+    # moments._scaled alone calls math.lcm, in each module that scales exact
+    # values to integers, and the block-moment readers take no flag
+    from mobiusboot import debias, mc, moments, resampling
+
+    lcm_calls = set()
+    for module in (debias, moments, resampling, mc):
+        for function, node in _nodes_by_function(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.lcm", "lcm"):
+                lcm_calls.add((module.__name__, function))
+    assert lcm_calls == {("mobiusboot.moments", "_scaled")}
+    readers = [
+        node for _, node in _nodes_by_function(ast.parse(Path(moments.__file__).read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_moments"
+    ]
+    assert len(readers) == 2
+    assert [ast.unparse(reader.args) for reader in readers] == ["self", "self"]
 
 
 def test_exact_columns_sum_numerators_over_one_denominator():

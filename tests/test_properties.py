@@ -29,6 +29,7 @@ from mobiusboot.moments import (
     MissingMomentError,
     MomentPolynomial,
     MomentTable,
+    _scaled,
     empirical_moment,
     evaluate,
     reachable_blocks,
@@ -332,6 +333,16 @@ def test_exact_evaluate_against_a_table_matches_fraction_loop(case):
     got, want = evaluate(F, table), oracles.evaluate(F, table)
     assert type(got) is type(want)  # the int 0 for an empty F, a Fraction or float otherwise
     assert repr(got) == repr(want)  # -0.0, inf, nan and every last bit count
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.lists(st.tuples(st.integers(-(2**70), 2**70), st.integers(1, 10**6)), max_size=12))
+@example([])
+def test_scaled_is_each_ratio_over_the_lcm(ratios):
+    numerators, den = _scaled(ratios)
+    assert [Fraction(num, den) for num in numerators] == [Fraction(p, q) for p, q in ratios]
+    assert all(type(num) is int for num in numerators)
+    assert den == math.lcm(*[q for _, q in ratios])  # math.lcm() is 1: [] gives ([], 1)
 
 
 @PROPERTY

@@ -635,3 +635,18 @@ def test_resampling_keeps_one_law_per_operator_and_one_one_norm_loop():
         if isinstance(node, ast.For) and ".values" in ast.unparse(node.iter)
     }
     assert cell_loops == {"_one_norm"}
+
+
+def test_merge_walk_rejects_a_term_over_the_block_cap_before_any_table():
+    # _groupings(11) takes about 2 s and 254 MB; a term of 11 blocks now
+    # raises before the merge walk builds a grouping table or a union table
+    from mobiusboot.lattice import BLOCK_CAP, CapExceededError, _groupings, check_block_cap
+
+    assert BLOCK_CAP == 10
+    check_block_cap([LabeledTerm([[i] for i in range(10)])])
+    F = MomentPolynomial(11, {LabeledTerm([[i] for i in range(11)]): 1, LabeledTerm([[0]]): 2})
+    before = _groupings.cache_info()
+    for operator in (apply_S, apply_S_inverse):
+        with pytest.raises(CapExceededError, match="^a term has 11 blocks; at most 10 per term"):
+            operator(F, 20)
+    assert _groupings.cache_info() == before
