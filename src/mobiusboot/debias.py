@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .lattice import falling_factorial
+from .lattice import CapExceededError, falling_factorial
 from .moments import (
     InfeasibleError,
     MomentPolynomial,
@@ -35,6 +35,8 @@ def _check_size(n, k):
     _check_sample_size(n)
     if k < 0:
         raise ValueError(f"step count must be nonnegative, got {k}")
+    if k >= 2**20:  # a step list of 2**20 entries is already 8 MB
+        raise CapExceededError(f"step count must be < 2**20, got {k}")
 
 
 class StepSchedule:
@@ -134,7 +136,8 @@ def exact_bias(F, schedule, population):
     evaluate(S g_j - f, population); the bound column is
     mu_inf * f_one * ||Id-S||_1 times the running product of the step norms
     ||Id-eta_i*S||_1.  The population table must cover every block the terms
-    of F can merge into.
+    of F can merge into.  A term of more than BLOCK_CAP blocks raises
+    CapExceededError (from reachable_blocks) before any moment is read.
     """
     if not isinstance(population, MomentTable):
         raise TypeError("population must be a MomentTable")
@@ -257,9 +260,10 @@ def bandlimited_bound(d, theta, n):
     if d < 1 or theta <= 0:
         raise ValueError("need d >= 1 and theta > 0")
     _check_sample_size(n)
-    if n < 8 * (8 * d * theta + 1) ** 2:
+    least = _saturated(lambda t: 8 * (8 * d * t + 1) ** 2, theta)
+    if n < least:
         raise ValueError(
-            f"N={n} below the required 8*(8*d*theta+1)^2 = {8 * (8 * d * theta + 1) ** 2:.6g}"
+            f"N={n} below the required 8*(8*d*theta+1)^2 = {least:.6g} at d={d}, theta={theta}"
         )
     x = 4 * d * theta
     t = math.log(8 * d * theta) + x * math.log(x)

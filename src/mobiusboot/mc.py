@@ -48,8 +48,10 @@ from functools import partial
 from itertools import combinations_with_replacement, islice
 
 from .debias import exact_bias
+from .lattice import CapExceededError, check_block_cap
 from .moments import (
     Dataset,
+    InfeasibleError,
     MomentPolynomial,
     MomentTable,
     _is_int,
@@ -139,6 +141,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _SPAWN_BLOCK = 4096
 # cells per array of a replica block (_replica_picks): draws, picks, products
 _BLOCK_CELLS = 2**13
+# a sampler replica holds its N x d root cells and k x N link picks as Python
+# objects, about 200 bytes a cell: 2**20 cells peak near 220 MB
+_DRAW_CAP = 2**20
 
 
 def _check_run(seed, replicas):
@@ -493,12 +498,23 @@ def bias_experiment(F, population, schedule, replicas, seed=0, sampler=None):
     population, through sampler for an analytic MomentTable), and compared
     against row k of debias.exact_bias, which also supplies the bound.
     Returns one ExperimentRow per k.
+
+    Before any table or trajectory is built, a term of more than BLOCK_CAP
+    blocks raises CapExceededError, an analytic population without a sampler
+    InfeasibleError, and a sampler replica of more than 2**20 cells
+    (N x (d + k)) CapExceededError.
     """
     _check_run(seed, replicas)
+    check_block_cap(F.terms)
     n = schedule.n
     if isinstance(population, MomentTable):
         if sampler is None:
-            raise ValueError("an analytic population needs a sampler to draw X^1")
+            raise InfeasibleError("an analytic population needs a sampler to draw X^1")
+        cells = n * (population.d + len(schedule))
+        if cells > _DRAW_CAP:
+            raise CapExceededError(
+                f"one replica draws N x (d + k) = {cells} cells; at most 2**20 are supported"
+            )
         table, source = population, sampler
     elif isinstance(population, Dataset):
         table = MomentTable.from_dataset(population, reachable_blocks(F))

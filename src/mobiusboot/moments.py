@@ -16,6 +16,8 @@ import numbers
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from .lattice import check_block_cap
+
 
 class InfeasibleError(ValueError):
     """The sample is too small for the requested estimator or schedule."""
@@ -535,8 +537,10 @@ def reachable_blocks(F):
     """Every union of some of a term's blocks: each is a block of some merge.
 
     Population tables used for exact bias trajectories must cover this set,
-    since resampling pushes coefficients onto merged blocks.
+    since resampling pushes coefficients onto merged blocks.  A term of more
+    than BLOCK_CAP blocks raises CapExceededError before any union is built.
     """
+    check_block_cap(F.terms)
     out = set()
     for term in F.terms:
         out.update(term.unions()[1:])

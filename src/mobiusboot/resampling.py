@@ -22,6 +22,7 @@ from functools import lru_cache, partial
 from itertools import islice
 
 from .lattice import (
+    CapExceededError,
     IncidenceMatrix,
     _groupings,
     _incidence_matrix,
@@ -209,6 +210,14 @@ def unbiased_evaluate(F, data):
     return evaluate(apply_S_inverse(F, data.n), data)
 
 
+# A cell of the level-sum matrix has up to about m x bit_length(max(m, N))
+# bits: N^m bounds its denominator, and the Stirling numbers it carries grow
+# as m log m.  The matrix holds m^2/2 such cells: at the cap, smatrix --reduced
+# takes about 1 s on a 2-core x86 host (m = 240 at N = 1000, m = 266 at
+# N = 300), and every cell stays far below the 4300 digits str() converts.
+REDUCED_CAP = 2400
+
+
 def reduced_matrix(m, n):
     """m x m level-sum compression of S, indexed by block counts 1..m.
 
@@ -216,8 +225,16 @@ def reduced_matrix(m, n):
     upper triangle; the cells below are 0.
     A partition with j blocks has stirling2(j,i) coarsenings with i blocks,
     all receiving the same weight, which is why S acts on level sums.
+    Raises CapExceededError before any cell is built when
+    m x bit_length(max(m, N)) exceeds REDUCED_CAP.
     """
     _check_order_and_size(m, n)
+    bits = m * int(max(m, n)).bit_length()
+    if bits > REDUCED_CAP:
+        raise CapExceededError(
+            f"the level-sum matrix at m={m}, N={n} has cells of up to"
+            f" m x bit_length(max(m, N)) = {bits} bits; at most {REDUCED_CAP} are supported"
+        )
     columns = tuple(tuple(range(i - 1, m)) for i in range(1, m + 1))
     values = [
         [Fraction(stirling2(j, i) * falling_factorial(n, i), n**j) for j in range(i, m + 1)]
@@ -310,6 +327,8 @@ def log_gamma_ratio(m, n):
 
 def linear_regime_size(m, alpha):
     """The linear-regime sample size N = max(ceil(alpha*m^2), m+1) for order m."""
-    if m < 1 or alpha <= 0:
-        raise ValueError("m positive and alpha > 0 required")
+    if m < 1:
+        raise ValueError(f"order m must be positive, got {m}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha}")
     return max(math.ceil(alpha * m * m), m + 1)

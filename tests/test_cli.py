@@ -491,8 +491,8 @@ MC_DATA = ["mc-run", "--functional", "var.json", "--data", "data.csv", "--replic
 def test_integer_flags_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
     monkeypatch.chdir(workdir)
     err = _assert_usage_error(main(argv + ["--out", "x"]), capsys)
-    if str(2**20) in argv:
-        assert f"--k must be < 2**20, got {2**20}" in err
+    if str(2**20) in argv:  # StepSchedule's cap
+        assert f"step count must be < 2**20, got {2**20}" in err
     assert not (workdir / "x.csv").exists()
 
 
@@ -681,23 +681,36 @@ def test_stationary_schedule_spellings_write_identical_tables(workdir, monkeypat
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["--kind", "trace", "--sigma", "2"],
-        ["--kind", "trace", "--sigma", "0.5", "--n", "0"],
-        ["--kind", "bandlimited", "--d", "1", "--theta", "1", "--n", "10"],
-        ["--kind", "bandlimited", "--d", "0", "--theta", "1", "--n", "100000"],
-        ["--kind", "general", "--gammas", "1,1/256", "--n", "0"],
-        ["--kind", "general", "--gammas", "1,1/256", "--n", "800"],
-        ["--kind", "linconv", "--alpha", "0"],
-        ["--kind", "linconv", "--m-max", "0"],
+        (["--kind", "trace", "--sigma", "2"], "sigma must lie in (0,1), got 2.0"),
+        (["--kind", "trace", "--sigma", "0.5", "--n", "0"], "--n must be >= 1, got 0"),
+        (["--kind", "bandlimited", "--d", "1", "--theta", "1", "--n", "10"],
+         "N=10 below the required 8*(8*d*theta+1)^2 = 648 at d=1, theta=1.0"),
+        (["--kind", "bandlimited", "--d", "0", "--theta", "1", "--n", "100000"],
+         "need d >= 1 and theta > 0"),
+        (["--kind", "general", "--gammas", "1,1/256", "--n", "0"], "--n must be >= 1, got 0"),
+        (["--kind", "general", "--gammas", "1,1/256", "--n", "800"],
+         "gamma sequence of length 2 has no index 10 = ceil(sqrt(N/8))"),
+        (["--kind", "linconv", "--alpha", "0"], "alpha must be a finite number > 0, got 0.0"),
+        (["--kind", "linconv", "--m-max", "0"], "--m-max must be >= 1, got 0"),
+        # the threshold 8*(8*d*theta+1)^2 overflowed a float: "(34, 'Numerical result out of range')"
+        (["--kind", "bandlimited", "--d", "1", "--theta", "1e200", "--n", "10"],
+         "N=10 below the required 8*(8*d*theta+1)^2 = inf at d=1, theta=1e+200"),
+        # float(Fraction("1e400")): "integer division result too large for a float"
+        (["--kind", "general", "--gammas", "1e400,1,0.5", "--n", "8"],
+         "cannot parse gamma sequence '1e400,1,0.5'"),
+        (["--kind", "linconv", "--alpha", "inf"], "alpha must be a finite number > 0, got inf"),
+        (["--kind", "linconv", "--alpha", "nan"], "alpha must be a finite number > 0, got nan"),
     ],
     ids=["trace-sigma-2", "trace-n0", "bandlimited-n-too-small", "bandlimited-d0",
-         "general-n0", "general-short-gammas", "linconv-alpha0", "linconv-m-max0"],
+         "general-n0", "general-short-gammas", "linconv-alpha0", "linconv-m-max0",
+         "bandlimited-huge-theta", "general-huge-gamma", "linconv-alpha-inf", "linconv-alpha-nan"],
 )
-def test_bounds_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
+def test_bounds_out_of_range_exit_2(workdir, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(workdir)
-    _assert_usage_error(main(["bounds"] + argv + ["--out", "x"]), capsys)
+    err = _assert_usage_error(main(["bounds"] + argv + ["--out", "x"]), capsys)
+    assert err == f"error: {message}\n"
     assert not (workdir / "x.csv").exists() and not (workdir / "x.json").exists()
 
 
@@ -841,7 +854,8 @@ def _run_in_child(argv, cwd, timeout=20):
 @pytest.mark.parametrize("command", ["bias", "mc-run"])
 def test_a_term_over_the_block_cap_exits_2_at_once(workdir, command):
     # a term of 13 singleton blocks built Bell(13) merges and ended in a
-    # MemoryError traceback; the CLI now stops it when it loads the functional
+    # MemoryError traceback; moments.reachable_blocks (for the normal
+    # population, and in exact_bias) and mc.bias_experiment now stop it first
     big = {"d": 13, "terms": [{"blocks": [[i] for i in range(13)], "coeff": "1"}]}
     (workdir / "big.json").write_text(json.dumps(big))
     argv = [command, "--functional", "big.json", "--population", "pop.json", "--n", "20", "--k", "1"]
@@ -861,7 +875,7 @@ def test_mc_run_over_the_draw_cap_exits_2_at_once(workdir):
     proc, elapsed = _run_in_child(argv, workdir)
     assert proc.returncode == 2, proc.stderr[-500:]
     assert proc.stderr == (
-        "error: one replica draws --n x (d + --k) = 100000000000 cells;"
+        "error: one replica draws N x (d + k) = 100000000000 cells;"
         " at most 2**20 are supported\n"
     )
     assert elapsed < 2, elapsed
@@ -870,14 +884,56 @@ def test_mc_run_over_the_draw_cap_exits_2_at_once(workdir):
 @pytest.mark.parametrize("d, n, k", [(1, 2**20 + 1, 0), (3, 2**18, 2), (1, 2**19 + 1, 1)])
 def test_mc_run_draw_cap_counts_root_cells_and_link_picks(workdir, monkeypatch, capsys, d, n, k):
     # N x d root cells plus k x N link picks: each case draws more than 2**20
-    # cells, and is stopped before the exact trajectory runs
+    # cells, and bias_experiment stops it before the exact trajectory runs
     monkeypatch.chdir(workdir)
     (workdir / "popd.json").write_text(json.dumps({"family": "normal", "d": d}))
-    monkeypatch.setattr(cli.mc_mod, "bias_experiment", None)  # never reached
+
+    def exact_bias_not_wanted(*args):
+        raise AssertionError("the exact trajectory ran before the draw cap")
+
+    monkeypatch.setattr(cli.mc_mod, "exact_bias", exact_bias_not_wanted)
     rc = main(["mc-run", "--functional", "var.json", "--population", "popd.json",
                "--n", str(n), "--k", str(k), "--replicas", "1", "--out", "x"])
     err = _assert_usage_error(rc, capsys)
     assert f"= {n * (d + k)} cells; at most 2**20" in err
+
+
+@pytest.mark.parametrize(
+    "functional, code, message",
+    [("var.json", 3, "an analytic population needs a sampler to draw X^1"),
+     ("big.json", 2, "a term has 11 blocks; at most 10 per term are supported")],
+    ids=["no-sampler", "block-cap-first"],
+)
+def test_mc_run_on_a_moment_table_population(workdir, monkeypatch, capsys, functional, code,
+                                             message):
+    # a moment table has no sampling law; a term over the block cap is
+    # reported first, as for a population that has one
+    monkeypatch.chdir(workdir)
+    (workdir / "table.json").write_text(
+        json.dumps({"d": 1, "moments": [{"block": [0], "value": "0"}, {"block": [0, 0], "value": "1"}]})
+    )
+    big = {"d": 1, "terms": [{"blocks": [[0]] * 11, "coeff": "1"}]}
+    (workdir / "big.json").write_text(json.dumps(big))
+    rc = main(["mc-run", "--functional", functional, "--population", "table.json", "--n", "4",
+               "--k", "1", "--replicas", "10", "--out", "x"])
+    assert rc == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "m, n, bits", [("1600", "7", 17600), ("3000", "3", 36000)], ids=["m1600-n7", "m3000-n3"]
+)
+def test_smatrix_reduced_over_the_cap_exits_2_at_once(workdir, m, n, bits):
+    # m = 1600 at N = 7 took 10.6 s, and m = 3000 at N = 3 ran past 20 s
+    proc, elapsed = _run_in_child(["smatrix", "--m", m, "--n", n, "--reduced", "--out", "x"], workdir)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stderr == (
+        f"error: the level-sum matrix at m={m}, N={n} has cells of up to"
+        f" m x bit_length(max(m, N)) = {bits} bits; at most 2400 are supported\n"
+    )
+    assert elapsed < 2, elapsed
+    assert not (workdir / "x.csv").exists()
 
 
 def test_linconv_m_max_is_capped(workdir, monkeypatch, capsys):
@@ -973,6 +1029,37 @@ def test_cli_imports_no_private_name():
     private = [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
     assert private == []
     assert "__version__" in names  # the walk sees the imports
+
+
+def test_cli_holds_no_input_cap():
+    # each cap on a library input is checked in the library function it
+    # guards (lattice.check_block_cap, StepSchedule's step cap, the draw cap
+    # of mc.bias_experiment); the front end keeps only its own flag rules
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "check_block_cap" not in imported and "CapExceededError" in imported
+    module_names = [
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+    assert "_JSON_ERRORS" in module_names  # the walk sees the assignments
+    assert [name for name in module_names if name.endswith("_CAP")] == []
+    powers = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and ast.unparse(node) == "2 ** 20")
+        or (isinstance(node, ast.Constant) and node.value == 2**20)
+    ]
+    assert powers == []
 
 
 def test_unknown_subcommand_exits_2():

@@ -18,7 +18,7 @@ from mobiusboot.debias import (
     richardson_debias,
     richardson_neumann,
 )
-from mobiusboot.lattice import DEFAULT_CAP, LatticeIndex, enumerate_partitions
+from mobiusboot.lattice import DEFAULT_CAP, CapExceededError, LatticeIndex, enumerate_partitions
 from mobiusboot.moments import (
     InfeasibleError,
     LabeledTerm,
@@ -119,6 +119,19 @@ def test_schedule_rejects_non_finite_and_bool_steps(eta):
     # nan passed the eta <= 0 check and wrote nan rows into exact_bias
     with pytest.raises(ValueError, match="finite numbers"):
         StepSchedule(5, [Fraction(1), eta])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: StepSchedule.unit(4, 2**20), lambda: StepSchedule.default(4, 2**20),
+     lambda: StepSchedule(4, [Fraction(1)] * 2**20)],
+    ids=["unit", "default", "etas"],
+)
+def test_schedule_holds_the_step_cap(build):
+    # a step list of 2**20 entries is already 8 MB; default's k <= N rule
+    # (InfeasibleError) comes after the cap
+    with pytest.raises(CapExceededError, match=r"^step count must be < 2\*\*20, got 1048576$"):
+        build()
 
 
 def test_schedule_keeps_finite_steps_of_every_scalar_type():
@@ -334,6 +347,18 @@ def test_exact_bias_beyond_dense_cap():
     assert report.records[-1].signed_bias == 0
 
 
+def test_exact_bias_over_the_block_cap_reads_no_moment(monkeypatch):
+    # a term of 11 blocks raises in reachable_blocks, before mu_inf reads the table
+    def moment_not_wanted(self, block):
+        raise AssertionError("a moment was read before the block cap")
+
+    F = MomentPolynomial(11, {LabeledTerm([[i] for i in range(11)]): 1})
+    pop = normal_moment_table(11, 1)
+    monkeypatch.setattr(MomentTable, "moment", moment_not_wanted)
+    with pytest.raises(CapExceededError, match="^a term has 11 blocks; at most 10 per term"):
+        exact_bias(F, StepSchedule.unit(20, 1), pop)
+
+
 def test_bias_report_rows_shape():
     report = exact_bias(variance_poly(), StepSchedule.unit(4, 1), normal_moment_table(1, 4))
     rows = report.rows()
@@ -469,6 +494,12 @@ def test_bandlimited_precondition():
 def test_bandlimited_rejects_non_finite_theta(theta):
     with pytest.raises(ValueError, match="theta must be finite"):
         bandlimited_bound(1, theta, 10**6)
+
+
+def test_bandlimited_threshold_saturates():
+    # 8*(8*d*theta+1)^2 overflowed a float and raised OverflowError
+    with pytest.raises(ValueError, match=r"= inf at d=1, theta=1e\+200$"):
+        bandlimited_bound(1, 1e200, 10)
 
 
 def test_bandlimited_survives_huge_dtheta():

@@ -36,8 +36,10 @@ from mobiusboot.mc import (
     _replica_generators,
     _spawn_states,
 )
+from mobiusboot.lattice import CapExceededError
 from mobiusboot.moments import (
     Dataset,
+    InfeasibleError,
     LabeledTerm,
     MomentPolynomial,
     MomentTable,
@@ -658,9 +660,44 @@ def test_bias_experiment_dataset_population():
         assert abs(row.report.estimate - float(row.exact_bias)) <= 3 * row.report.se
 
 
-def test_bias_experiment_requires_sampler_for_tables():
-    with pytest.raises(ValueError):
+def _exact_bias_not_wanted(*args):
+    raise AssertionError("the exact trajectory ran before the check")
+
+
+def test_bias_experiment_over_the_block_cap_tabulates_nothing(monkeypatch):
+    # 13 singleton blocks over 200 rows spent 0.85 s in from_dataset's 2^13
+    # unions before exact_bias reached the block cap
+    def from_dataset_not_wanted(cls, data, blocks):
+        raise AssertionError("the moment table was tabulated before the block cap")
+
+    monkeypatch.setattr(MomentTable, "from_dataset", classmethod(from_dataset_not_wanted))
+    monkeypatch.setattr(mobiusboot.mc, "exact_bias", _exact_bias_not_wanted)
+    rng = random.Random(77)
+    pop = Dataset([[rng.random() for _ in range(13)] for _ in range(200)])
+    F = MomentPolynomial(13, {LabeledTerm([[i] for i in range(13)]): 1})
+    for population, sampler in ((pop, None), (normal_moment_table(13, 1), None)):
+        # an analytic table without a sampler meets the cap first, too
+        with pytest.raises(CapExceededError, match="^a term has 13 blocks; at most 10 per term"):
+            bias_experiment(F, population, StepSchedule.unit(20, 1), 10, sampler=sampler)
+
+
+def test_bias_experiment_requires_sampler_for_tables(monkeypatch):
+    monkeypatch.setattr(mobiusboot.mc, "exact_bias", _exact_bias_not_wanted)
+    with pytest.raises(InfeasibleError, match="^an analytic population needs a sampler"):
         bias_experiment(variance_poly(), normal_moment_table(1, 4), StepSchedule.unit(10, 1), 10)
+
+
+@pytest.mark.parametrize("d, n, k", [(1, 2**20 + 1, 0), (3, 2**18, 2), (1, 2**19 + 1, 1)])
+def test_bias_experiment_over_the_draw_cap_runs_no_trajectory(monkeypatch, d, n, k):
+    # a sampler replica draws N x d root cells and k x N link picks
+    monkeypatch.setattr(mobiusboot.mc, "exact_bias", _exact_bias_not_wanted)
+    with pytest.raises(CapExceededError, match=rf"^one replica draws N x \(d \+ k\) = {n * (d + k)} cells"):
+        bias_experiment(variance_poly(), normal_moment_table(d, 2), StepSchedule.unit(n, k), 1,
+                        sampler=normal_sampler(d))
+    # 2**20 cells are allowed: the run goes on to the exact trajectory
+    with pytest.raises(AssertionError, match="the exact trajectory ran"):
+        bias_experiment(variance_poly(), normal_moment_table(1, 2), StepSchedule.unit(2**19, 1), 1,
+                        sampler=normal_sampler(1))
 
 
 def test_exact_column_independent_of_replicas():

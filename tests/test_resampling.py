@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mobiusboot import resampling
 from mobiusboot.debias import StepSchedule
 from mobiusboot.lattice import (
+    CapExceededError,
     DimensionError,
     LatticeIndex,
     enumerate_partitions,
@@ -31,6 +32,7 @@ from mobiusboot.resampling import (
     apply_S_inverse,
     factorization,
     gamma_ratio,
+    linear_regime_size,
     log_gamma_ratio,
     one_norm_direct,
     one_norm_id_minus_S,
@@ -363,6 +365,29 @@ def test_reduced_diagonal_matches_S_levels():
             assert R.entries[b - 1][b - 1] == S.entries[i][i]
 
 
+@pytest.mark.parametrize(
+    "m, n, bits", [(241, 1000, 2410), (267, 300, 2403), (3000, 3, 36000), (1, 2**2400, 2401)]
+)
+def test_reduced_matrix_over_the_cap_builds_no_cell(monkeypatch, m, n, bits):
+    # a cell has up to about m x bit_length(max(m, N)) bits: m = 1600 at N = 7
+    # took 10.6 s, and m = 3000 at N = 3 had not ended after 20 s
+    def stirling2_not_wanted(j, i):
+        raise AssertionError("a cell was built before the cap")
+
+    monkeypatch.setattr(resampling, "stirling2", stirling2_not_wanted)
+    with pytest.raises(CapExceededError) as exc:
+        reduced_matrix(m, n)
+    assert str(exc.value).endswith(f" = {bits} bits; at most 2400 are supported")
+
+
+def test_reduced_matrix_at_the_cap():
+    # N^m bounds a cell's denominator: 2400 bits is 723 decimal digits
+    assert resampling.REDUCED_CAP == 2400
+    n = 2**1199
+    R = reduced_matrix(2, n)
+    assert R.values == [[1, Fraction(1, n)], [Fraction(n - 1, n)]]
+
+
 @pytest.mark.parametrize("m,n", [(3, 2), (4, 4), (5, 3), (6, 7)])
 def test_level_sums_commute(m, n):
     rng = random.Random(17 * m + n)
@@ -385,6 +410,13 @@ def test_poly_level_sums_tracks_apply_S():
 
 
 # -- norms and ratios -------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0, -1.0, math.inf, math.nan])
+def test_linear_regime_size_rejects_alpha(alpha):
+    # nan passed alpha <= 0 and raised from math.ceil, inf raised OverflowError
+    with pytest.raises(ValueError, match=f"^alpha must be a finite number > 0, got {alpha}$"):
+        linear_regime_size(3, alpha)
+
 
 def test_one_norm_closed_form_values():
     assert one_norm_id_minus_S(2, 2) == 1
