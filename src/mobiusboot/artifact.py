@@ -27,16 +27,15 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import __version__
+from .moments import _exact_str
 
 
 def _scalar(v):
-    """Cell text: p/q for exact values, shortest round-trip repr for floats."""
+    """Cell text: p/q for exact values, in full, shortest round-trip repr for floats."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, Fraction, str)):
-        return str(v)
-    if isinstance(v, numbers.Integral):  # numpy integer scalars
-        return str(int(v))
+    if isinstance(v, (numbers.Rational, str)):  # numpy integers print as ints do
+        return _exact_str(v)
     if isinstance(v, numbers.Real):  # float; numpy floats would repr as np.float64(...)
         return repr(float(v))
     return str(v)
@@ -68,7 +67,7 @@ class _MatrixRows:
         """Per row (line, text), its CSV line and its JSON text; or (None, cells).
 
         A row whose label is a plain str and whose stored values are all int
-        or Fraction is built from its stored cells, each printed by str, and
+        or Fraction is built from its stored cells, each printed in full, and
         the zeros between them, sliced from one ',0' run and from its JSON
         counterpart.  That is exact for any stored columns: every cell the
         matrix does not store is the int 0, and int and Fraction texts are
@@ -85,7 +84,7 @@ class _MatrixRows:
                 csv_parts, json_parts = [label], ['"' + label]
                 end = 0
                 for j, v in zip(cols, vals):
-                    text = str(v)
+                    text = _exact_str(v)
                     csv_parts += zeros_csv[: 2 * (j - end)], ",", text
                     json_parts += zeros_json[: 10 * (j - end)], '",\n     "', text
                     end = j + 1

@@ -32,13 +32,11 @@ from .lattice import (
 from .moments import (
     InfeasibleError,
     MissingMomentError,
-    MomentTable,
     dataset_from_csv,
     evaluate,  # unused; test_wrappers_replace_every_import_binding reads cli.evaluate
     polynomial_from_dict,
     polynomial_to_dict,
-    reachable_blocks,
-    scalar_from_json,
+    population_from_dict,
 )
 from .resampling import (
     apply_S,  # unused; test_wrappers_replace_every_import_binding reads cli.apply_S
@@ -131,51 +129,19 @@ def cmd_smatrix(args, argv):
 _JSON_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, RecursionError)
 
 
-def _load_functional(path):
-    """The moment polynomial of the functional JSON at path."""
-    with open(path) as fh:
-        try:
-            return polynomial_from_dict(json.load(fh))
-        except _JSON_ERRORS as exc:
-            raise UsageError(f"malformed functional JSON {path}: {exc!r}") from None
+def _load_json(path, kind, parse, *args):
+    """parse(the object of the JSON at path, *args): the library reads each input file.
 
-
-def _normal_table(d, F):
-    """d independent standard normals' moments of the blocks exact_bias reads of F.
-
-    A block with a label >= d is left out, so a population narrower than F
-    raises MissingMomentError.
+    A malformed kind JSON is a UsageError naming it; an unknown population
+    family stays an InfeasibleError.
     """
-    return MomentTable.normal(d, (block for block in reachable_blocks(F) if block[-1] < d))
-
-
-def _parse_population(obj, F):
-    if not isinstance(obj, dict):
-        raise ValueError("not a JSON object")
-    family = obj.get("family")
-    if family not in (None, "normal"):
-        raise InfeasibleError(f"unknown population family {family!r}")
-    d = obj["d"] if family is None else obj.get("d", F.d)
-    if family == "normal":
-        return _normal_table(d, F), mc_mod.normal_sampler(d)
-    values = []
-    for entry in obj["moments"]:
-        block = entry["block"]
-        if not isinstance(block, list):
-            raise ValueError(f"block {block!r} is not a list")
-        values.append((block, scalar_from_json(entry["value"])))
-    return MomentTable(d, values), None
-
-
-def _load_population(path, F):
-    """Moment table plus an optional replica sampler, from a population JSON."""
     with open(path) as fh:
         try:
-            return _parse_population(json.load(fh), F)
-        except (InfeasibleError, CapExceededError):
+            return parse(json.load(fh), *args)
+        except InfeasibleError:
             raise
         except _JSON_ERRORS as exc:
-            raise UsageError(f"malformed population JSON {path}: {exc!r}") from None
+            raise UsageError(f"malformed {kind} JSON {path}: {exc!r}") from None
 
 
 def _parse_schedule(text, n, k):
@@ -204,9 +170,9 @@ def _parse_schedule(text, n, k):
 def cmd_bias(args, argv):
     _at_least("--n", args.n, 1)
     _at_least("--k", args.k, 0)
-    F = _load_functional(args.functional)
-    table, _ = _load_population(args.population, F)
-    report = exact_bias(F, _parse_schedule(args.schedule, args.n, args.k), table)
+    F = _load_json(args.functional, "functional", polynomial_from_dict)
+    population = _load_json(args.population, "population", population_from_dict, F.d)
+    report = exact_bias(F, _parse_schedule(args.schedule, args.n, args.k), population)
     art = Artifact("bias", argv)
     art.add_table("trajectory", ["k", "signed_bias", "abs_bias", "bound"], report.rows())
     art.add_table("target", ["value"], [[report.target]])
@@ -223,7 +189,7 @@ def cmd_mc_run(args, argv):
     if args.replicas >= 2**32:  # a replica's spawn key is one uint32 word
         raise UsageError(f"--replicas must be < 2**32, got {args.replicas}")
     _at_least("--seed", args.seed, 0)
-    F = _load_functional(args.functional)
+    F = _load_json(args.functional, "functional", polynomial_from_dict)
     art = Artifact("mc-run", argv, seed=args.seed)
     art.extra["functional"] = polynomial_to_dict(F)
     try:
@@ -275,11 +241,9 @@ def _mc_population_table(args, F):
     if args.n is None:
         raise UsageError("--n is required with --population")
     _at_least("--n", args.n, 1)
-    table, sampler = _load_population(args.population, F)
+    population = _load_json(args.population, "population", population_from_dict, F.d)
     schedule = _parse_schedule(args.schedule, args.n, args.k)
-    rows = mc_mod.bias_experiment(
-        F, table, schedule, args.replicas, seed=args.seed, sampler=sampler
-    )
+    rows = mc_mod.bias_experiment(F, population, schedule, args.replicas, seed=args.seed)
     return (
         "bias_experiment",
         ["k", "replicas", "empirical_bias", "se", "exact_bias", "bound", "seed"],

@@ -22,6 +22,7 @@ from .moments import (
     InfeasibleError,
     MomentPolynomial,
     MomentTable,
+    NormalPopulation,
     _check_sample_size,
     _is_exact,
     _scaled,
@@ -129,23 +130,21 @@ class BiasReport(namedtuple("BiasReport", "target records")):
 
 
 def exact_bias(F, schedule, population):
-    """Bias trajectory of the scheduled iterates against an analytic population.
+    """Bias trajectory of the scheduled iterates against a MomentTable or a NormalPopulation.
 
     The schedule carries the sample size N and the steps eta_1..eta_k; the
     stationary iteration is StepSchedule.unit(N, k).  Signed bias at step j is
     evaluate(S g_j - f, population); the bound column is
     mu_inf * f_one * ||Id-S||_1 times the running product of the step norms
-    ||Id-eta_i*S||_1.  The population table must cover every block the terms
-    of F can merge into.  A term of more than BLOCK_CAP blocks raises
+    ||Id-eta_i*S||_1.  The population must give a moment for every block the
+    terms of F can merge into.  A term of more than BLOCK_CAP blocks raises
     CapExceededError (from reachable_blocks) before any moment is read.
     """
-    if not isinstance(population, MomentTable):
-        raise TypeError("population must be a MomentTable")
+    if not isinstance(population, (MomentTable, NormalPopulation)):
+        raise TypeError("population must be a MomentTable or a NormalPopulation")
     n = schedule.n
     m = F.max_order()
-    mu_inf = max(
-        (abs(population.moment(b)) for b in reachable_blocks(F)), default=0
-    )
+    mu_inf = max((abs(population.moment(b)) for b in reachable_blocks(F)), default=0)
     f_one = sum(abs(c) for c in F.terms.values())
     target = evaluate(F, population)
 

@@ -33,8 +33,9 @@ integers(rows, size=N), then integers(N, size=(links, N)), which numpy fills
 with what one call per link returns.  Only the evaluation differs: a
 polynomial that moments._pick_evaluator takes is evaluated a block at a
 time, in the order and with the IEEE operations of evaluate; any other
-functional runs link by link (_chain_value).  A sampler draws a new root per
-replica from the replica's generator, then its links' picks in one call.
+functional runs link by link (_chain_value).  A NormalPopulation source draws
+a new root per replica from the replica's generator (its draw), then its
+links' picks in one call.
 
 The exhaustive route pushes the exact law of the resampled row multiset one
 chain level at a time: C(2N-1, N) states per level with multinomial weights,
@@ -54,6 +55,7 @@ from .moments import (
     InfeasibleError,
     MomentPolynomial,
     MomentTable,
+    NormalPopulation,
     _is_int,
     _pick_evaluator,
     _scaled,
@@ -141,7 +143,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _SPAWN_BLOCK = 4096
 # cells per array of a replica block (_replica_picks): draws, picks, products
 _BLOCK_CELLS = 2**13
-# a sampler replica holds its N x d root cells and k x N link picks as Python
+# a drawn replica holds its N x d root cells and k x N link picks as Python
 # objects, about 200 bytes a cell: 2**20 cells peak near 220 MB
 _DRAW_CAP = 2**20
 
@@ -336,8 +338,9 @@ def _mc_values(F, source, n, coeffs, replicas, seed):
     A Dataset source is picked from in replica blocks (_replica_picks); a
     polynomial that moments._pick_evaluator takes is evaluated a block at a
     time (_block_values), every other functional by _chain_value, one replica
-    at a time.  A sampler draws each replica's root and links from the
-    replica's generator.  Every route gives the replica's own bits.
+    at a time.  Any other source (a NormalPopulation) draws each replica's
+    root (source.draw) and links from the replica's generator.  Every route
+    gives the replica's own bits.
     """
     _check_run(seed, replicas)
     coeffs = _chain_coefficients(coeffs)
@@ -356,7 +359,7 @@ def _mc_values(F, source, n, coeffs, replicas, seed):
     values = []
     if not isinstance(source, Dataset):
         for r, rng in enumerate(_replica_generators(seed, replicas)):
-            first = source(rng, n)
+            first = source.draw(rng, n)
             link_picks = rng.integers(n, size=(links, n)).tolist() if links else ()
             values.append(replica_value(r, first, link_picks))
         return values
@@ -477,50 +480,37 @@ def chain_expectation(F, coeffs, data):
     return evaluate(apply_S(total, n), data)
 
 
-def normal_sampler(d):
-    """Sampler drawing n rows of d independent standard normals."""
-
-    def draw(rng, n):
-        rows = tuple(map(tuple, rng.standard_normal((n, d)).tolist()))
-        return Dataset._validated(rows, exact=False)
-
-    return draw
-
-
-def bias_experiment(F, population, schedule, replicas, seed=0, sampler=None):
+def bias_experiment(F, population, schedule, replicas, seed=0):
     """Empirical bias per iteration count against its exact value and bound.
 
     The schedule carries the sample size N and the steps eta_1..eta_k_max;
     StepSchedule.unit(N, k_max) gives the stationary iteration.  For each k in
     0..k_max the chain estimator with coefficients
     expansion_coefficients(schedule.etas[:k]) is averaged over fresh replicas
-    with X^1 drawn from the population (by row resampling for a Dataset
-    population, through sampler for an analytic MomentTable), and compared
-    against row k of debias.exact_bias, which also supplies the bound.
-    Returns one ExperimentRow per k.
+    with X^1 drawn from the population, by row resampling for a Dataset and
+    through draw for a NormalPopulation, and compared against row k of
+    debias.exact_bias, which reads the same population and also supplies the
+    bound.  Returns one ExperimentRow per k.
 
     Before any table or trajectory is built, a term of more than BLOCK_CAP
-    blocks raises CapExceededError, an analytic population without a sampler
-    InfeasibleError, and a sampler replica of more than 2**20 cells
-    (N x (d + k)) CapExceededError.
+    blocks raises CapExceededError, an explicit-moment MomentTable, which
+    has no law to draw from, InfeasibleError, and a NormalPopulation replica
+    of more than 2**20 cells (N x (d + k)) CapExceededError.
     """
     _check_run(seed, replicas)
     check_block_cap(F.terms)
     n = schedule.n
     if isinstance(population, MomentTable):
-        if sampler is None:
-            raise InfeasibleError("an analytic population needs a sampler to draw X^1")
-        cells = n * (population.d + len(schedule))
-        if cells > _DRAW_CAP:
-            raise CapExceededError(
-                f"one replica draws N x (d + k) = {cells} cells; at most 2**20 are supported"
-            )
-        table, source = population, sampler
-    elif isinstance(population, Dataset):
-        table = MomentTable.from_dataset(population, reachable_blocks(F))
-        source = population
-    else:
-        raise TypeError("population must be a Dataset or MomentTable")
+        raise InfeasibleError("an explicit moment table has no law to draw X^1 from")
+    if not isinstance(population, (Dataset, NormalPopulation)):
+        raise TypeError("population must be a Dataset, NormalPopulation or MomentTable")
+    drawn = isinstance(population, NormalPopulation)
+    cells = n * (population.d + len(schedule))
+    if drawn and cells > _DRAW_CAP:
+        raise CapExceededError(
+            f"one replica draws N x (d + k) = {cells} cells; at most 2**20 are supported"
+        )
+    table = population if drawn else MomentTable.from_dataset(population, reachable_blocks(F))
 
     from numpy.random import SeedSequence
     exact = exact_bias(F, schedule, table)
@@ -529,7 +519,7 @@ def bias_experiment(F, population, schedule, replicas, seed=0, sampler=None):
     rows = []
     for k, record in enumerate(exact.records):
         coeffs = expansion_coefficients(schedule.etas[:k])
-        values = _mc_values(F, source, n, coeffs, replicas, int(seeds[k]))
+        values = _mc_values(F, population, n, coeffs, replicas, int(seeds[k]))
         biased = [v - target for v in values]
         report = _report(biased, int(seeds[k]))
         rows.append(ExperimentRow(k, report, record.signed_bias, record.bound))

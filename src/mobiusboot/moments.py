@@ -13,6 +13,7 @@ polynomial is exact iff every coefficient it is given, zeros included, is.
 
 import math
 import numbers
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -50,9 +51,10 @@ _SCALARS = frozenset((int, float, Fraction, bool))
 
 
 def _cell(v, name="Dataset cell"):
-    """A Dataset cell or a MomentTable value as a Python scalar, as .tolist()
-    gives: a numpy integer becomes an int and a numpy float a float.  A nan or
-    inf value raises ValueError, naming it as name.
+    """A Dataset cell, a MomentTable value or a MomentPolynomial coefficient
+    as a Python scalar, as .tolist() gives: a numpy integer becomes an int and
+    a numpy float a float.  A nan or inf value raises ValueError, naming it as
+    name.
     """
     if type(v) not in _SCALARS and isinstance(v, numbers.Real):
         if isinstance(v, numbers.Integral):
@@ -150,24 +152,27 @@ CONSTANT_TERM = LabeledTerm(())
 
 
 class MomentPolynomial:
-    """Sparse scalar combination of moment products over d variables."""
+    """Sparse scalar combination of moment products over d variables.
+
+    Coefficients follow Dataset's cell rule: a numpy scalar becomes a Python
+    scalar, and a nan or inf coefficient raises ValueError naming its term.
+    """
 
     def __init__(self, d, terms):
         _check_dimension(d)
         self.d = d
-        terms = dict(terms)
-        self.exact = all(_is_exact(c) for c in terms.values())
-        clean = {}
-        for term, coeff in terms.items():
+        pairs = []
+        for term, coeff in dict(terms).items():
             if not isinstance(term, LabeledTerm):
                 term = LabeledTerm(term)
             if term.max_label() >= d:
                 raise ValueError(f"label {term.max_label()} out of range for d={d}")
-            if coeff == 0:
-                continue
-            if term in clean:  # two keys with one normal form
-                coeff = clean[term] + coeff
-            clean[term] = coeff
+            pairs.append((term, _cell(coeff, f"coefficient of {term!r}")))
+        self.exact = all(_is_exact(c) for _, c in pairs)
+        clean = {}
+        for term, coeff in pairs:
+            if coeff != 0:  # two keys with one normal form add up
+                clean[term] = clean.get(term, 0) + coeff
         scalar = Fraction if self.exact else float
         self.terms = {
             t: c if type(c) is scalar else scalar(c) for t, c in clean.items() if c != 0
@@ -198,25 +203,30 @@ class MomentPolynomial:
             and self.terms == other.terms
         )
 
+    def _result(self, coeffs):
+        """The polynomial over self.d of an arithmetic result: coeffs maps terms
+        of polynomials over d to sums or products of their coefficients.
+
+        It is exact iff every value is, and float otherwise; zeros are dropped
+        and no value is checked, so a float overflow stays inf.
+        """
+        exact = all(map(_is_exact, coeffs.values()))
+        pairs = coeffs.items() if exact else ((t, float(c)) for t, c in coeffs.items())
+        return MomentPolynomial._validated(self.d, pairs, exact)
+
     def __add__(self, other):
         if self.d != other.d:
             raise ValueError("polynomials over different d")
         out = dict(self.terms)
         for t, c in other.terms.items():
             out[t] = out.get(t, 0) + c
-        if self.exact and other.exact:  # Fraction sums: only zeros to drop
-            return MomentPolynomial._validated(self.d, out.items(), True)
-        return MomentPolynomial(self.d, out)
+        return self._result(out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        if self.exact and _is_exact(scalar):
-            return MomentPolynomial._validated(
-                self.d, ((t, scalar * c) for t, c in self.terms.items()), True
-            )
-        return MomentPolynomial(self.d, {t: scalar * c for t, c in self.terms.items()})
+        return self._result({t: scalar * c for t, c in self.terms.items()})
 
     def __repr__(self):
         return f"MomentPolynomial(d={self.d}, {len(self.terms)} terms)"
@@ -356,23 +366,6 @@ class MomentTable:
         return self.moment
 
     @classmethod
-    def normal(cls, d, blocks):
-        """The moments of d independent standard normal variables at the given blocks.
-
-        A block's moment factors over its distinct labels; each label with
-        multiplicity c contributes (c-1)!! for even c and 0 for odd c.
-        """
-        _check_dimension(d)
-        values = {}
-        for block in blocks:
-            v = 1
-            for lab in set(block):
-                c = block.count(lab)
-                v = 0 if c % 2 else v * math.prod(range(c - 1, 0, -2))
-            values[block] = Fraction(v)
-        return cls(d, values)
-
-    @classmethod
     def from_dataset(cls, data, blocks):
         """Tabulate the empirical moments of the given blocks.
 
@@ -389,6 +382,44 @@ class MomentTable:
             if not kept:
                 del columns[block]
         return cls(data.d, values)
+
+
+class NormalPopulation:
+    """d independent standard normal variables: their block moments and their draws.
+
+    The one law that exact_bias reads moments from and bias_experiment draws
+    samples from.
+    """
+
+    exact = True
+
+    def __init__(self, d):
+        _check_dimension(d)
+        self.d = d
+
+    def moment(self, block):
+        """The moment of a block of labels below d, as a Fraction.
+
+        It factors over the block's distinct labels; each label with
+        multiplicity c contributes (c-1)!! for even c and 0 for odd c.  A
+        label at or above d raises MissingMomentError, as a table without
+        the block does.
+        """
+        if not all(0 <= lab < self.d for lab in block):
+            raise MissingMomentError(f"moment table has no entry for block {tuple(sorted(block))}")
+        v = 1
+        for c in map(block.count, set(block)):
+            v *= 0 if c % 2 else math.prod(range(c - 1, 0, -2))
+        return Fraction(v)
+
+    def _moments(self):
+        """The block-moment reader: the population's moment method."""
+        return self.moment
+
+    def draw(self, rng, n):
+        """A Dataset of n rows of d standard normals, Python floats, from numpy Generator rng."""
+        rows = tuple(map(tuple, rng.standard_normal((n, self.d)).tolist()))
+        return Dataset._validated(rows, exact=False)
 
 
 def _column(root, block):
@@ -430,7 +461,7 @@ def empirical_moment(data, block):
 
 
 def evaluate(F, population):
-    """Value of the polynomial against a Dataset (plug-in) or a MomentTable.
+    """Value of the polynomial against a Dataset (plug-in), a MomentTable or a NormalPopulation.
 
     Each distinct block's moment is read once per call from the population's
     block-moment reader (_moments); on a Dataset it is the block's
@@ -438,7 +469,7 @@ def evaluate(F, population):
     table or Dataset is one Fraction summed in integers (_exact_value); any
     other pair takes the per-term loop (_term_sum).
     """
-    if not isinstance(population, (Dataset, MomentTable)):
+    if not isinstance(population, (Dataset, MomentTable, NormalPopulation)):
         raise TypeError(f"cannot evaluate against {type(population).__name__}")
     moment = population._moments()
     return _exact_value(F, moment) if F.exact and population.exact else _term_sum(F, moment)
@@ -550,12 +581,27 @@ def reachable_blocks(F):
 # -- analytic populations ------------------------------------------------------
 
 def normal_moment_table(d, max_order):
-    """Moment table of d independent standard normal variables, every block up to max_order."""
+    """NormalPopulation(d)'s moments tabulated at every block up to max_order."""
+    moment = NormalPopulation(d).moment
     blocks = (b for k in range(max_order + 1) for b in combinations_with_replacement(range(d), k))
-    return MomentTable.normal(d, blocks)
+    return MomentTable(d, {block: moment(block) for block in blocks})
 
 
 # -- serialization -------------------------------------------------------------
+
+def _exact_str(x):
+    """str(x), and an int or Fraction in full past the interpreter's int-to-str digit limit.
+
+    The limit (sys.get_int_max_str_digits) stays in force for parsing input;
+    decimal's conversion is not subject to it (fractions imports decimal, so
+    it costs no import).
+    """
+    try:
+        return str(x)
+    except ValueError:
+        num, den = x.as_integer_ratio()
+        return f"{Decimal(num)}" if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+
 
 def polynomial_to_dict(F):
     """JSON-ready form: {"d": d, "terms": [{"blocks": [[...]], "coeff": ...}]}."""
@@ -565,7 +611,7 @@ def polynomial_to_dict(F):
         out.append(
             {
                 "blocks": [list(b) for b in term],
-                "coeff": str(coeff) if F.exact else float(coeff),
+                "coeff": _exact_str(coeff) if F.exact else float(coeff),
             }
         )
     return {"d": F.d, "terms": out}
@@ -593,6 +639,32 @@ def polynomial_from_dict(obj):
         term = LabeledTerm(entry["blocks"])
         terms[term] = terms.get(term, 0) + scalar_from_json(entry["coeff"])
     return MomentPolynomial(d, terms)
+
+
+def population_from_dict(obj, default_d):
+    """The population of a population JSON, an analytic law or a moment table.
+
+    {"family": "normal", "d": d} is a NormalPopulation; a normal family
+    without "d" takes default_d, the functional's.  {"d": d, "moments":
+    [{"block": [labels], "value": ...}, ...]} is a MomentTable, each value a
+    JSON scalar (scalar_from_json).  Any other family raises InfeasibleError;
+    a malformed object raises KeyError, TypeError or ValueError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    family = obj.get("family")
+    if family == "normal":
+        return NormalPopulation(obj.get("d", default_d))
+    if family is not None:
+        raise InfeasibleError(f"unknown population family {family!r}")
+    d = obj["d"]
+    values = []
+    for entry in obj["moments"]:
+        block = entry["block"]
+        if not isinstance(block, list):
+            raise ValueError(f"block {block!r} is not a list")
+        values.append((block, scalar_from_json(entry["value"])))
+    return MomentTable(d, values)
 
 
 def dataset_from_csv(path):

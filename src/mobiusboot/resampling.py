@@ -63,10 +63,13 @@ def sampling_matrix(m, n):
     """Build S for order m and sample size n, from _sampling_law.
 
     The weight of b blocks merged into k is one Fraction per grouping row of
-    b blocks, shared by every column with b blocks.
+    b blocks, shared by every column with b blocks.  m is held to the lattice
+    cap, and then the cells to REDUCED_CAP bits, as the level-sum matrix's are.
     """
     _check_sample_size(n)
-    return _incidence_matrix(enumerate_partitions(m), partial(_sampling_law, n))
+    index = enumerate_partitions(m)
+    _check_cell_bits("sampling matrix", m, n)
+    return _incidence_matrix(index, partial(_sampling_law, n))
 
 
 def factorization(m, n):
@@ -210,12 +213,23 @@ def unbiased_evaluate(F, data):
     return evaluate(apply_S_inverse(F, data.n), data)
 
 
-# A cell of the level-sum matrix has up to about m x bit_length(max(m, N))
-# bits: N^m bounds its denominator, and the Stirling numbers it carries grow
-# as m log m.  The matrix holds m^2/2 such cells: at the cap, smatrix --reduced
-# takes about 1 s on a 2-core x86 host (m = 240 at N = 1000, m = 266 at
-# N = 300), and every cell stays far below the 4300 digits str() converts.
+# A cell of the level-sum matrix, or of S, has up to about
+# m x bit_length(max(m, N)) bits: N^m bounds its denominator, and the Stirling
+# numbers a level-sum cell carries grow as m log m.  The level-sum matrix holds
+# m^2/2 such cells: at the cap, smatrix --reduced takes about 1 s on a 2-core
+# x86 host (m = 240 at N = 1000, m = 266 at N = 300).  S holds up to 19302
+# (m = 7) or 167894 (m = 8) cells, each printed in full by the artifact.
 REDUCED_CAP = 2400
+
+
+def _check_cell_bits(matrix, m, n):
+    """Raise CapExceededError when m x bit_length(max(m, N)) exceeds REDUCED_CAP."""
+    bits = m * int(max(m, n)).bit_length()
+    if bits > REDUCED_CAP:
+        raise CapExceededError(
+            f"the {matrix} at m={m}, N={n} has cells of up to"
+            f" m x bit_length(max(m, N)) = {bits} bits; at most {REDUCED_CAP} are supported"
+        )
 
 
 def reduced_matrix(m, n):
@@ -224,20 +238,18 @@ def reduced_matrix(m, n):
     Cell (i, j) = stirling2(j,i) * falling(N,i) / N^j for i <= j, stored as its
     upper triangle; the cells below are 0.
     A partition with j blocks has stirling2(j,i) coarsenings with i blocks,
-    all receiving the same weight, which is why S acts on level sums.
+    all receiving the same weight, which is why S acts on level sums.  A row
+    i > N, where falling(N,i) = 0, stores Fraction(0) in every cell without
+    reading a Stirling number.
     Raises CapExceededError before any cell is built when
     m x bit_length(max(m, N)) exceeds REDUCED_CAP.
     """
     _check_order_and_size(m, n)
-    bits = m * int(max(m, n)).bit_length()
-    if bits > REDUCED_CAP:
-        raise CapExceededError(
-            f"the level-sum matrix at m={m}, N={n} has cells of up to"
-            f" m x bit_length(max(m, N)) = {bits} bits; at most {REDUCED_CAP} are supported"
-        )
+    _check_cell_bits("level-sum matrix", m, n)
     columns = tuple(tuple(range(i - 1, m)) for i in range(1, m + 1))
     values = [
         [Fraction(stirling2(j, i) * falling_factorial(n, i), n**j) for j in range(i, m + 1)]
+        if i <= n else [Fraction(0)] * (m + 1 - i)
         for i in range(1, m + 1)
     ]
     return IncidenceMatrix(range(1, m + 1), columns, values)
@@ -326,9 +338,15 @@ def log_gamma_ratio(m, n):
 
 
 def linear_regime_size(m, alpha):
-    """The linear-regime sample size N = max(ceil(alpha*m^2), m+1) for order m."""
+    """The linear-regime sample size N = max(ceil(alpha*m^2), m+1) for order m.
+
+    alpha must be a finite number > 0, and alpha*m^2 finite too.
+    """
     if m < 1:
         raise ValueError(f"order m must be positive, got {m}")
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be a finite number > 0, got {alpha}")
-    return max(math.ceil(alpha * m * m), m + 1)
+    size = alpha * m * m
+    if not math.isfinite(size):
+        raise ValueError(f"alpha*m^2 is not a finite number at alpha={alpha}, m={m}")
+    return max(math.ceil(size), m + 1)

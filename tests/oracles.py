@@ -312,7 +312,7 @@ def draw(data, n, rng):
 def chain_values(F, source, n, coeffs, replicas, seed):
     """sum_j a_j F(X^{j+1}) per replica of n-row chains, one draw per link.
 
-    X^1 is source(rng, n) for a sampler and draw(source, n, rng) for a
+    X^1 is source.draw(rng, n) for a population and draw(source, n, rng) for a
     Dataset, whatever its row count: the per-link route that mc's replica
     blocks of picks must reproduce.  Replica i draws from
     default_rng(SeedSequence(seed).spawn(replicas)[i]).
@@ -325,7 +325,7 @@ def chain_values(F, source, n, coeffs, replicas, seed):
     values = []
     for child in np.random.SeedSequence(seed).spawn(replicas):
         rng = np.random.default_rng(child)
-        ds = draw(source, n, rng) if isinstance(source, Dataset) else source(rng, n)
+        ds = draw(source, n, rng) if isinstance(source, Dataset) else source.draw(rng, n)
         total = 0.0
         for j, a in enumerate(coeffs):
             if j > 0:

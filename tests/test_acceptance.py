@@ -22,8 +22,8 @@ from mobiusboot.moments import (
     Dataset,
     LabeledTerm,
     MomentPolynomial,
+    NormalPopulation,
     evaluate,
-    normal_moment_table,
 )
 from mobiusboot.resampling import (
     apply_S,
@@ -44,7 +44,6 @@ from mobiusboot.mc import (
     bias_experiment,
     exhaustive_estimate,
     expansion_coefficients,
-    normal_sampler,
 )
 from oracles import poly_level_sums
 
@@ -267,11 +266,10 @@ def test_10_monte_carlo_bias_agreement():
     )
     rows = bias_experiment(
         variance,
-        normal_moment_table(1, 2),
+        NormalPopulation(1),
         StepSchedule.default(10, 2),
         100_000,
         seed=42,
-        sampler=normal_sampler(1),
     )
     plugin, _, scheduled = rows
     assert plugin.exact_bias == Fraction(-1, 10)

@@ -358,32 +358,43 @@ def test_exit_code_missing_moment(workdir):
 WIDE_JSON = {"d": 16, "terms": [{"blocks": [[lab] for lab in range(0, 16, 2)], "coeff": "1"}]}
 
 
-def _tables_read_by_exact_bias(monkeypatch):
-    tables = []
-    real = cli.exact_bias
+def _moments_read_by_exact_bias(monkeypatch):
+    """The populations cli passes exact_bias, and the blocks whose normal moments are read."""
+    from mobiusboot.moments import NormalPopulation
 
-    def recorded(F, schedule, table):
-        tables.append(table)
-        return real(F, schedule, table)
+    populations, blocks = [], []
+    real, real_moment = cli.exact_bias, NormalPopulation.moment
+
+    def recorded(F, schedule, population):
+        populations.append(population)
+        return real(F, schedule, population)
+
+    def moment(self, block):
+        blocks.append(block)
+        return real_moment(self, block)
 
     monkeypatch.setattr(cli, "exact_bias", recorded)
-    return tables
+    monkeypatch.setattr(NormalPopulation, "moment", moment)
+    return populations, blocks
 
 
 def test_normal_population_tabulates_only_reachable_blocks(workdir, monkeypatch):
-    from mobiusboot.moments import reachable_blocks
+    # the normal family's moments are read at the blocks an exact trajectory
+    # reads, F's reachable blocks, and nowhere else
+    from mobiusboot.moments import NormalPopulation, reachable_blocks
 
     monkeypatch.chdir(workdir)
-    tables = _tables_read_by_exact_bias(monkeypatch)
+    populations, blocks = _moments_read_by_exact_bias(monkeypatch)
     (workdir / "wide.json").write_text(json.dumps(WIDE_JSON))
     (workdir / "normal.json").write_text(json.dumps({"family": "normal"}))
     rc = main(["bias", "--functional", "wide.json", "--population", "normal.json",
                "--n", "9", "--k", "1", "--out", "w"])
     assert rc == 0
-    (table,) = tables
-    assert table.d == 16 and set(table.values) == reachable_blocks(polynomial_from_dict(WIDE_JSON))
-    assert len(table.values) == 255
-    assert all(v == 0 for v in table.values.values())  # every label of a block is odd-count
+    (population,) = populations
+    assert type(population) is NormalPopulation and population.d == 16
+    assert set(blocks) == reachable_blocks(polynomial_from_dict(WIDE_JSON))
+    assert len(set(blocks)) == 255
+    assert all(population.moment(b) == 0 for b in set(blocks))  # every label of a block is odd-count
     _, rows = _rows(workdir / "w.csv", "trajectory")
     assert [row[1] for row in rows] == ["0", "0"]
 
@@ -395,7 +406,7 @@ def test_normal_population_table_matches_the_full_table(workdir, monkeypatch):
     from mobiusboot.moments import normal_moment_table
 
     monkeypatch.chdir(workdir)
-    tables = _tables_read_by_exact_bias(monkeypatch)
+    populations, blocks = _moments_read_by_exact_bias(monkeypatch)
     functional = {"d": 2, "terms": [
         {"blocks": [[0, 0], [1]], "coeff": "1/3"},
         {"blocks": [[0], [0], [1, 1]], "coeff": "-2"},
@@ -408,8 +419,9 @@ def test_normal_population_table_matches_the_full_table(workdir, monkeypatch):
     assert rc == 0
     F = polynomial_from_dict(functional)
     full = normal_moment_table(3, F.max_order())
-    (table,) = tables
-    assert table.values == {block: full.values[block] for block in table.values}
+    (population,) = populations
+    assert population.d == 3 and blocks
+    assert all(repr(population.moment(b)) == repr(full.values[b]) for b in set(blocks))
     report = exact_bias(F, StepSchedule.default(5, 2), full)
     _, rows = _rows(workdir / "n.csv", "trajectory")
     assert [row[1] for row in rows] == [str(r.signed_bias) for r in report.records]
@@ -424,6 +436,21 @@ def test_normal_population_narrower_than_the_functional_exits_3(workdir, monkeyp
                "--n", "9", "--k", "1", "--out", "w"])
     assert rc == 3
     assert "moment table has no entry for block" in capsys.readouterr().err
+
+
+def test_mc_run_on_a_normal_population_narrower_than_the_functional_exits_3(workdir, monkeypatch,
+                                                                            capsys):
+    # the law mc-run draws from is the one its exact column reads: a label
+    # of F at or above the population's d has no moment, before any replica
+    monkeypatch.chdir(workdir)
+    (workdir / "wide.json").write_text(json.dumps(WIDE_JSON))
+    (workdir / "normal8.json").write_text(json.dumps({"family": "normal", "d": 8}))
+    monkeypatch.setattr(cli.mc_mod, "_mc_values", lambda *args: pytest.fail("a replica ran"))
+    rc = main(["mc-run", "--functional", "wide.json", "--population", "normal8.json",
+               "--n", "9", "--k", "1", "--replicas", "10", "--out", "w"])
+    assert rc == 3
+    assert "moment table has no entry for block" in capsys.readouterr().err
+    assert not (workdir / "w.csv").exists()
 
 
 def test_exit_code_exhaustive_too_large(workdir, monkeypatch):
@@ -702,10 +729,14 @@ def test_stationary_schedule_spellings_write_identical_tables(workdir, monkeypat
          "cannot parse gamma sequence '1e400,1,0.5'"),
         (["--kind", "linconv", "--alpha", "inf"], "alpha must be a finite number > 0, got inf"),
         (["--kind", "linconv", "--alpha", "nan"], "alpha must be a finite number > 0, got nan"),
+        # ceil(alpha*m^2) at m = 2: "cannot convert float infinity to integer"
+        (["--kind", "linconv", "--alpha", "1e308", "--m-max", "2"],
+         "alpha*m^2 is not a finite number at alpha=1e+308, m=2"),
     ],
     ids=["trace-sigma-2", "trace-n0", "bandlimited-n-too-small", "bandlimited-d0",
          "general-n0", "general-short-gammas", "linconv-alpha0", "linconv-m-max0",
-         "bandlimited-huge-theta", "general-huge-gamma", "linconv-alpha-inf", "linconv-alpha-nan"],
+         "bandlimited-huge-theta", "general-huge-gamma", "linconv-alpha-inf", "linconv-alpha-nan",
+         "linconv-alpha-m-overflow"],
 )
 def test_bounds_out_of_range_exit_2(workdir, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(workdir)
@@ -900,7 +931,7 @@ def test_mc_run_draw_cap_counts_root_cells_and_link_picks(workdir, monkeypatch, 
 
 @pytest.mark.parametrize(
     "functional, code, message",
-    [("var.json", 3, "an analytic population needs a sampler to draw X^1"),
+    [("var.json", 3, "an explicit moment table has no law to draw X^1 from"),
      ("big.json", 2, "a term has 11 blocks; at most 10 per term are supported")],
     ids=["no-sampler", "block-cap-first"],
 )
@@ -1060,6 +1091,92 @@ def test_cli_holds_no_input_cap():
         or (isinstance(node, ast.Constant) and node.value == 2**20)
     ]
     assert powers == []
+
+
+def test_one_population_object_per_law():
+    # a law is one population object: no function of the library takes a
+    # separate sampler beside its moments, and the front end builds no
+    # population, tabulates no moment and reads no block set itself
+    src = Path(cli.__file__).parent
+    params = [
+        (path.name, ast.unparse(node)[:60])
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)) and any(
+            arg.arg == "sampler"
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        )
+    ]
+    assert params == []
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "population_from_dict" in imported  # the walk sees the imports
+    assert imported & {"MomentTable", "NormalPopulation", "reachable_blocks"} == set()
+
+
+BIG_N = "1" + "0" * 2200  # N = 10^2200: N^2 has 4401 digits, past str()'s 4300
+
+
+def _exact(text):
+    """The Fraction of a p/q cell, read through decimal, past the digit limit."""
+    from decimal import Decimal
+
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def test_bias_prints_cells_past_the_digit_limit(workdir, monkeypatch):
+    # each trajectory cell was a ValueError traceback (exit 1) with a partial
+    # BASE.csv left behind; every cell now prints in full, in both files
+    from mobiusboot.debias import StepSchedule, exact_bias
+    from mobiusboot.moments import NormalPopulation
+
+    monkeypatch.chdir(workdir)
+    assert main(BIAS + ["--n", BIG_N, "--k", "1", "--out", "big"]) == 0
+    report = exact_bias(polynomial_from_dict(VARIANCE_JSON), StepSchedule.unit(int(BIG_N), 1),
+                        NormalPopulation(1))
+    want = [[r.k, r.signed_bias, r.abs_bias] for r in report.records]
+    _, rows = _rows(workdir / "big.csv", "trajectory")
+    assert [[int(k), _exact(s), _exact(a)] for k, s, a, _ in rows] == want
+    assert max(len(row[1]) for row in rows) > 4400
+    json_rows = json.loads((workdir / "big.json").read_text())["tables"]["trajectory"]["rows"]
+    assert [row[:3] for row in json_rows] == [row[:3] for row in rows]
+
+
+def test_smatrix_with_cells_past_the_cap_exits_2_before_writing(workdir, monkeypatch, capsys):
+    # the dense S is held to the level-sum matrix's cell rule, so no run
+    # writes gigabytes of digits; it exits before any artifact file opens
+    monkeypatch.chdir(workdir)
+    err = _assert_usage_error(main(["smatrix", "--m", "2", "--n", BIG_N, "--out", "x"]), capsys)
+    assert err.startswith(f"error: the sampling matrix at m=2, N={BIG_N} has cells of up to")
+    assert err.endswith(" = 14618 bits; at most 2400 are supported\n")
+    assert not (workdir / "x.csv").exists() and not (workdir / "x.json").exists()
+
+
+def test_artifact_prints_exact_cells_past_the_digit_limit(tmp_path):
+    # str() of an int of more than 4300 digits raises ValueError; every
+    # table route and the JSON mirror print such cells in full
+    from decimal import Decimal
+    from mobiusboot.lattice import IncidenceMatrix
+
+    big, neg = Fraction(10**5000 + 1, 3), -(7**6000)
+    big_text, neg_text = f"{Decimal(10**5000 + 1)}/3", str(Decimal(neg))
+    art = Artifact("t", [])
+    art.add_table("cells", ["a", "b"], [[big, neg]])
+    art.add_matrix("m", ["1", "2"], IncidenceMatrix(range(2), ((0, 1), (1,)), [[1, big], [neg]]))
+    art.write(tmp_path / "x")
+    csv_lines = [line for line in (tmp_path / "x.csv").read_text().splitlines() if not line.startswith("#")]
+    assert csv_lines[1] == f"{big_text},{neg_text}"
+    assert csv_lines[3:] == [f"1,1,{big_text}", f"2,0,{neg_text}"]
+    tables = json.loads((tmp_path / "x.json").read_text())["tables"]
+    assert tables["cells"]["rows"] == [[big_text, neg_text]]
+    assert tables["m"]["rows"] == [["1", "1", big_text], ["2", "0", neg_text]]
+    assert _scalar(np.int64(-5)) == "-5" and _scalar(big) == big_text
 
 
 def test_unknown_subcommand_exits_2():

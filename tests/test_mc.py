@@ -27,7 +27,6 @@ from mobiusboot.mc import (
     exhaustive_estimate,
     expansion_coefficients,
     mc_estimate,
-    normal_sampler,
     resample,
     _mc_values,
     _multiset_picks,
@@ -43,6 +42,7 @@ from mobiusboot.moments import (
     LabeledTerm,
     MomentPolynomial,
     MomentTable,
+    NormalPopulation,
     _pick_evaluator,
     evaluate,
     normal_moment_table,
@@ -348,16 +348,14 @@ def test_replica_generators_equal_default_rng_of_spawned_children():
 )
 def test_bad_seed_rejected_before_any_replica(seed, error):
     calls = []
-    sampler = lambda rng, n: calls.append(rng) or DATA4
+    population = NormalPopulation(1)
+    population.draw = lambda rng, n: calls.append(rng) or DATA4
     with pytest.raises(error, match="seed must be a nonnegative int"):
-        _mc_values(variance_poly(), sampler, 4, (1,), 3, seed)
+        _mc_values(variance_poly(), population, 4, (1,), 3, seed)
     with pytest.raises(error, match=repr(seed)):
         mc_estimate(variance_poly(), DATA4, (1,), 3, seed)
     with pytest.raises(error, match="seed must be a nonnegative int"):
-        bias_experiment(
-            variance_poly(), normal_moment_table(1, 4), StepSchedule.unit(4, 1), 3,
-            seed=seed, sampler=sampler,
-        )
+        bias_experiment(variance_poly(), population, StepSchedule.unit(4, 1), 3, seed=seed)
     assert calls == []
 
 
@@ -366,10 +364,7 @@ def test_replica_count_outside_uint32_keys_rejected(replicas):
     with pytest.raises(ValueError, match="replicas must be an int in 1..2\\*\\*32-1"):
         mc_estimate(variance_poly(), DATA4, (1,), replicas, 0)
     with pytest.raises(ValueError, match="replicas must be an int"):
-        bias_experiment(
-            variance_poly(), normal_moment_table(1, 4), StepSchedule.unit(4, 1), replicas,
-            sampler=normal_sampler(1),
-        )
+        bias_experiment(variance_poly(), NormalPopulation(1), StepSchedule.unit(4, 1), replicas)
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
@@ -469,7 +464,7 @@ def test_float_chain_bit_identical_to_fraction_coefficients():
     coeffs = expansion_coefficients(StepSchedule.default(12, 2))
     assert all(isinstance(a, Fraction) for a in coeffs)
     slow_fn = lambda ds: evaluate(COVARIANCE_PLUS, ds)
-    for source, n in ((data, data.n), (normal_sampler(2), 7)):
+    for source, n in ((data, data.n), (NormalPopulation(2), 7)):
         fast = _mc_values(COVARIANCE_PLUS, source, n, coeffs, 200, 17)
         slow = _mc_values(slow_fn, source, n, coeffs, 200, 17)
         assert fast == slow
@@ -516,7 +511,7 @@ class RecordedDraws:
 
 @pytest.mark.parametrize("links", [0, 1, 3])
 def test_sampler_draws_x1_then_the_links_block(monkeypatch, links):
-    # a sampler draws a new root per replica from the replica's generator, X^1
+    # a normal population draws a new root per replica from the replica's generator, X^1
     # of (n, d) normals, then every link's picks in one integers(n, size=(links, n))
     # call (none without links); the links are picks of that root
     from mobiusboot import mc
@@ -530,11 +525,11 @@ def test_sampler_draws_x1_then_the_links_block(monkeypatch, links):
 
     monkeypatch.setattr(mc, "_replica_generators", generators)
     calls = counted_evaluate(monkeypatch)
-    sampler, n, F = normal_sampler(2), 4, cubic_poly(2)
+    population, n, F = NormalPopulation(2), 4, cubic_poly(2)
     coeffs = expansion_coefficients([1] * links)
-    got = _mc_values(F, sampler, n, coeffs, 5, 40)
+    got = _mc_values(F, population, n, coeffs, 5, 40)
     assert [rng.sizes for rng in recorded] == [[(n, 2)] + ([(links, n)] if links else [])] * 5
-    assert_same_values(got, oracles.chain_values(F, sampler, n, coeffs, 5, 40))
+    assert_same_values(got, oracles.chain_values(F, population, n, coeffs, 5, 40))
     assert len(calls) == 5 * (links + 1)
     for r in range(5):
         first, *chain = calls[r * (links + 1):(r + 1) * (links + 1)]
@@ -601,8 +596,8 @@ def test_mc_reads_no_pick_layout():
     assert "_picked" in attrs  # the walk sees attribute reads
 
 
-def test_normal_sampler_rows_are_python_floats():
-    ds = normal_sampler(3)(np.random.default_rng(0), 4)
+def test_normal_population_draws_python_floats():
+    ds = NormalPopulation(3).draw(np.random.default_rng(0), 4)
     assert ds.n == 4 and ds.d == 3 and not ds.exact
     assert all(type(v) is float for row in ds.rows for v in row)
     assert all(type(row) is tuple for row in ds.rows)
@@ -634,11 +629,7 @@ def test_se_scaling_with_replicas():
 
 def test_bias_experiment_normal_population():
     F = variance_poly()
-    pop = normal_moment_table(1, 4)
-    rows = bias_experiment(
-        F, pop, StepSchedule.default(10, 2), replicas=4000,
-        seed=2024, sampler=normal_sampler(1),
-    )
+    rows = bias_experiment(F, NormalPopulation(1), StepSchedule.default(10, 2), replicas=4000, seed=2024)
     assert [r.k for r in rows] == [0, 1, 2]
     assert rows[0].exact_bias == Fraction(-1, 10)
     assert rows[2].exact_bias == 0
@@ -675,37 +666,39 @@ def test_bias_experiment_over_the_block_cap_tabulates_nothing(monkeypatch):
     rng = random.Random(77)
     pop = Dataset([[rng.random() for _ in range(13)] for _ in range(200)])
     F = MomentPolynomial(13, {LabeledTerm([[i] for i in range(13)]): 1})
-    for population, sampler in ((pop, None), (normal_moment_table(13, 1), None)):
-        # an analytic table without a sampler meets the cap first, too
+    for population in (pop, NormalPopulation(13), normal_moment_table(13, 1)):
+        # an explicit moment table, which has no law to draw from, meets the cap first, too
         with pytest.raises(CapExceededError, match="^a term has 13 blocks; at most 10 per term"):
-            bias_experiment(F, population, StepSchedule.unit(20, 1), 10, sampler=sampler)
+            bias_experiment(F, population, StepSchedule.unit(20, 1), 10)
 
 
-def test_bias_experiment_requires_sampler_for_tables(monkeypatch):
+def test_bias_experiment_rejects_explicit_moment_tables(monkeypatch):
+    # a MomentTable gives moments but no law to draw X^1 from; exact_bias
+    # reads moments only, so it accepts one
     monkeypatch.setattr(mobiusboot.mc, "exact_bias", _exact_bias_not_wanted)
-    with pytest.raises(InfeasibleError, match="^an analytic population needs a sampler"):
+    with pytest.raises(InfeasibleError, match="^an explicit moment table has no law to draw X\\^1 from$"):
         bias_experiment(variance_poly(), normal_moment_table(1, 4), StepSchedule.unit(10, 1), 10)
+    with pytest.raises(TypeError, match="^population must be a Dataset, NormalPopulation or MomentTable$"):
+        bias_experiment(variance_poly(), [[1.0], [2.0]], StepSchedule.unit(10, 1), 10)
 
 
 @pytest.mark.parametrize("d, n, k", [(1, 2**20 + 1, 0), (3, 2**18, 2), (1, 2**19 + 1, 1)])
 def test_bias_experiment_over_the_draw_cap_runs_no_trajectory(monkeypatch, d, n, k):
-    # a sampler replica draws N x d root cells and k x N link picks
+    # a normal population's replica draws N x d root cells and k x N link picks
     monkeypatch.setattr(mobiusboot.mc, "exact_bias", _exact_bias_not_wanted)
     with pytest.raises(CapExceededError, match=rf"^one replica draws N x \(d \+ k\) = {n * (d + k)} cells"):
-        bias_experiment(variance_poly(), normal_moment_table(d, 2), StepSchedule.unit(n, k), 1,
-                        sampler=normal_sampler(d))
+        bias_experiment(variance_poly(), NormalPopulation(d), StepSchedule.unit(n, k), 1)
     # 2**20 cells are allowed: the run goes on to the exact trajectory
     with pytest.raises(AssertionError, match="the exact trajectory ran"):
-        bias_experiment(variance_poly(), normal_moment_table(1, 2), StepSchedule.unit(2**19, 1), 1,
-                        sampler=normal_sampler(1))
+        bias_experiment(variance_poly(), NormalPopulation(1), StepSchedule.unit(2**19, 1), 1)
 
 
 def test_exact_column_independent_of_replicas():
     F = variance_poly()
-    pop = normal_moment_table(1, 4)
+    pop = NormalPopulation(1)
     unit = StepSchedule.unit(10, 1)
-    a = bias_experiment(F, pop, unit, 50, seed=1, sampler=normal_sampler(1))
-    b = bias_experiment(F, pop, unit, 200, seed=9, sampler=normal_sampler(1))
+    a = bias_experiment(F, pop, unit, 50, seed=1)
+    b = bias_experiment(F, pop, unit, 200, seed=9)
     assert [r.exact_bias for r in a] == [r.exact_bias for r in b]
 
 
@@ -780,17 +773,21 @@ def test_bias_experiment_dataset_population_matches_per_link_oracle(case, n, rep
 
 @PROPERTY
 @given(chain_inputs(), st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**40))
-def test_bias_experiment_normal_sampler_matches_per_link_oracle(case, n, replicas, seed):
+def test_bias_experiment_normal_population_matches_per_link_oracle(case, n, replicas, seed):
+    # the population's draws against the per-link oracle, and its exact
+    # column against the tabulated normal moments
     _, F, steps = case
     schedule = StepSchedule(n, steps)
     table = normal_moment_table(F.d, F.max_order())
     target = float(exact_bias(F, schedule, table).target)
     seeds = np.random.SeedSequence(seed).generate_state(len(schedule) + 1)
-    sampler = normal_sampler(F.d)
-    rows = bias_experiment(F, table, schedule, replicas, seed, sampler=sampler)
+    population = NormalPopulation(F.d)
+    rows = bias_experiment(F, population, schedule, replicas, seed)
+    table_rows = exact_bias(F, schedule, table).records
+    assert [row.exact_bias for row in rows] == [record.signed_bias for record in table_rows]
     for k, row in enumerate(rows):
         coeffs = expansion_coefficients(steps[:k])
-        want = oracles.chain_values(F, sampler, n, coeffs, replicas, int(seeds[k]))
+        want = oracles.chain_values(F, population, n, coeffs, replicas, int(seeds[k]))
         assert same(row.report, _report([v - target for v in want], int(seeds[k])))
 
 
@@ -844,9 +841,7 @@ def test_sampler_root_links_build_no_rows(monkeypatch):
         return evaluate(F, ds)
 
     monkeypatch.setattr(mc, "evaluate", recorded)
-    table = normal_moment_table(1, 2)
-    bias_experiment(variance_poly(), table, StepSchedule.unit(5, 2), 4, seed=3,
-                    sampler=normal_sampler(1))
+    bias_experiment(variance_poly(), NormalPopulation(1), StepSchedule.unit(5, 2), 4, seed=3)
     links = [ds for ds in seen if ds.picks is not None]
     assert len(links) == 4 * (0 + 1 + 2) and len(seen) == len(links) + 4 * 3
     for ds in links:

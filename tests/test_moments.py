@@ -28,11 +28,13 @@ from mobiusboot.moments import (
     MissingMomentError,
     MomentPolynomial,
     MomentTable,
+    NormalPopulation,
     dataset_from_csv,
     empirical_moment,
     evaluate,
     normal_moment_table,
     polynomial_from_dict,
+    population_from_dict,
     scalar_from_json,
     polynomial_to_dict,
     reachable_blocks,
@@ -308,16 +310,101 @@ def test_table_from_dataset_leaves_the_roots_columns_as_they_were(exact):
 
 
 def test_normal_moments_follow_one_rule_for_every_table():
-    # normal_moment_table and the tables built from chosen blocks read one
-    # per-block rule: (c-1)!! per label of even count c, 0 for an odd count
+    # normal_moment_table tabulates NormalPopulation's one per-block rule:
+    # (c-1)!! per label of even count c, 0 for an odd count
     full = normal_moment_table(3, 6)
-    blocks = [(0,), (1, 1), (0, 0, 2, 2), (0, 1, 1, 1), (2, 2, 2, 2, 2, 2)]
-    chosen = MomentTable.normal(3, blocks)
-    assert list(chosen.values) == blocks
-    assert all(repr(chosen.values[b]) == repr(full.values[b]) for b in blocks)
-    assert [chosen.values[b] for b in blocks] == [0, 1, 1, 0, 15]
+    population = NormalPopulation(3)
+    blocks = [(0,), (1, 1), (0, 0, 2, 2), (0, 1, 1, 1), (2, 2, 2, 2, 2, 2), (2, 0, 2, 0)]
+    assert all(repr(population.moment(b)) == repr(full.moment(b)) for b in blocks)
+    assert [population.moment(b) for b in blocks] == [0, 1, 1, 0, 15, 1]
+    assert population._moments() == population.moment and population.exact
+    with pytest.raises(MissingMomentError, match=re.escape("moment table has no entry for block (0, 3)")):
+        population.moment((3, 0))
     with pytest.raises(ValueError, match="d must be a positive integer"):
-        MomentTable.normal(0, blocks)
+        NormalPopulation(0)
+
+
+def test_normal_population_evaluates_as_its_table():
+    F = MomentPolynomial(2, {
+        LabeledTerm([[0, 0], [1, 1]]): Fraction(1, 3),
+        LabeledTerm([[0, 0, 0, 0]]): -2,
+        LabeledTerm([[0, 1]]): 5,
+    })
+    table = normal_moment_table(2, F.max_order())
+    assert evaluate(F, NormalPopulation(2)) == evaluate(F, table) == Fraction(1, 3) - 6
+    assert repr(evaluate(1.0 * F, NormalPopulation(2))) == repr(evaluate(1.0 * F, table))
+    with pytest.raises(MissingMomentError, match=re.escape("no entry for block (1, 1)")):
+        evaluate(F, NormalPopulation(1))
+
+
+@pytest.mark.parametrize(
+    "obj, want",
+    [
+        ({"family": "normal", "d": 3}, (NormalPopulation, 3)),
+        ({"family": "normal"}, (NormalPopulation, 2)),
+        ({"d": 1, "moments": [{"block": [0, 0], "value": "1/2"}]}, (MomentTable, 1)),
+    ],
+    ids=["normal", "normal-default-d", "moments"],
+)
+def test_population_from_dict(obj, want):
+    # a normal family without "d" takes the d given, the functional's
+    population = population_from_dict(obj, 2)
+    assert (type(population), population.d) == want
+    if isinstance(population, MomentTable):
+        assert population.values == {(0, 0): Fraction(1, 2)}
+
+
+@pytest.mark.parametrize(
+    "obj, error, message",
+    [
+        ([], ValueError, "not a JSON object"),
+        ({"family": "uniform", "d": 1}, InfeasibleError, "unknown population family 'uniform'"),
+        ({"family": "normal", "d": True}, ValueError, "d must be a positive integer"),
+        ({"moments": []}, KeyError, "d"),
+        ({"d": 1, "moments": [{"block": "", "value": 1}]}, ValueError, "block '' is not a list"),
+        ({"d": 1, "moments": [{"block": [0], "value": None}]}, ValueError, "neither a p/q string"),
+    ],
+    ids=["not-object", "unknown-family", "normal-d-bool", "no-d", "block-not-list", "value-null"],
+)
+def test_population_from_dict_rejects_malformed_objects(obj, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        population_from_dict(obj, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf")])
+def test_moment_polynomial_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match=re.escape(f"coefficient of LabeledTerm((x0,x0)) {float(bad)!r} is not finite")):
+        MomentPolynomial(1, {LabeledTerm([[0], [0]]): 1, LabeledTerm([[0, 0]]): bad})
+
+
+def test_moment_polynomial_reads_numpy_coefficients_as_python_scalars():
+    # as Dataset cells: a numpy int is an exact int, a numpy float a float
+    exact = MomentPolynomial(1, {LabeledTerm([[0, 0]]): np.int64(3), LabeledTerm([[0]]): Fraction(1, 2)})
+    assert exact.exact and exact.terms == {LabeledTerm([[0, 0]]): 3, LabeledTerm([[0]]): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in exact.terms.values())
+    floats = MomentPolynomial(1, {LabeledTerm([[0, 0]]): np.float32(0.5), LabeledTerm([[0]]): 2})
+    assert not floats.exact and [type(c) for c in floats.terms.values()] == [float, float]
+
+
+def test_polynomial_to_dict_prints_coefficients_past_the_digit_limit():
+    from decimal import Decimal
+
+    big = Fraction(-(10**5000) - 7, 3**9000)
+    F = MomentPolynomial(1, {LabeledTerm([[0]]): big, LabeledTerm([[0, 0]]): 10**4400})
+    first, second = (term["coeff"] for term in polynomial_to_dict(F)["terms"])
+    num, den = first.split("/")
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == big
+    assert second == "1" + "0" * 4400
+
+
+def test_polynomial_arithmetic_results_are_not_checked():
+    # only given coefficients are held to the cell rule: a float overflow in
+    # the arithmetic stays inf, as IEEE arithmetic leaves it
+    F = MomentPolynomial(1, {LabeledTerm([[0, 0]]): 1e308, LabeledTerm([[0]]): Fraction(1)})
+    big = 10.0 * F
+    assert big.terms == {LabeledTerm([[0, 0]]): math.inf, LabeledTerm([[0]]): 10.0}
+    assert (big + big).terms[LabeledTerm([[0, 0]])] == math.inf
+    assert (2 * variance_poly()).exact and not (variance_poly() + F).exact
 
 
 def test_missing_moment_raises():
@@ -758,8 +845,8 @@ def test_one_helper_scales_every_exact_value_to_one_denominator():
         node for _, node in _nodes_by_function(ast.parse(Path(moments.__file__).read_text()))
         if isinstance(node, ast.FunctionDef) and node.name == "_moments"
     ]
-    assert len(readers) == 2
-    assert [ast.unparse(reader.args) for reader in readers] == ["self", "self"]
+    assert len(readers) == 3
+    assert [ast.unparse(reader.args) for reader in readers] == ["self", "self", "self"]
 
 
 def test_exact_columns_sum_numerators_over_one_denominator():

@@ -388,6 +388,53 @@ def test_reduced_matrix_at_the_cap():
     assert R.values == [[1, Fraction(1, n)], [Fraction(n - 1, n)]]
 
 
+@pytest.mark.parametrize("m, n", [(5, 2), (9, 1), (40, 7), (266, 7)])
+def test_reduced_rows_past_n_read_no_stirling_number(monkeypatch, m, n):
+    # falling(N, i) = 0 for i > N, so those rows are Fraction(0) cells that
+    # read no Stirling number; the rows i <= N are the formula's
+    from mobiusboot.lattice import stirling2
+
+    rows_read = set()
+
+    def recorded(j, i):
+        rows_read.add(i)
+        return stirling2(j, i)
+
+    monkeypatch.setattr(resampling, "stirling2", recorded)
+    R = reduced_matrix(m, n)
+    assert rows_read == set(range(1, min(m, n) + 1))
+    for i, (cols, vals) in enumerate(zip(R.columns, R.values), 1):
+        assert list(cols) == list(range(i - 1, m))
+        want = [Fraction(stirling2(j, i) * falling_factorial(n, i), n**j) for j in range(i, m + 1)]
+        assert vals == want and all(type(v) is Fraction for v in vals)
+
+
+@pytest.mark.parametrize("m, n", [(2, 10**2200), (3, 2**800), (1, 2**2400)])
+def test_sampling_matrix_over_the_cell_cap_builds_no_cell(monkeypatch, m, n):
+    # the dense S is held to the level-sum matrix's cell rule, so the
+    # artifact never prints a run of such cells
+    def incidence_matrix_not_wanted(index, weight):
+        raise AssertionError("a cell was built before the cap")
+
+    monkeypatch.setattr(resampling, "_incidence_matrix", incidence_matrix_not_wanted)
+    bits = m * n.bit_length()
+    for build in (sampling_matrix, factorization, one_norm_direct):
+        with pytest.raises(CapExceededError) as exc:
+            build(m, n)
+        assert str(exc.value) == (
+            f"the sampling matrix at m={m}, N={n} has cells of up to"
+            f" m x bit_length(max(m, N)) = {bits} bits; at most 2400 are supported"
+        )
+
+
+def test_sampling_matrix_at_the_cell_cap():
+    n = 2**799
+    S = sampling_matrix(3, n)
+    assert S.values[0] == [Fraction((n - 1) * (n - 2), n * n)]
+    with pytest.raises(CapExceededError, match="Bell"):
+        sampling_matrix(9, 2**4000)  # the lattice cap on m is reported first
+
+
 @pytest.mark.parametrize("m,n", [(3, 2), (4, 4), (5, 3), (6, 7)])
 def test_level_sums_commute(m, n):
     rng = random.Random(17 * m + n)
@@ -573,6 +620,15 @@ def test_gamma_ratio_values():
     assert gamma_ratio(5, 4) == 0
     assert log_gamma_ratio(4, 2) == -math.inf
     assert math.exp(log_gamma_ratio(3, 9)) == pytest.approx(float(gamma_ratio(3, 9)), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, m", [(1e308, 2), (1e300, 10**5), (2e307, 4)])
+def test_linear_regime_size_rejects_an_overflowing_alpha_m_squared(alpha, m):
+    # ceil(alpha*m^2) raised "cannot convert float infinity to integer"
+    with pytest.raises(ValueError) as exc:
+        linear_regime_size(m, alpha)
+    assert str(exc.value) == f"alpha*m^2 is not a finite number at alpha={alpha}, m={m}"
+    assert linear_regime_size(1, 1e308) == math.ceil(1e308)  # a finite row keeps its N
 
 
 def test_linear_regime_alpha8():
