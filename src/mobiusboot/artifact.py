@@ -71,9 +71,10 @@ class _MatrixRows:
         the zeros between them, sliced from one ',0' run and from its JSON
         counterpart.  That is exact for any stored columns: every cell the
         matrix does not store is the int 0, and int and Fraction texts are
-        plain.  Any other row comes as its cells, [label, *dense row] read from
-        the matrix's entries, for Artifact.write to print like every other
-        table's rows.
+        plain.  Any other row comes as its cells, [label, *dense row], the
+        dense row built from that row's stored cells alone (the matrix's
+        entries would build every row), for Artifact.write to print like
+        every other table's rows.
         """
         n = len(self.labels)
         zeros_csv = ",0" * n
@@ -92,7 +93,7 @@ class _MatrixRows:
                 json_parts += zeros_json[: 10 * (n - end)], '"'
                 yield "".join(csv_parts), "".join(json_parts)
             else:
-                yield None, [label, *self.matrix.entries[i]]
+                yield None, [label, *self.matrix.row(i)]
 
 
 class Artifact:

@@ -374,17 +374,18 @@ class IncidenceMatrix:
     def __init__(self, index, columns, values):
         self.index, self.columns, self.values, self._entries = index, columns, values, None
 
+    def row(self, i):
+        """Dense row i, built from its stored cells alone."""
+        row = [0] * len(self.index)
+        for j, v in zip(self.columns[i], self.values[i]):
+            row[j] = v
+        return row
+
     @property
     def entries(self):
         """Dense rows, built on first access; Bell(8)^2 cells take 137 MB of list slots."""
         if self._entries is None:
-            n = len(self.index)
-            self._entries = []
-            for cols, vals in zip(self.columns, self.values):
-                row = [0] * n
-                for j, v in zip(cols, vals):
-                    row[j] = v
-                self._entries.append(row)
+            self._entries = [self.row(i) for i in range(len(self.index))]
         return self._entries
 
     def support(self):

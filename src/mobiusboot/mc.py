@@ -49,13 +49,14 @@ from functools import partial
 from itertools import combinations_with_replacement, islice
 
 from .debias import exact_bias
-from .lattice import CapExceededError, check_block_cap
+from .lattice import CapExceededError, DimensionError, check_block_cap
 from .moments import (
     Dataset,
     InfeasibleError,
     MomentPolynomial,
     MomentTable,
     NormalPopulation,
+    _is_exact,
     _is_int,
     _pick_evaluator,
     _scaled,
@@ -77,9 +78,24 @@ def expansion_coefficients(schedule):
     stationary iteration) yield the signed binomials binom(k+1, j+1)(-1)^j.
     The coefficients always sum to 1: each step adds eta and subtracts eta
     times the previous total.
+
+    Exact steps run the recursion on integer numerators A_j over one
+    denominator D, unnormalised: a step p/q maps them to q*A_0 + p*D,
+    q*A_j - p*A_{j-1} and -p*A_k over q*D, and each a_j becomes one Fraction
+    at the end, the Fraction that the recursion in Fractions gives.  From the
+    first float step on, every coefficient is a float and the recursion runs
+    in the arithmetic that Fraction and float operands give.
     """
-    coeffs = [Fraction(1)]
-    for eta in schedule:
+    etas = list(schedule)
+    first_float = next((i for i, eta in enumerate(etas) if not _is_exact(eta)), len(etas))
+    nums, den = [1], 1
+    for eta in etas[:first_float]:
+        p, q = eta.as_integer_ratio()
+        inner = [q * a - p * b for a, b in zip(nums[1:], nums)]
+        nums = [q * nums[0] + p * den, *inner, -p * nums[-1]]
+        den *= q
+    coeffs = [Fraction(a, den) for a in nums]
+    for eta in etas[first_float:]:
         nxt = [coeffs[0] + eta]
         nxt.extend(coeffs[j] - eta * coeffs[j - 1] for j in range(1, len(coeffs)))
         nxt.append(-eta * coeffs[-1])
@@ -143,22 +159,28 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _SPAWN_BLOCK = 4096
 # cells per array of a replica block (_replica_picks): draws, picks, products
 _BLOCK_CELLS = 2**13
-# a drawn replica holds its N x d root cells and k x N link picks as Python
-# objects, about 200 bytes a cell: 2**20 cells peak near 220 MB
+# a replica of bias_experiment holds its N x d root cells (drawn, or picked
+# from a Dataset population) and k x N link picks as Python objects, about
+# 200 bytes a cell: 2**20 cells peak near 220 MB
 _DRAW_CAP = 2**20
 
 
 def _check_run(seed, replicas):
     """Reject a seed that is not a nonnegative int, and a replica count outside 1..2**32-1.
 
-    Each replica's spawn key is one uint32 word, hence the cap.
+    A seed of another type raises TypeError; a negative seed, and a replica
+    count that is not an int or is below 1, raise ValueError.  Each
+    replica's spawn key is one uint32 word, so 2**32 replicas or more raise
+    CapExceededError, for a library caller and mc-run alike.
     """
     if not _is_int(seed):
         raise TypeError(f"seed must be a nonnegative int, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
-    if not _is_int(replicas) or not 1 <= replicas < 2**32:
+    if not _is_int(replicas) or replicas < 1:
         raise ValueError(f"replicas must be an int in 1..2**32-1, got {replicas!r}")
+    if replicas >= 2**32:
+        raise CapExceededError(f"replicas must be an int in 1..2**32-1, got {replicas!r}")
 
 
 def _spawn_states(seed, start, stop):
@@ -319,9 +341,20 @@ def _block_values(evaluate_picks, coeffs, picks, steps):
     return total.tolist()
 
 
-def _check_data(data):
+def _check_data(F, data):
+    """Reject data that is not a Dataset, and a polynomial F that reads a label past its columns.
+
+    The label check raises DimensionError; the labels a callable F reads are
+    its own, so it is not checked.
+    """
     if not isinstance(data, Dataset):
         raise TypeError(f"cannot run a chain on {type(data).__name__}: a Dataset is needed")
+    if isinstance(F, MomentPolynomial):
+        label = max((t.max_label() for t in F.terms), default=-1)
+        if label >= data.d:
+            raise DimensionError(
+                f"dataset has {data.d} column(s), but the functional reads label {label}"
+            )
 
 
 def _chain_coefficients(coeffs):
@@ -391,7 +424,7 @@ def mc_estimate(F, data, coeffs, replicas, seed):
     The chain opens with a redraw of data as X^1, so the estimator is unbiased
     for evaluate(apply_S(G), data) where G carries the coefficients.
     """
-    _check_data(data)
+    _check_data(F, data)
     values = _mc_values(F, data, data.n, coeffs, replicas, seed)
     return _report(values, seed)
 
@@ -429,7 +462,7 @@ def exhaustive_estimate(F, data, coeffs):
     sum a float from there on.  Each a_j is taken as an exact Fraction, so a
     float a_j must be finite.  Exact on exact data.
     """
-    _check_data(data)
+    _check_data(F, data)
     coeffs = [Fraction(a).as_integer_ratio() for a in _chain_coefficients(coeffs)]
     fn = _as_functional(F)
     n = data.n
@@ -468,7 +501,7 @@ def chain_expectation(F, coeffs, data):
     G = sum_j a_j S^j F.  This is the value that mc_estimate and
     exhaustive_estimate estimate.
     """
-    _check_data(data)
+    _check_data(F, data)
     coeffs = _chain_coefficients(coeffs)
     n = data.n
     total = MomentPolynomial(F.d, {})
@@ -492,10 +525,13 @@ def bias_experiment(F, population, schedule, replicas, seed=0):
     debias.exact_bias, which reads the same population and also supplies the
     bound.  Returns one ExperimentRow per k.
 
-    Before any table or trajectory is built, a term of more than BLOCK_CAP
-    blocks raises CapExceededError, an explicit-moment MomentTable, which
-    has no law to draw from, InfeasibleError, and a NormalPopulation replica
-    of more than 2**20 cells (N x (d + k)) CapExceededError.
+    Before any table or trajectory is built, in this order: a seed or a
+    replica count that _check_run rejects raises; a term of more than
+    BLOCK_CAP blocks raises CapExceededError; an explicit-moment
+    MomentTable, which has no law to draw from, InfeasibleError; a Dataset
+    population with fewer columns than a label of F needs DimensionError;
+    and a replica of more than 2**20 cells (N x (d + k)), from either kind
+    of population, CapExceededError.
     """
     _check_run(seed, replicas)
     check_block_cap(F.terms)
@@ -505,8 +541,10 @@ def bias_experiment(F, population, schedule, replicas, seed=0):
     if not isinstance(population, (Dataset, NormalPopulation)):
         raise TypeError("population must be a Dataset, NormalPopulation or MomentTable")
     drawn = isinstance(population, NormalPopulation)
+    if not drawn:
+        _check_data(F, population)
     cells = n * (population.d + len(schedule))
-    if drawn and cells > _DRAW_CAP:
+    if cells > _DRAW_CAP:
         raise CapExceededError(
             f"one replica draws N x (d + k) = {cells} cells; at most 2**20 are supported"
         )

@@ -36,9 +36,11 @@ def _scaled(ratios):
     """(numerators, den) of (p, q) int pairs: den is the lcm of the q's, p/q = numerator/den.
 
     The numerators come in the pairs' order, and no pairs give ([], 1).  Every
-    exact result built as integer numerators over one denominator is built
-    here.  It takes pairs rather than Fractions, so a q may be a product of
-    denominators that no gcd has normalised.
+    exact result built from given ratios as integer numerators over one
+    denominator is built here (mc.expansion_coefficients grows its own
+    denominator step by step instead).  It takes pairs rather than
+    Fractions, so a q may be a product of denominators that no gcd has
+    normalised.
     """
     ratios = list(ratios)
     den = math.lcm(*{q for _, q in ratios})
@@ -530,18 +532,17 @@ def _pick_evaluator(F, data):
     The function returned takes an (R, N) integer array, R picks of N of
     data's rows, and returns their R values as a float64 array, each with
     the bits of evaluate(F, Dataset._picked(data, row)).  It needs float
-    coefficients, a Python float in every cell of data's root (an int or a
-    Fraction cell would change a product's type or bits)
-    and no label of F beyond d; otherwise the answer is None.  It gathers the
+    coefficients and a Python float in every cell of data's root (an int or
+    a Fraction cell would change a product's type or bits); otherwise the
+    answer is None.  Its callers have checked that every label of F is a
+    column of data (mc._check_data).  It gathers the
     root's columns at the picks and sums each block's row with
     np.add.accumulate, in order as the Dataset reader adds; + 0.0 turns only
     a -0.0 sum into the 0.0 that reader's sum from 0 gives.  _term_sum runs on
     those arrays: IEEE products and sums are the same in numpy as in Python.
     """
     root = data.root or data
-    if F.exact or any(term.max_label() >= data.d for term in F.terms):
-        return None
-    if not all(type(v) is float for row in root.rows for v in row):
+    if F.exact or not all(type(v) is float for row in root.rows for v in row):
         return None
     import numpy as np
 

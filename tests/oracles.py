@@ -292,6 +292,20 @@ def evaluate(F, population):
     return total
 
 
+# -- the chain coefficients with one Fraction per coefficient per step -------------
+
+def expansion_coefficients(steps):
+    """(a_0, ..., a_k) by a_0' = a_0 + eta, a_j' = a_j - eta*a_{j-1}, one Fraction
+    (or, from the first float step on, one float) per coefficient per step."""
+    coeffs = [Fraction(1)]
+    for eta in steps:
+        nxt = [coeffs[0] + eta]
+        nxt.extend(coeffs[j] - eta * coeffs[j - 1] for j in range(1, len(coeffs)))
+        nxt.append(-eta * coeffs[-1])
+        coeffs = nxt
+    return tuple(coeffs)
+
+
 # -- the Monte Carlo chain with one draw per link, over row tuples ------------------
 
 def take(data, indices):

@@ -516,10 +516,16 @@ MC_DATA = ["mc-run", "--functional", "var.json", "--data", "data.csv", "--replic
     ],
 )
 def test_integer_flags_out_of_range_exit_2(workdir, monkeypatch, capsys, argv):
+    # every one exits before a replica or the exact target (mc-run --data
+    # computes the target after the estimate, whose replica cap comes first)
     monkeypatch.chdir(workdir)
+    monkeypatch.setattr(cli.mc_mod, "chain_expectation", lambda *args: pytest.fail("the target ran"))
+    monkeypatch.setattr(cli.mc_mod, "_replica_picks", lambda *args: pytest.fail("a replica ran"))
     err = _assert_usage_error(main(argv + ["--out", "x"]), capsys)
     if str(2**20) in argv:  # StepSchedule's cap
         assert f"step count must be < 2**20, got {2**20}" in err
+    if str(2**32) in argv:  # mc._check_run's cap
+        assert err == f"error: replicas must be an int in 1..2**32-1, got {2**32}\n"
     assert not (workdir / "x.csv").exists()
 
 
@@ -1065,7 +1071,9 @@ def test_cli_imports_no_private_name():
 def test_cli_holds_no_input_cap():
     # each cap on a library input is checked in the library function it
     # guards (lattice.check_block_cap, StepSchedule's step cap, the draw cap
-    # of mc.bias_experiment); the front end keeps only its own flag rules
+    # of mc.bias_experiment, mc._check_run's replica cap), and so is the rule
+    # that a functional's labels fit the data's columns (mc._check_data); the
+    # front end keeps only its own flag rules
     tree = ast.parse(Path(cli.__file__).read_text())
     imported = [
         alias.name
@@ -1087,10 +1095,17 @@ def test_cli_holds_no_input_cap():
         ast.unparse(node)
         for node in ast.walk(tree)
         if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
-            and ast.unparse(node) == "2 ** 20")
-        or (isinstance(node, ast.Constant) and node.value == 2**20)
+            and ast.unparse(node) in ("2 ** 20", "2 ** 32"))
+        or (isinstance(node, ast.Constant) and node.value in (2**20, 2**32))
     ]
     assert powers == []
+    calls = [
+        ast.unparse(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    assert "art.add_table" in calls  # the walk sees method calls
+    assert [call for call in calls if call.endswith(".max_label")] == []
 
 
 def test_one_population_object_per_law():
@@ -1156,6 +1171,22 @@ def test_smatrix_with_cells_past_the_cap_exits_2_before_writing(workdir, monkeyp
     assert err.startswith(f"error: the sampling matrix at m=2, N={BIG_N} has cells of up to")
     assert err.endswith(" = 14618 bits; at most 2400 are supported\n")
     assert not (workdir / "x.csv").exists() and not (workdir / "x.json").exists()
+
+
+def test_bias_trajectory_over_the_bit_budget_exits_2_at_once(workdir, monkeypatch):
+    # bias --n 10 --k 5000 wrote 50 MB in 3 s, and the files grow as k^2:
+    # exact_bias holds the rows to debias.TRAJECTORY_CAP bits before any file opens
+    proc, elapsed = _run_in_child(BIAS + ["--n", "10", "--k", "100000", "--out", "x"], workdir)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stderr.startswith("error: the exact trajectory at N=10 takes about ")
+    assert proc.stderr.endswith(" of 100000 (m x bit_length(N) = 8 more per row, plus the steps' bits);"
+                                " at most 2**25 are supported\n")
+    assert elapsed < 1, elapsed
+    assert not (workdir / "x.csv").exists() and not (workdir / "x.json").exists()
+    monkeypatch.chdir(workdir)
+    assert main(BIAS + ["--n", "10", "--k", "1000", "--out", "ok"]) == 0
+    _, rows = _rows(workdir / "ok.csv", "trajectory")
+    assert len(rows) == 1001
 
 
 def test_artifact_prints_exact_cells_past_the_digit_limit(tmp_path):
@@ -1358,6 +1389,24 @@ def _hand_built(m):
     entries[4][n - 1] = Fraction(0)  # a Fraction zero off the order prints 0
     entries[5][0] = "7"  # a str cell on the support
     return oracles.matrix_from_rows(M.index, entries)
+
+
+def test_a_fallback_matrix_row_builds_no_dense_view(tmp_path, monkeypatch):
+    # a row with a float cell takes the per-cell route from its own stored
+    # cells: the matrix's entries, Bell(m)^2 cells, are never built
+    monkeypatch.setattr(artifact, "datetime", _FixedClock)
+    entries = [list(row) for row in lattice.zeta_matrix(4).entries]
+    entries[3][0] = 0.5
+    M = oracles.matrix_from_rows(lattice.enumerate_partitions(4), entries)
+    art = Artifact("planted", [])
+    art.add_matrix("m", [lattice.format_partition(pi) for pi in M.index], M)
+    art.write(tmp_path / "new")
+    assert M._entries is None
+    oracles.write_artifact(art, tmp_path / "old", FIXED_STAMP.isoformat())
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"old{suffix}").read_bytes()
+    _, rows = _rows(tmp_path / "new.csv", "m")
+    assert rows[3][1] == "0.5"
 
 
 def test_matrix_rows_off_support_fall_back_to_per_cell_route(tmp_path, monkeypatch):

@@ -359,6 +359,33 @@ def test_exact_bias_over_the_block_cap_reads_no_moment(monkeypatch):
         exact_bias(F, StepSchedule.unit(20, 1), pop)
 
 
+def test_exact_bias_holds_the_trajectory_to_its_bit_budget(monkeypatch):
+    # an exact row takes about m x bit_length(N) bits plus its step's bits
+    # more than the last, so the rows' bits grow as k^2; the budget is checked
+    # before any moment is read or any row built
+    from mobiusboot import debias
+
+    def moment_not_wanted(self, block):
+        raise AssertionError("a moment was read")
+
+    monkeypatch.setattr(MomentTable, "moment", moment_not_wanted)
+    pop = normal_moment_table(1, 2)
+    with pytest.raises(CapExceededError, match=r"^the exact trajectory at N=10 takes about \d+ bits"
+                       r" by row 2590 of 100000 \(m x bit_length\(N\) = 8 more per row"):
+        exact_bias(variance_poly(), StepSchedule.unit(10, 100000), pop)
+    assert debias.TRAJECTORY_CAP == 2**25
+    # within the budget: 2589 unit steps, float coefficients, and exact steps
+    # up to a float one, after which the iterates are floats
+    float_variance = MomentPolynomial(1, {LabeledTerm([[0, 0]]): 1.0, LabeledTerm([[0], [0]]): -1.0})
+    for F, schedule in [
+        (variance_poly(), StepSchedule.unit(10, 2589)),
+        (float_variance, StepSchedule.unit(10, 100000)),
+        (variance_poly(), StepSchedule(10, [1] * 2000 + [0.5] + [1] * 100000)),
+    ]:
+        with pytest.raises(AssertionError, match="a moment was read"):
+            exact_bias(F, schedule, pop)
+
+
 def test_bias_report_rows_shape():
     report = exact_bias(variance_poly(), StepSchedule.unit(4, 1), normal_moment_table(1, 4))
     rows = report.rows()
@@ -422,9 +449,13 @@ def test_general_bound_two_term_tradeoff():
 
 @pytest.mark.parametrize("n", [0, -1, -72, 0.5])
 def test_general_bound_rejects_n_below_one(n):
-    # at N = 0 the cut index is 0 and the bound read (0, 4.0); below 0 sqrt failed
-    with pytest.raises(ValueError, match="N must be positive"):
+    # at N = 0 the cut index is 0 and the bound read (0, 4.0); below 0 sqrt
+    # failed.  One shared check rejects N, here and in neumann_trace_bound
+    message = "^sample size must be " + ("an int" if n == 0.5 else "positive") + f", got {n}$"
+    with pytest.raises(ValueError, match=message):
         general_bound([1.0, 0.5, 0.25], n)
+    with pytest.raises(ValueError, match=message):
+        neumann_trace_bound(0.5, n)
 
 
 @pytest.mark.parametrize(

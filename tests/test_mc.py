@@ -35,7 +35,7 @@ from mobiusboot.mc import (
     _replica_generators,
     _spawn_states,
 )
-from mobiusboot.lattice import CapExceededError
+from mobiusboot.lattice import CapExceededError, DimensionError
 from mobiusboot.moments import (
     Dataset,
     InfeasibleError,
@@ -360,11 +360,23 @@ def test_bad_seed_rejected_before_any_replica(seed, error):
 
 
 @pytest.mark.parametrize("replicas", [0, 2**32, 2**40, 3.0, True])
-def test_replica_count_outside_uint32_keys_rejected(replicas):
-    with pytest.raises(ValueError, match="replicas must be an int in 1..2\\*\\*32-1"):
-        mc_estimate(variance_poly(), DATA4, (1,), replicas, 0)
-    with pytest.raises(ValueError, match="replicas must be an int"):
-        bias_experiment(variance_poly(), NormalPopulation(1), StepSchedule.unit(4, 1), replicas)
+def test_replica_count_outside_uint32_keys_rejected(replicas, monkeypatch):
+    # 2**32 replicas or more pass the uint32 spawn keys: a cap, CapExceededError
+    # (exit 2 in mc-run); any other bad count is a plain ValueError.  Either
+    # comes before any replica, moment table or exact trajectory
+    for name in ("_replica_picks", "_replica_generators", "exact_bias"):
+        monkeypatch.setattr(mobiusboot.mc, name, _not_reached)
+    monkeypatch.setattr(MomentTable, "from_dataset", classmethod(_from_dataset_not_wanted))
+    capped = type(replicas) is int and replicas >= 2**32
+    runs = [
+        lambda: mc_estimate(variance_poly(), DATA4, (1,), replicas, 0),
+        lambda: bias_experiment(variance_poly(), NormalPopulation(1), StepSchedule.unit(4, 1), replicas),
+        lambda: bias_experiment(variance_poly(), DATA4, StepSchedule.unit(4, 1), replicas),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="^replicas must be an int in 1..2\\*\\*32-1, got ") as err:
+            run()
+        assert isinstance(err.value, CapExceededError) == capped
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
@@ -585,6 +597,32 @@ def test_chain_expectation_names_data_that_is_not_a_dataset(data, monkeypatch):
         chain_expectation(variance_poly(), (1, -1), data)
 
 
+WIDE = MomentPolynomial(3, {LabeledTerm([[0, 2]]): 1, LabeledTerm([[0]]): 1})
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda data: mc_estimate(WIDE, data, (1, -1), 3, 0),
+        lambda data: exhaustive_estimate(WIDE, data, (1, -1)),
+        lambda data: chain_expectation(WIDE, (1, -1), data),
+        lambda data: bias_experiment(WIDE, data, StepSchedule.unit(3, 1), 3),
+    ],
+    ids=["mc_estimate", "exhaustive_estimate", "chain_expectation", "bias_experiment"],
+)
+def test_every_chain_route_checks_the_functional_fits_the_data_first(run, monkeypatch):
+    # a label of F past the data's columns raises DimensionError before any
+    # replica, chain state, operator, column, moment table or trajectory
+    for name in ("_replica_picks", "_pcg64_seeder", "_multiset_picks", "apply_S", "exact_bias"):
+        monkeypatch.setattr(mobiusboot.mc, name, _not_reached)
+    monkeypatch.setattr(mobiusboot.moments, "_column", _not_reached)
+    monkeypatch.setattr(MomentTable, "from_dataset", classmethod(_from_dataset_not_wanted))
+    data = Dataset([[1.0], [2.0], [4.0]])
+    with pytest.raises(DimensionError, match="^dataset has 1 column\\(s\\), but the functional reads label 2$"):
+        run(data)
+    assert data.columns == {}
+
+
 def test_mc_reads_no_pick_layout():
     # the pick layout (root, picks, columns) stays behind Dataset: mc composes
     # picks through Dataset._picked alone, so the layout can change in one module
@@ -655,6 +693,10 @@ def _exact_bias_not_wanted(*args):
     raise AssertionError("the exact trajectory ran before the check")
 
 
+def _from_dataset_not_wanted(cls, data, blocks):
+    raise AssertionError("the moment table was tabulated before the check")
+
+
 def test_bias_experiment_over_the_block_cap_tabulates_nothing(monkeypatch):
     # 13 singleton blocks over 200 rows spent 0.85 s in from_dataset's 2^13
     # unions before exact_bias reached the block cap
@@ -684,13 +726,19 @@ def test_bias_experiment_rejects_explicit_moment_tables(monkeypatch):
 
 @pytest.mark.parametrize("d, n, k", [(1, 2**20 + 1, 0), (3, 2**18, 2), (1, 2**19 + 1, 1)])
 def test_bias_experiment_over_the_draw_cap_runs_no_trajectory(monkeypatch, d, n, k):
-    # a normal population's replica draws N x d root cells and k x N link picks
+    # a replica holds N x d root cells, drawn from a normal population or
+    # picked from a Dataset population's rows, and k x N link picks
     monkeypatch.setattr(mobiusboot.mc, "exact_bias", _exact_bias_not_wanted)
-    with pytest.raises(CapExceededError, match=rf"^one replica draws N x \(d \+ k\) = {n * (d + k)} cells"):
-        bias_experiment(variance_poly(), NormalPopulation(d), StepSchedule.unit(n, k), 1)
-    # 2**20 cells are allowed: the run goes on to the exact trajectory
+    monkeypatch.setattr(MomentTable, "from_dataset", classmethod(_from_dataset_not_wanted))
+    for population in (NormalPopulation(d), Dataset([[0.5] * d] * 3)):
+        with pytest.raises(CapExceededError, match=rf"^one replica draws N x \(d \+ k\) = {n * (d + k)} cells"):
+            bias_experiment(variance_poly(), population, StepSchedule.unit(n, k), 1)
+    # 2**20 cells are allowed: the run goes on to the exact trajectory, or
+    # for a Dataset population first to its moment table
     with pytest.raises(AssertionError, match="the exact trajectory ran"):
         bias_experiment(variance_poly(), NormalPopulation(1), StepSchedule.unit(2**19, 1), 1)
+    with pytest.raises(AssertionError, match="the moment table was tabulated"):
+        bias_experiment(variance_poly(), Dataset([[0.5]] * 3), StepSchedule.unit(2**19, 1), 1)
 
 
 def test_exact_column_independent_of_replicas():
@@ -814,9 +862,9 @@ def test_out_of_range_label_raises_on_a_pick(nested):
         with pytest.raises(ValueError, match="label 2 out of range for d=2"):
             evaluate(F, pick)
         assert list(data.columns) == [(0,)]
-    with pytest.raises(RuntimeError, match="replica 0") as err:
+    # the chain routes check F's labels against the data before any replica
+    with pytest.raises(DimensionError, match="^dataset has 2 column\\(s\\), but the functional reads label 2$"):
         mc_estimate(F, data, (1,), 3, seed=0)
-    assert "label 2 out of range for d=2" in str(err.value.__cause__.__cause__)
 
 
 def test_pick_rows_are_built_on_first_read():
@@ -1052,8 +1100,12 @@ def test_rows_beyond_32_bit_bounds_are_picked_by_numpy():
 def test_pick_evaluator_refuses_exact_polynomials_and_labels_beyond_d():
     data = Dataset([[1.0, 2.0], [3.0, 4.0]])
     assert _pick_evaluator(cubic_poly(2), data) is None
-    wide = MomentPolynomial(3, {LabeledTerm([[0], [2]]): 1.0})
-    assert _pick_evaluator(wide, data) is None
+    assert data.columns == {}
+    # a label beyond d is refused where a column is built; the chain routes
+    # never get here with one (mc._check_data raises DimensionError first)
+    wide = MomentPolynomial(3, {LabeledTerm([[2]]): 1.0})
+    with pytest.raises(ValueError, match="^label 2 out of range for d=2$"):
+        _pick_evaluator(wide, data)
     assert data.columns == {}
 
 

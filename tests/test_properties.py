@@ -206,6 +206,24 @@ def test_exhaustive_chain_equals_operator_route(case):
     assert exhaustive_estimate(F, data, coeffs) == chain_expectation(F, coeffs, data)
 
 
+# exact steps (ints and p/q) and float steps in any order: from the first
+# float step on every coefficient is a float
+COEFFICIENT_STEP = st.one_of(
+    st.integers(1, 9),
+    st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=12),
+    st.floats(min_value=1e-3, max_value=9.0),
+)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.lists(COEFFICIENT_STEP, max_size=12))
+def test_expansion_coefficients_match_the_fraction_recursion(steps):
+    got = expansion_coefficients(steps)
+    want = oracles.expansion_coefficients(steps)
+    assert type(got) is tuple
+    assert [(type(a), repr(a)) for a in got] == [(type(a), repr(a)) for a in want]
+
+
 @PROPERTY
 @given(st.integers(1, 5), st.integers(1, 8))
 def test_sampling_columns_sum_to_one(m, n):
